@@ -19,22 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .calibration import discretize, ece, isotonic_fit
-from .core import (
-    Dataset,
-    ExpectationEngine,
-    Hypothesis,
-    PipelinePredictor,
-    bucket_index,
-    bucket_midpoints,
-    clip01,
-    n_buckets,
-)
+from .calibration import bucket_means, discretize, ece, isotonic_fit
+from .core import Dataset, ExpectationEngine, Hypothesis, PipelinePredictor, clip01
 from .losses import exp_loss, lp_loss, sigmoid_glm, squared_loss, truncated_decision
 
 __all__ = [
@@ -312,11 +303,7 @@ def train_calma_bench(
             fit = isotonic_fit(pv_cal, cal.y)
             pred = pred.extended(("isotonic", fit.thresholds, fit.fitted))
         else:
-            m = n_buckets(bucket_delta)
-            idx = bucket_index(pv_cal, bucket_delta)
-            cnt = np.bincount(idx, minlength=m).astype(float)
-            ysum = np.bincount(idx, weights=cal.y, minlength=m)
-            vals = np.where(cnt > 0, ysum / np.maximum(cnt, 1.0), bucket_midpoints(bucket_delta))
+            vals = bucket_means(pv_cal, cal.y, np.ones(cal.n), bucket_delta)
             pred = pred.extended(("bucket", bucket_delta, vals))
         recals += 1
     return pred, rounds
@@ -352,13 +339,16 @@ class BenchResult:
         }
 
     def to_markdown(self) -> str:
-        lines = ["| algorithm | " + " | ".join(BENCH_COLUMNS) + " |"]
-        lines.append("|" + "---|" * (len(BENCH_COLUMNS) + 1))
-        for name, row in self.rows.items():
-            lines.append(
-                "| " + name + " | " + " | ".join(f"{row[c]:.3f}" for c in BENCH_COLUMNS) + " |"
-            )
-        return "\n".join(lines)
+        return markdown_table(self.rows, lambda v: f"{v:.3f}")
+
+
+def markdown_table(rows: Mapping[str, Mapping], cell: Callable[[object], str]) -> str:
+    """Markdown table with one line per algorithm and one column per loss;
+    ``cell`` formats each row's entry for a column."""
+    lines = ["| algorithm | " + " | ".join(BENCH_COLUMNS) + " |", "|" + "---|" * (len(BENCH_COLUMNS) + 1)]
+    for name, row in rows.items():
+        lines.append("| " + name + " | " + " | ".join(cell(row[c]) for c in BENCH_COLUMNS) + " |")
+    return "\n".join(lines)
 
 
 def run_benchmark(cfg: MixtureConfig, alpha: float = 0.1, recal_backend: str = "isotonic") -> BenchResult:

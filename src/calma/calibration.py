@@ -24,7 +24,9 @@ from .core import (
     Predictor,
     bucket_index,
     bucket_midpoints,
+    correlate,
     n_buckets,
+    value_matrix,
 )
 
 __all__ = [
@@ -112,21 +114,15 @@ class DatasetSampler:
 def ece(pred: Predictor, engine: ExpectationEngine) -> float:
     """Expected calibration error over the predictor's exact level sets."""
     pv = pred.values(engine.X)
-    values, inverse = np.unique(pv, return_inverse=True)
-    w = np.bincount(inverse, weights=engine.weights, minlength=len(values))
-    wy = np.bincount(inverse, weights=engine.weights * engine.ystar, minlength=len(values))
-    live = w > 0
-    return math.fsum((np.abs(wy[live] - w[live] * values[live])).tolist())
+    _, level = np.unique(pv, return_inverse=True)
+    return float(np.sum(np.abs(np.bincount(level, weights=engine.weights * (engine.ystar - pv)))))
 
 
 def weighted_ce(pred: Predictor, weights: list[WeightFunction], engine: ExpectationEngine) -> float:
     """max_w |E[w(p(x)) (y* - p(x))]| over the supplied weight family."""
     pv = pred.values(engine.X)
-    resid = engine.ystar - pv
-    best = 0.0
-    for w in weights:
-        best = max(best, abs(engine.expect(w.values(pv) * resid)))
-    return best
+    corr = correlate(engine.weights, engine.ystar - pv, value_matrix(weights, pv))
+    return float(np.max(np.abs(corr), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +173,16 @@ def _bucket_stats(pv: np.ndarray, yv: np.ndarray, wv: np.ndarray, delta: float) 
     return BucketStats(delta, w, means)
 
 
+def bucket_means(pv: np.ndarray, yv: np.ndarray, wv: np.ndarray, delta: float) -> np.ndarray:
+    """Recalibrated bucket outputs: the weighted label mean of each nonempty
+    bucket of predictions ``pv``, the bucket midpoint for empty ones."""
+    stats = _bucket_stats(pv, yv, wv, delta)
+    return np.where(stats.count > 0, stats.label_mean, stats.midpoints)
+
+
 def recalibrate_with_engine(pred: Predictor, delta: float, engine: ExpectationEngine) -> BucketRecalPredictor:
     """Bucket-mean recalibration using the engine's label means per bucket."""
-    stats = _bucket_stats(pred.values(engine.X), engine.ystar, engine.weights, delta)
-    values = np.where(stats.count > 0, np.clip(stats.label_mean, 0.0, 1.0), stats.midpoints)
+    values = bucket_means(pred.values(engine.X), engine.ystar, engine.weights, delta)
     return BucketRecalPredictor(pred, delta, values)
 
 
@@ -235,9 +237,7 @@ def recal(
         return recalibrate_exact(pred, delta, source)
     m = n_samples if n_samples is not None else recal_samples_needed(delta, constant)
     X, y = source.draw(m)
-    stats = _bucket_stats(pred.values(X), y, np.ones(len(y)), delta)
-    values = np.where(stats.count > 0, stats.label_mean, stats.midpoints)
-    return BucketRecalPredictor(pred, delta, values)
+    return BucketRecalPredictor(pred, delta, bucket_means(pred.values(X), y, np.ones(len(y)), delta))
 
 
 def bucket_stats(pred: Predictor, delta: float, engine: ExpectationEngine) -> BucketStats:

@@ -22,6 +22,7 @@ from .bench import (
     aggregate_results,
     fit_linear_baseline,
     gen_gaussian_mixture,
+    markdown_table,
     run_benchmark,
 )
 from .calibration import ece as ece_fn
@@ -228,12 +229,7 @@ def bench(s, d, alpha, seeds, recal, tolerance, out_path):
                     fh.write(algo + "," + ",".join(f"{row[c]['mean']:.5f}" for c in BENCH_COLUMNS) + "\n")
         else:
             with open(out_path, "w") as fh:
-                fh.write("| algorithm | " + " | ".join(BENCH_COLUMNS) + " |\n")
-                fh.write("|" + "---|" * (len(BENCH_COLUMNS) + 1) + "\n")
-                for algo, row in agg.items():
-                    fh.write(
-                        "| " + algo + " | " + " | ".join(f"{row[c]['mean']:.3f}" for c in BENCH_COLUMNS) + " |\n"
-                    )
+                fh.write(markdown_table(agg, lambda cell: f"{cell['mean']:.3f}") + "\n")
     for algo, row in agg.items():
         click.echo(algo + ": " + "  ".join(f"{c}={row[c]['mean']:.3f}" for c in BENCH_COLUMNS))
     bad = [

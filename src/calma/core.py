@@ -9,9 +9,10 @@ computed analytically as the Bernoulli mixture ``p(x) * f(x, 1) + (1 - p(x)) *
 f(x, 0)``, never by sampling.
 
 All containers are immutable after construction (arrays are marked read-only)
-and safe to share across threads.  Exact-mode reductions use compensated
-summation (``math.fsum``), which is deterministic regardless of how callers
-parallelize around the engine.
+and safe to share across threads.  Every expectation and residual correlation
+reduces through ``correlate``, a BLAS dot or matrix-vector product: repeated
+calls with the same shapes, numpy/BLAS build and BLAS thread count give
+bit-identical results, which are not exactly rounded.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "FiniteDistribution",
     "Dataset",
     "ExpectationEngine",
+    "correlate",
     "Hypothesis",
     "HypothesisClass",
     "make_class",
@@ -80,8 +82,19 @@ def clip01(values: np.ndarray) -> np.ndarray:
     return np.minimum(1.0, np.maximum(0.0, values))
 
 
-def _fsum(values: np.ndarray) -> float:
-    return math.fsum(np.asarray(values, dtype=np.float64).tolist())
+def correlate(weights: np.ndarray, resid: np.ndarray, G: np.ndarray):
+    """sum_i weights_i * resid_i * G_i for one per-point vector ``G``, or one
+    such sum per column of an n x k matrix ``G``."""
+    return (weights * resid) @ G
+
+
+def value_matrix(fns: Iterable, arg: np.ndarray) -> np.ndarray:
+    """n x k matrix whose column j is ``fns[j].values(arg)``."""
+    fns = list(fns)
+    out = np.empty((len(arg), len(fns)))
+    for j, f in enumerate(fns):
+        out[:, j] = f.values(arg)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +120,11 @@ class FiniteDistribution:
         bayes = np.asarray(self.bayes, dtype=np.float64).ravel()
         if not (len(pts) == len(mass) == len(bayes)):
             raise ValueError("points, mass and bayes must have equal length")
+        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(mass)) and np.all(np.isfinite(bayes))):
+            raise ValueError("points, mass and bayes must be finite")
         if np.any(mass < 0):
             raise ValueError("masses must be nonnegative")
-        if abs(_fsum(mass) - 1.0) > _MASS_TOL:
+        if abs(math.fsum(mass.tolist()) - 1.0) > _MASS_TOL:
             raise ValueError("masses must sum to 1 within 1e-12")
         if np.any(bayes < 0) or np.any(bayes > 1):
             raise ValueError("bayes probabilities must lie in [0, 1]")
@@ -152,6 +167,8 @@ class Dataset:
             raise ValueError("dataset must be nonempty")
         if len(X) != len(y):
             raise ValueError("feature matrix and labels must have equal length")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("features must be finite")
         if not np.all((y == 0) | (y == 1)):
             raise ValueError("labels must be binary")
         object.__setattr__(self, "X", _freeze(X))
@@ -232,8 +249,8 @@ class ExpectationEngine:
         return self.mode == "exact"
 
     def expect(self, values: np.ndarray) -> float:
-        """E over x of a per-point quantity, deterministic summation order."""
-        return _fsum(self.weights * np.asarray(values, dtype=np.float64))
+        """E over x of a per-point quantity."""
+        return float(correlate(self.weights, 1.0, values))
 
     def expect_label(self, at1: np.ndarray, at0: np.ndarray) -> float:
         """E over (x, y*) of a quantity given per-point values at y=1 / y=0."""
@@ -341,14 +358,11 @@ def lin_combination(cls: HypothesisClass, weights: Mapping[str, float], budget: 
     total = math.fsum(abs(w) for w in weights.values())
     if total > budget + 1e-12:
         raise BudgetExceededError(f"sum of |weights| = {total:.6g} exceeds budget {budget:.6g}")
-    picked = [(cls.member(tag), float(w)) for tag, w in weights.items()]
+    members = [cls.member(tag) for tag in weights]
+    coefs = np.array([float(w) for w in weights.values()])
 
-    def fn(X, picked=tuple(picked)):
-        X = np.atleast_2d(X)
-        out = np.zeros(len(X))
-        for h, w in picked:
-            out += w * h.values(X)
-        return out
+    def fn(X):
+        return value_matrix(members, np.atleast_2d(X)) @ coefs
 
     tag = "lin(" + ",".join(f"{t}:{w:g}" for t, w in weights.items()) + ")"
     return Hypothesis(fn, budget * cls.max_bound, tag)
@@ -673,7 +687,7 @@ class PipelinePredictor(Predictor):
 
 
 def predictor_from_dict(d: Mapping, hclass: HypothesisClass | None = None) -> Predictor:
-    """Rebuild a serialized predictor; pipelines may reference class members."""
+    """Rebuild a serialized predictor; pipelines and GLM fits may reference class members."""
     kind = d["kind"]
     if kind == "constant":
         return ConstantPredictor(float(d["value"]))
@@ -687,6 +701,12 @@ def predictor_from_dict(d: Mapping, hclass: HypothesisClass | None = None) -> Pr
             float(d["delta"]),
             np.asarray(d["bucket_values"], dtype=np.float64),
         )
+    if kind == "glm_linear":
+        if hclass is None:
+            raise ValueError("hypothesis class required to rebuild a glm_linear predictor")
+        from .losses import get_loss  # multiaccuracy imports core: import on demand
+        from .multiaccuracy import GlmLinearPredictor
+        return GlmLinearPredictor(get_loss(f"glm:{d['transfer']}"), hclass, dict(d["weights"]))
     raise ValueError(f"cannot rebuild predictor kind {kind!r}")
 
 

@@ -360,7 +360,7 @@ def glm_from_transfer(
         t = np.asarray(t, dtype=np.float64)
         if t.ndim == 0:
             return np.float64(g_scalar(float(t)))
-        return np.array([g_scalar(float(s)) for s in t])
+        return np.array([g_scalar(float(s)) for s in t.ravel()]).reshape(t.shape)
 
     def inv_scalar(v: float) -> float:
         if not im[0] - 1e-12 <= v <= im[1] + 1e-12:
@@ -380,7 +380,7 @@ def glm_from_transfer(
         v = np.asarray(v, dtype=np.float64)
         if v.ndim == 0:
             return np.float64(inv_scalar(float(v)))
-        return np.array([inv_scalar(float(x)) for x in v])
+        return np.array([inv_scalar(float(x)) for x in v.ravel()]).reshape(v.shape)
 
     def dual_f(v):
         v = np.asarray(v, dtype=np.float64)

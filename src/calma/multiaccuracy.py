@@ -24,6 +24,8 @@ from .core import (
     PipelinePredictor,
     Predictor,
     clip01,
+    correlate,
+    value_matrix,
 )
 from .losses import GlmLoss
 
@@ -54,11 +56,8 @@ class NonConvergenceError(RuntimeError):
 
 def mae(pred: Predictor, hypotheses: HypothesisClass | Iterable[Hypothesis], engine: ExpectationEngine) -> float:
     """Largest absolute correlation of any member with the residual y* - p."""
-    resid = engine.ystar - pred.values(engine.X)
-    best = 0.0
-    for h in hypotheses:
-        best = max(best, abs(engine.expect(h.values(engine.X) * resid)))
-    return best
+    corr = correlate(engine.weights, engine.ystar - pred.values(engine.X), value_matrix(hypotheses, engine.X))
+    return float(np.max(np.abs(corr), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,7 @@ class ResidualAccess:
     weights: np.ndarray
 
     def correlation(self, h: Hypothesis) -> float:
-        return math.fsum((self.weights * h.values(self.X) * self.z).tolist())
+        return float(correlate(self.weights, self.z, h.values(self.X)))
 
 
 def exact_residual_access(engine: ExpectationEngine, pred_values: np.ndarray) -> ResidualAccess:
@@ -105,13 +104,10 @@ class ExhaustiveWeakLearner:
             raise ValueError("need 0 < sigma <= rho")
 
     def query(self, access: ResidualAccess) -> tuple[Hypothesis, float] | None:
-        best_h, best_corr = None, -np.inf
-        for h in self.hclass:
-            corr = access.correlation(h)
-            if corr > best_corr:
-                best_h, best_corr = h, corr
-        if best_corr >= self.sigma - self.tol:
-            return best_h, best_corr
+        corr = correlate(access.weights, access.z, value_matrix(self.hclass, access.X))
+        best = int(np.argmax(corr))
+        if corr[best] >= self.sigma - self.tol:
+            return self.hclass.members[best], float(corr[best])
         return None
 
 
@@ -197,12 +193,8 @@ class GlmLinearPredictor(Predictor):
     kind = "glm_linear"
 
     def score(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        out = np.zeros(len(X))
-        for tag, w in self.weights.items():
-            if w != 0.0:
-                out += w * self.hclass.member(tag).values(X)
-        return out
+        members = [self.hclass.member(tag) for tag in self.weights]
+        return value_matrix(members, np.atleast_2d(X)) @ np.array(list(self.weights.values()))
 
     def values(self, X):
         return clip01(np.asarray(self.glm.gprime(self.score(X)), dtype=np.float64))
@@ -246,7 +238,7 @@ def l1_glm_fit(
         raise ValueError("alpha must be nonnegative")
     X, y, n = data.X, data.y, data.n
     members = list(hclass.members)
-    M = np.column_stack([h.values(X) for h in members])
+    M = value_matrix(members, X)
     w = np.zeros(len(members))
 
     def smooth_value(wv: np.ndarray) -> float:

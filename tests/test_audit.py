@@ -1,6 +1,8 @@
 """Indistinguishability gaps, their decompositions and bounds, the Bregman
 geometry identity, and the two exact counterexample constructions."""
 
+import collections
+import itertools
 import math
 
 import numpy as np
@@ -25,11 +27,12 @@ from calma.calibration import WeightFunction, ece, weighted_ce
 from calma.core import (
     ExpectationEngine,
     Hypothesis,
+    Predictor,
     bayes_predictor,
     interval_class,
     lin_combination,
 )
-from calma.losses import get_loss, identity_glm, sigmoid_glm, truncated_decision
+from calma.losses import Loss, get_loss, identity_glm, sigmoid_glm, truncated_decision
 from calma.multiaccuracy import ExhaustiveWeakLearner, ma_algorithm, mae
 from calma.training import calma
 
@@ -271,6 +274,37 @@ class TestAuditFamily:
         assert report.max_decomposition_residual <= 1e-12
         d = report.to_dict()
         assert d["max_abs_loss_gap"] == report.max_abs_loss_gap
+
+    def test_predictions_and_decisions_computed_once(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        dist, engine, cls, base = random_audit_instance(rng)
+        losses = [get_loss("l2"), get_loss("glm:sigmoid"), random_bounded_loss(rng)]
+
+        class CountingPredictor(Predictor):
+            calls = 0
+
+            def values(self, X):
+                CountingPredictor.calls += 1
+                return base.values(X)
+
+        decisions = collections.Counter()
+        decision = Loss.decision
+
+        def counted(loss, p):
+            decisions[loss.name] += 1
+            return decision(loss, p)
+
+        monkeypatch.setattr(Loss, "decision", counted)
+        report = audit_family(CountingPredictor(), losses, cls.members, engine)
+        assert CountingPredictor.calls == 1
+        assert decisions == {loss.name: 1 for loss in losses}
+        monkeypatch.undo()
+        # the batched report agrees with the per-pair gap functions
+        for (_, tag, hg, dg, lg, _), (loss, h) in zip(report.rows, itertools.product(losses, cls.members)):
+            assert tag == h.tag
+            assert abs(hg - hypothesis_oi_gap(base, loss, h, engine)) <= 1e-12
+            assert abs(dg - decision_oi_gap(base, loss, engine)) <= 1e-12
+            assert abs(lg - loss_oi_gap(base, loss, h, engine)) <= 1e-12
 
 
 class TestParityConstruction:

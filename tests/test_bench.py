@@ -14,7 +14,8 @@ from calma.bench import (
     train_calma_bench,
 )
 from calma.bench import _fit_l2
-from calma.core import Dataset
+from calma.calibration import bucket_means
+from calma.core import Dataset, PipelinePredictor
 
 
 class TestGenerator:
@@ -91,6 +92,12 @@ class TestTrainer:
             pred, rounds = train_calma_bench(train, cal, alpha=0.1, recal_backend=backend)
             assert rounds >= 1
             assert any(stage[0] == op for stage in pred.stages)
+        # each bucket stage holds the shared bucket-mean values of the
+        # predictions it recalibrates, on the cal split
+        for i, stage in enumerate(pred.stages):
+            if stage[0] == "bucket":
+                pv_cal = PipelinePredictor(pred.stages[:i]).values(cal.X)
+                assert np.array_equal(stage[2], bucket_means(pv_cal, cal.y, np.ones(cal.n), stage[1]))
 
     def test_backend_validated(self):
         cfg = MixtureConfig(s=2, d=2, seed=11, n_test=10)

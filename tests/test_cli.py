@@ -6,6 +6,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
+from calma.bench import MixtureConfig, run_benchmark
 from calma.cli import main
 
 
@@ -78,3 +79,13 @@ def test_bench_writes_table(runner, tmp_path):
     with open(table) as fh:
         payload = json.load(fh)
     assert "calma" in payload["table"]
+
+
+def test_bench_writes_markdown_table(runner, tmp_path):
+    table = str(tmp_path / "table.md")
+    res = runner.invoke(main, ["bench", "--s", "2", "--d", "2", "--seeds", "1", "--out", table])
+    assert res.exit_code == 0, res.output
+    with open(table) as fh:
+        text = fh.read()
+    # one seed: every mean is that seed's value, so the table is the cell's own
+    assert text == run_benchmark(MixtureConfig(s=2, d=2, seed=0)).to_markdown() + "\n"

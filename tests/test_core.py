@@ -19,6 +19,7 @@ from calma.core import (
     bayes_predictor,
     bucket_index,
     clip,
+    correlate,
     distance,
     interval_class,
     level_class,
@@ -30,6 +31,7 @@ from calma.core import (
     power_class,
     save_dataset,
     save_distribution,
+    value_matrix,
 )
 from calma.losses import lp_loss
 from calma.multiaccuracy import mae
@@ -49,6 +51,21 @@ class TestContainers:
     def test_labels_binary(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 1)), [0.0, 0.5])
+
+    @pytest.mark.parametrize("field", ["points", "mass", "bayes"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_distribution_rejects_non_finite(self, field, bad):
+        parts = {"points": np.zeros((2, 1)), "mass": np.array([0.5, 0.5]), "bayes": np.array([0.5, 0.5])}
+        parts[field][0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FiniteDistribution(**parts)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_dataset_rejects_non_finite_features(self, bad):
+        X = np.zeros((2, 2))
+        X[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(X, [0.0, 1.0])
 
     def test_immutable_arrays(self):
         dist = random_distribution(np.random.default_rng(0))
@@ -84,6 +101,33 @@ class TestExpectationEngine:
         engine = ExpectationEngine.empirical(data)
         assert engine.expect(np.ones(6)) == pytest.approx(1.0)
         assert engine.expect_label(np.ones(6), np.zeros(6)) == pytest.approx(4 / 6)
+
+
+class TestCorrelate:
+    def test_deterministic_and_close_to_exact_rounding(self):
+        # the kernel is a BLAS reduction: bit-identical on repeated calls
+        # with one shape, and within 1e-12 of the exactly rounded fsum
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            dist = random_distribution(rng, n_points=int(rng.integers(3, 40)))
+            G = value_matrix(random_class(rng, dist, 4), dist.points)
+            resid = random_predictor(rng, dist).values(dist.points) - dist.bayes
+            first = correlate(dist.mass, resid, G)
+            assert first.shape == (G.shape[1],)
+            for _ in range(3):
+                assert np.array_equal(correlate(dist.mass, resid, G), first)
+            for j in range(G.shape[1]):
+                exact = math.fsum((dist.mass * resid * G[:, j]).tolist())
+                assert abs(first[j] - exact) <= 1e-12
+                single = correlate(dist.mass, resid, G[:, j])
+                assert single == correlate(dist.mass, resid, G[:, j])
+                assert abs(single - exact) <= 1e-12
+
+    def test_empty_member_list(self):
+        X = np.zeros((3, 1))
+        G = value_matrix([], X)
+        assert G.shape == (3, 0)
+        assert correlate(np.full(3, 1 / 3), np.ones(3), G).shape == (0,)
 
 
 class TestLinCombination:

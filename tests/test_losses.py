@@ -129,6 +129,10 @@ class TestTransfers:
         for v in (0.1, 0.5, 0.9):
             assert glm.dual_fprime(v) == pytest.approx(v ** (1 / 3), abs=1e-9)
             assert glm.dual_f(v) == pytest.approx(0.75 * v ** (4 / 3), abs=1e-8)
+        # matrices of actions, as the audits pass them, keep their shape
+        T = np.array([[-1.5, 0.7], [2.0, -0.2]])
+        np.testing.assert_allclose(glm.partial(T), -T, atol=1e-9)
+        np.testing.assert_allclose(glm.inverse(T**3), T, atol=1e-9)
 
     def test_monotonicity_checked(self):
         with pytest.raises(MonotonicityError):

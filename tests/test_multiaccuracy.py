@@ -1,6 +1,8 @@
 """Multiaccuracy error, the weak-learner contract, boosting, and the
 L1-regularized GLM route."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from calma.core import (
     FiniteDistribution,
     bayes_predictor,
     make_class,
+    predictor_from_dict,
 )
 from calma.calibration import DistributionSampler
 from calma.losses import crelu_glm, identity_glm, sigmoid_glm
@@ -173,6 +176,16 @@ class TestL1GlmFit:
             fit = l1_glm_fit(cls, glm, alpha=0.1, data=data, tol=1e-6)
             engine = ExpectationEngine.empirical(data)
             assert mae(fit.predictor, cls, engine) <= 0.1 + 1e-5
+
+    def test_predictor_json_roundtrip(self):
+        rng = np.random.default_rng(10)
+        dist = random_distribution(rng, n_points=10, dim=2)
+        data = bernoulli_dataset(rng, dist, 300)
+        cls = random_class(rng, dist, 3)
+        fit = l1_glm_fit(cls, sigmoid_glm(), alpha=0.02, data=data)
+        assert any(w != 0.0 for w in fit.weights.values())
+        loaded = predictor_from_dict(json.loads(json.dumps(fit.predictor.to_dict())), cls)
+        assert np.array_equal(loaded.values(dist.points), fit.predictor.values(dist.points))
 
     def test_objective_monotone(self):
         rng = np.random.default_rng(8)
