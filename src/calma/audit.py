@@ -110,9 +110,12 @@ def pythagorean_residual(pred: Predictor, glm: GlmLoss, hyp: Hypothesis, engine:
     return mid - engine.expect(bregman(glm, ys, gh))
 
 
+_PAIR_FIELDS = ("loss", "hypothesis", "hypothesis_gap", "decision_gap", "loss_gap", "decomposition_residual")
+
+
 @dataclass(frozen=True)
 class OIGapReport:
-    rows: tuple  # (loss_name, hyp_tag, hypothesis_gap, decision_gap, loss_gap, decomposition_residual)
+    rows: tuple  # one tuple per (loss, hypothesis) pair, in _PAIR_FIELDS order
 
     @property
     def max_abs_hypothesis_gap(self) -> float:
@@ -132,17 +135,7 @@ class OIGapReport:
 
     def to_dict(self) -> dict:
         return {
-            "pairs": [
-                {
-                    "loss": r[0],
-                    "hypothesis": r[1],
-                    "hypothesis_gap": r[2],
-                    "decision_gap": r[3],
-                    "loss_gap": r[4],
-                    "decomposition_residual": r[5],
-                }
-                for r in self.rows
-            ],
+            "pairs": [dict(zip(_PAIR_FIELDS, r)) for r in self.rows],
             "max_abs_hypothesis_gap": self.max_abs_hypothesis_gap,
             "max_abs_decision_gap": self.max_abs_decision_gap,
             "max_abs_loss_gap": self.max_abs_loss_gap,
@@ -366,10 +359,6 @@ _SIM_SUBCUBES = {
     "x1=0": np.array([True, False, True, False]),
     "x1=1": np.array([False, True, False, True]),
 }
-
-
-def sim_distribution() -> FiniteDistribution:
-    return FiniteDistribution(_SIM_POINTS, np.full(4, 0.25), _SIM_BAYES)
 
 
 def sim_violation(p: np.ndarray) -> float:

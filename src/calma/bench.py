@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .calibration import bucket_means, discretize, ece, isotonic_fit
-from .core import Dataset, ExpectationEngine, Hypothesis, PipelinePredictor, clip01
+from .core import AddLinearStage, BucketStage, ConstStage, Dataset, ExpectationEngine, PipelinePredictor, clip01
 from .losses import exp_loss, lp_loss, sigmoid_glm, squared_loss, truncated_decision
 
 __all__ = [
@@ -157,10 +157,6 @@ class LinearBaseline:
     def score(self, X: np.ndarray) -> np.ndarray:
         return np.atleast_2d(np.asarray(X, dtype=np.float64)) @ self.w + self.b
 
-    def as_hypothesis(self) -> Hypothesis:
-        bound = float(abs(self.b) + np.sum(np.abs(self.w)))  # loose, for bookkeeping
-        return Hypothesis(lambda X: self.score(X), bound, f"baseline:{self.loss_name}")
-
 
 def _fit_l2(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     X1 = np.column_stack([X, np.ones(len(X))])
@@ -284,7 +280,7 @@ def train_calma_bench(
     """
     if recal_backend not in ("isotonic", "bucket"):
         raise ValueError("recal_backend must be 'isotonic' or 'bucket'")
-    pred = PipelinePredictor([("const", 0.5)])
+    pred = PipelinePredictor([ConstStage(0.5)])
     cal_engine = ExpectationEngine.empirical(cal)
     rounds = 0
     recals = 0
@@ -293,18 +289,16 @@ def train_calma_bench(
         w, b = _fit_l2(train.X, resid)
         update_rms = math.sqrt(float(np.mean((train.X @ w + b) ** 2)))
         if update_rms > 1e-6:
-            pred = pred.extended(("add_linear", w, b))
+            pred = pred.extended(AddLinearStage(w, b))
             rounds += 1
         estimate = ece(discretize(pred, bucket_delta), cal_engine)
         if recals >= 1 and estimate <= 0.75 * alpha:
             break
         pv_cal = pred.values(cal.X)
         if recal_backend == "isotonic":
-            fit = isotonic_fit(pv_cal, cal.y)
-            pred = pred.extended(("isotonic", fit.thresholds, fit.fitted))
+            pred = pred.extended(isotonic_fit(pv_cal, cal.y))
         else:
-            vals = bucket_means(pv_cal, cal.y, np.ones(cal.n), bucket_delta)
-            pred = pred.extended(("bucket", bucket_delta, vals))
+            pred = pred.extended(BucketStage(bucket_delta, bucket_means(pv_cal, cal.y, np.ones(cal.n), bucket_delta)))
         recals += 1
     return pred, rounds
 
@@ -324,14 +318,7 @@ class BenchResult:
 
     def to_dict(self) -> dict:
         return {
-            "config": {
-                "s": self.config.s,
-                "d": self.config.d,
-                "n_train": self.config.n_train,
-                "n_cal": self.config.n_cal,
-                "n_test": self.config.n_test,
-                "seed": self.config.seed,
-            },
+            "config": {k: getattr(self.config, k) for k in ("s", "d", "n_train", "n_cal", "n_test", "seed")},
             "alpha": self.alpha,
             "recal_backend": self.recal_backend,
             "iterations": self.iterations,

@@ -21,6 +21,7 @@ from .core import (
     Dataset,
     ExpectationEngine,
     FiniteDistribution,
+    IsotonicStage,
     Predictor,
     bucket_index,
     bucket_midpoints,
@@ -46,7 +47,6 @@ __all__ = [
     "recal",
     "recal_samples_needed",
     "isotonic_fit",
-    "IsotonicStep",
 ]
 
 
@@ -250,23 +250,7 @@ def bucket_stats(pred: Predictor, delta: float, engine: ExpectationEngine) -> Bu
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IsotonicStep:
-    """Nondecreasing step function fitted to (score, label) pairs."""
-
-    thresholds: np.ndarray
-    fitted: np.ndarray
-
-    def values(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        idx = np.searchsorted(self.thresholds, v, side="right") - 1
-        return self.fitted[np.clip(idx, 0, len(self.fitted) - 1)]
-
-    def __call__(self, v):
-        return self.values(v)
-
-
-def isotonic_fit(scores, labels) -> IsotonicStep:
+def isotonic_fit(scores, labels) -> IsotonicStage:
     """Least-squares monotone fit of labels ordered by score, clipped to [0, 1].
 
     Equal scores are pooled first; violating adjacent blocks are then merged
@@ -304,4 +288,4 @@ def isotonic_fit(scores, labels) -> IsotonicStep:
     for m, e in zip(blk_mean, blk_end):
         fitted[start : e + 1] = m
         start = e + 1
-    return IsotonicStep(xs, np.clip(fitted, 0.0, 1.0))
+    return IsotonicStage(xs, np.clip(fitted, 0.0, 1.0))

@@ -20,6 +20,7 @@ from .bench import (
     CenterPlacementError,
     MixtureConfig,
     aggregate_results,
+    column_value_for_score,
     fit_linear_baseline,
     gen_gaussian_mixture,
     markdown_table,
@@ -27,12 +28,14 @@ from .bench import (
 )
 from .calibration import ece as ece_fn
 from .core import (
+    ConstantPredictor,
     ExpectationEngine,
     FunctionPredictor,
     HypothesisClass,
     coordinate_class,
     load_dataset,
     load_distribution,
+    predictor_from_dict,
     save_dataset,
 )
 from .losses import get_loss
@@ -108,8 +111,6 @@ def train(data_path, class_spec, alpha, seed, out_path, trace_path):
     engine = ExpectationEngine.empirical(data)
     delta = alpha * alpha / 32.0
     wl = ExhaustiveWeakLearner(hclass, rho=alpha - delta, sigma=alpha - delta)
-    from .core import ConstantPredictor
-
     p0 = ConstantPredictor(float(np.clip(np.mean(data.y), 0.0, 1.0)))
     pred, trace = calma(p0, alpha, wl, engine, config=CalmaConfig())
     model = {
@@ -132,8 +133,6 @@ def train(data_path, class_spec, alpha, seed, out_path, trace_path):
 
 
 def _rebuild_predictor(model: dict) -> tuple:
-    from .core import predictor_from_dict
-
     hclass = _class_from_dict(model["class"])
     return predictor_from_dict(model["predictor"], hclass), hclass
 
@@ -174,8 +173,6 @@ def audit(model_path, data_path, losses, class_spec, out_path, clamp):
 @click.option("--test", "test_path", default=None, type=click.Path(exists=True))
 def baseline(loss_name, data_path, test_path):
     """Fit the per-loss linear baseline; print train (and test) loss."""
-    from .bench import column_value_for_score
-
     data = load_dataset(data_path)
     fit = fit_linear_baseline(loss_name, data)
     out = {

@@ -20,8 +20,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -47,6 +47,13 @@ __all__ = [
     "TablePredictor",
     "BucketRecalPredictor",
     "PipelinePredictor",
+    "STAGES",
+    "ConstStage",
+    "BaseStage",
+    "AddHypStage",
+    "AddLinearStage",
+    "BucketStage",
+    "IsotonicStage",
     "predictor_from_dict",
     "bayes_predictor",
     "clip",
@@ -76,6 +83,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=np.float64, copy=True)
     a.flags.writeable = False
     return a
+
+
+def _unit_interval(values, what: str) -> np.ndarray:
+    vals = _freeze(np.ravel(values))
+    if not np.all((vals >= -1e-12) & (vals <= 1 + 1e-12)):
+        raise ValueError(f"{what} must lie in [0, 1]")
+    return vals
 
 
 def clip01(values: np.ndarray) -> np.ndarray:
@@ -244,10 +258,6 @@ class ExpectationEngine:
         w.flags.writeable = False
         return cls("empirical", data.X, w, data.y, data=data)
 
-    @property
-    def is_exact(self) -> bool:
-        return self.mode == "exact"
-
     def expect(self, values: np.ndarray) -> float:
         """E over x of a per-point quantity."""
         return float(correlate(self.weights, 1.0, values))
@@ -397,11 +407,6 @@ def level_class(cls: HypothesisClass, points: np.ndarray, cap: int = 64) -> Hypo
     return make_class(members)
 
 
-def _interval_edges(delta: float) -> np.ndarray:
-    m = int(math.ceil(2.0 / delta - 1e-9))
-    return np.concatenate([-1.0 + delta * np.arange(m), [1.0]])
-
-
 def interval_class(cls: HypothesisClass, delta: float) -> HypothesisClass:
     """Indicators of each member falling in a width-``delta`` subinterval.
 
@@ -509,11 +514,9 @@ class TablePredictor(Predictor):
 
     def __init__(self, points: np.ndarray, table_values: np.ndarray):
         pts = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
-        vals = np.asarray(table_values, dtype=np.float64).ravel()
+        vals = _unit_interval(table_values, "table values")
         if len(pts) != len(vals):
             raise ValueError("points and values must have equal length")
-        if np.any(vals < -1e-12) or np.any(vals > 1 + 1e-12):
-            raise ValueError("table values must lie in [0, 1]")
         self._points = pts
         self._values = clip01(vals)
         self._lookup = {row.tobytes(): v for row, v in zip(pts, self._values)}
@@ -550,24 +553,190 @@ def bucket_midpoints(delta: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BucketRecalPredictor(Predictor):
-    """Base predictor re-mapped through per-bucket output values."""
+class _Stage:
+    """One pipeline step: ``apply(X, p)`` maps points and current predictions to new
+    ones.  Validated when built; fields serialize under their own names."""
 
-    base: Predictor
-    delta: float
-    bucket_values: np.ndarray
-    kind = "bucket_recal"
+    op: ClassVar[str]
+
+    def to_dict(self) -> dict:
+        return {"op": self.op, **{f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}}
+
+    @classmethod
+    def from_dict(cls, d: Mapping, hclass: HypothesisClass | None) -> "_Stage":
+        return cls(**{k: v for k, v in d.items() if k != "op"})
+
+
+@dataclass(frozen=True)
+class ConstStage(_Stage):
+    """Start from the constant ``value``."""
+
+    value: float
+    op: ClassVar[str] = "const"
 
     def __post_init__(self):
-        vals = _freeze(np.asarray(self.bucket_values, dtype=np.float64).ravel())
-        if len(vals) != n_buckets(self.delta):
-            raise ValueError("need one output value per bucket")
-        if np.any(vals < -1e-12) or np.any(vals > 1 + 1e-12):
-            raise ValueError("bucket values must lie in [0, 1]")
-        object.__setattr__(self, "bucket_values", vals)
+        if not 0 <= self.value <= 1:
+            raise ValueError("const stage value must lie in [0, 1]")
+
+    def apply(self, X, p):
+        return np.full(len(X), float(self.value))
+
+
+@dataclass(frozen=True)
+class BaseStage(_Stage):
+    """Start from a leaf predictor: constant, table, function or GLM."""
+
+    base: Predictor
+    op: ClassVar[str] = "base"
+
+    def __post_init__(self):
+        if not isinstance(self.base, Predictor) or isinstance(self.base, PipelinePredictor):
+            raise ValueError("a base stage holds a leaf predictor; extend the pipeline instead")
+
+    def apply(self, X, p):
+        return self.base.values(X)
+
+    def to_dict(self):
+        return {"op": self.op, "base": self.base.to_dict()}
+
+
+@dataclass(frozen=True)
+class AddHypStage(_Stage):
+    """p <- clip01(p + coef * h(x)); serialized by the member's tag."""
+
+    hypothesis: Hypothesis
+    coef: float
+    op: ClassVar[str] = "add_hyp"
+
+    def __post_init__(self):
+        if not math.isfinite(self.coef):
+            raise ValueError("add_hyp coefficient must be finite")
+
+    def apply(self, X, p):
+        return clip01(p + self.coef * self.hypothesis.values(X))
+
+    def to_dict(self):
+        return {"op": self.op, "tag": self.hypothesis.tag, "coef": self.coef}
+
+    @classmethod
+    def from_dict(cls, d, hclass):
+        if hclass is None:
+            raise ValueError("hypothesis class required to rebuild add_hyp stages")
+        return cls(hclass.member(d["tag"]), d["coef"])
+
+
+@dataclass(frozen=True)
+class AddLinearStage(_Stage):
+    """p <- clip01(p + x.w + b)."""
+
+    w: np.ndarray
+    b: float
+    op: ClassVar[str] = "add_linear"
+
+    def __post_init__(self):
+        object.__setattr__(self, "w", _freeze(np.ravel(self.w)))
+        if not (np.all(np.isfinite(self.w)) and math.isfinite(self.b)):
+            raise ValueError("add_linear coefficients must be finite")
+
+    def apply(self, X, p):
+        return clip01(p + X @ self.w + self.b)
+
+
+@dataclass(frozen=True)
+class BucketStage(_Stage):
+    """p <- values[bucket_index(p, delta)]: one output value per bucket."""
+
+    delta: float
+    values: np.ndarray
+    op: ClassVar[str] = "bucket"
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", _unit_interval(self.values, "bucket values"))
+        if not (0 < self.delta <= 0.5 and len(self.values) == n_buckets(self.delta)):
+            raise ValueError("need 0 < delta <= 1/2 and one output value per bucket")
+
+    def apply(self, X, p):
+        return self.values[bucket_index(p, self.delta)]
+
+
+@dataclass(frozen=True)
+class IsotonicStage(_Stage):
+    """p <- fitted[j] for the last threshold j <= p (j = 0 below all): a step function."""
+
+    thresholds: np.ndarray
+    fitted: np.ndarray
+    op: ClassVar[str] = "isotonic"
+
+    def __post_init__(self):
+        object.__setattr__(self, "thresholds", _freeze(np.ravel(self.thresholds)))
+        object.__setattr__(self, "fitted", _unit_interval(self.fitted, "isotonic values"))
+        if not 0 < len(self.thresholds) == len(self.fitted):
+            raise ValueError("isotonic thresholds and values must be nonempty and equally long")
+        if not np.all(np.diff(self.thresholds) >= 0):
+            raise ValueError("isotonic thresholds must be sorted ascending")
+
+    def values(self, v: np.ndarray) -> np.ndarray:
+        idx = np.searchsorted(self.thresholds, v, side="right") - 1
+        return self.fitted[np.clip(idx, 0, len(self.fitted) - 1)]
+
+    def apply(self, X, p):
+        return self.values(p)
+
+    def to_dict(self):
+        return {"op": self.op, "thresholds": self.thresholds.tolist(), "values": self.fitted.tolist()}
+
+    @classmethod
+    def from_dict(cls, d, hclass):
+        return cls(d["thresholds"], d["values"])
+
+
+STAGES = {s.op: s for s in (ConstStage, BaseStage, AddHypStage, AddLinearStage, BucketStage, IsotonicStage)}
+_START_STAGES = (ConstStage, BaseStage)
+
+
+class PipelinePredictor(Predictor):
+    """A trained predictor as one flat stage list: a const or base stage, then
+    updates applied in order.  Trainers append stages; none holds a pipeline."""
+
+    kind = "pipeline"
+
+    def __init__(self, stages: Sequence):
+        stages = tuple(stages)
+        if not (stages and isinstance(stages[0], _START_STAGES)
+                and all(isinstance(s, _Stage) and not isinstance(s, _START_STAGES) for s in stages[1:])):
+            raise ValueError("pipeline must be one 'const' or 'base' stage followed by update stages")
+        self.stages = stages
+
+    @staticmethod
+    def of(pred: Predictor) -> "PipelinePredictor":
+        """``pred`` itself if it is a pipeline, else a pipeline starting from it."""
+        return pred if isinstance(pred, PipelinePredictor) else PipelinePredictor((BaseStage(pred),))
+
+    def extended(self, stage) -> "PipelinePredictor":
+        return PipelinePredictor(self.stages + (stage,))
 
     def values(self, X):
-        return self.bucket_values[bucket_index(self.base.values(X), self.delta)]
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        p = None
+        for stage in self.stages:
+            p = stage.apply(X, p)
+        return p
+
+    def to_dict(self):
+        return {"kind": self.kind, "stages": [s.to_dict() for s in self.stages]}
+
+
+class BucketRecalPredictor(PipelinePredictor):
+    """``base``'s stages then one bucket stage: discretized or recalibrated output."""
+
+    def __init__(self, base: Predictor, delta: float, bucket_values: np.ndarray):
+        super().__init__(PipelinePredictor.of(base).stages + (BucketStage(delta, bucket_values),))
+
+    def values(self, X):  # bound here so perfbench's tracer can wrap this class by name
+        return super().values(X)
+
+    delta = property(lambda self: self.stages[-1].delta)
+    bucket_values = property(lambda self: self.stages[-1].values)
 
     @property
     def is_delta_discrete(self) -> bool:
@@ -575,132 +744,27 @@ class BucketRecalPredictor(Predictor):
         ratio = self.bucket_values / self.delta
         return bool(np.all(np.abs(ratio - (2 * np.round((ratio - 1) / 2) + 1)) <= 1e-9))
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "delta": self.delta,
-            "bucket_values": self.bucket_values.tolist(),
-            "base": self.base.to_dict(),
-        }
-
-
-class PipelinePredictor(Predictor):
-    """Sequential score pipeline: additive clipped updates and recalibration.
-
-    Stage forms:
-      ("const", v)                   start from the constant v
-      ("base", predictor)            start from another predictor
-      ("add_hyp", hypothesis, coef)  p <- clip01(p + coef * c(x))
-      ("add_linear", w, b)           p <- clip01(p + x.w + b)
-      ("bucket", delta, values)      p <- values[bucket_index(p, delta)]
-      ("isotonic", thresholds, vals) p <- step(p), monotone nondecreasing
-    """
-
-    kind = "pipeline"
-
-    def __init__(self, stages: Sequence[tuple]):
-        if not stages or stages[0][0] not in ("const", "base"):
-            raise ValueError("pipeline must start with a 'const' or 'base' stage")
-        self.stages = list(stages)
-
-    def extended(self, stage: tuple) -> "PipelinePredictor":
-        return PipelinePredictor(self.stages + [stage])
-
-    def values(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        p = None
-        for stage in self.stages:
-            op = stage[0]
-            if op == "const":
-                p = np.full(len(X), float(stage[1]))
-            elif op == "base":
-                p = stage[1].values(X)
-            elif op == "add_hyp":
-                _, h, coef = stage
-                p = clip01(p + coef * h.values(X))
-            elif op == "add_linear":
-                _, w, b = stage
-                p = clip01(p + X @ np.asarray(w, dtype=np.float64) + b)
-            elif op == "bucket":
-                _, delta, vals = stage
-                p = np.asarray(vals, dtype=np.float64)[bucket_index(p, delta)]
-            elif op == "isotonic":
-                _, thresholds, vals = stage
-                idx = np.searchsorted(np.asarray(thresholds, dtype=np.float64), p, side="right") - 1
-                p = np.asarray(vals, dtype=np.float64)[np.clip(idx, 0, len(vals) - 1)]
-            else:
-                raise ValueError(f"unknown pipeline stage {op!r}")
-        return p
-
-    def to_dict(self):
-        out = []
-        for stage in self.stages:
-            op = stage[0]
-            if op == "const":
-                out.append({"op": "const", "value": stage[1]})
-            elif op == "base":
-                out.append({"op": "base", "base": stage[1].to_dict()})
-            elif op == "add_hyp":
-                out.append({"op": "add_hyp", "tag": stage[1].tag, "coef": stage[2]})
-            elif op == "add_linear":
-                out.append({"op": "add_linear", "w": np.asarray(stage[1]).tolist(), "b": stage[2]})
-            elif op == "bucket":
-                out.append({"op": "bucket", "delta": stage[1], "values": np.asarray(stage[2]).tolist()})
-            elif op == "isotonic":
-                out.append(
-                    {
-                        "op": "isotonic",
-                        "thresholds": np.asarray(stage[1]).tolist(),
-                        "values": np.asarray(stage[2]).tolist(),
-                    }
-                )
-        return {"kind": self.kind, "stages": out}
-
-    @classmethod
-    def from_dict(cls, d: Mapping, hclass: HypothesisClass | None = None) -> "PipelinePredictor":
-        stages: list[tuple] = []
-        for s in d["stages"]:
-            op = s["op"]
-            if op == "const":
-                stages.append(("const", float(s["value"])))
-            elif op == "base":
-                stages.append(("base", predictor_from_dict(s["base"], hclass)))
-            elif op == "add_hyp":
-                if hclass is None:
-                    raise ValueError("hypothesis class required to rebuild add_hyp stages")
-                stages.append(("add_hyp", hclass.member(s["tag"]), float(s["coef"])))
-            elif op == "add_linear":
-                stages.append(("add_linear", np.asarray(s["w"], dtype=np.float64), float(s["b"])))
-            elif op == "bucket":
-                stages.append(("bucket", float(s["delta"]), np.asarray(s["values"], dtype=np.float64)))
-            elif op == "isotonic":
-                stages.append(
-                    (
-                        "isotonic",
-                        np.asarray(s["thresholds"], dtype=np.float64),
-                        np.asarray(s["values"], dtype=np.float64),
-                    )
-                )
-            else:
-                raise ValueError(f"unknown stage op {op!r}")
-        return cls(stages)
-
 
 def predictor_from_dict(d: Mapping, hclass: HypothesisClass | None = None) -> Predictor:
-    """Rebuild a serialized predictor; pipelines and GLM fits may reference class members."""
+    """Rebuild a serialized predictor; pipelines and GLM fits may reference class members.
+    Older nested models (``bucket_recal``, base stages holding pipelines) load flat."""
     kind = d["kind"]
     if kind == "constant":
         return ConstantPredictor(float(d["value"]))
     if kind == "table":
         return TablePredictor(np.asarray(d["points"]), np.asarray(d["values"]))
     if kind == "pipeline":
-        return PipelinePredictor.from_dict(d, hclass)
+        stages = []
+        for s in d["stages"]:
+            if s["op"] == "base":
+                stages += PipelinePredictor.of(predictor_from_dict(s["base"], hclass)).stages
+            elif s["op"] in STAGES:
+                stages.append(STAGES[s["op"]].from_dict(s, hclass))
+            else:
+                raise ValueError(f"unknown stage op {s['op']!r}")
+        return PipelinePredictor(stages)
     if kind == "bucket_recal":
-        return BucketRecalPredictor(
-            predictor_from_dict(d["base"], hclass),
-            float(d["delta"]),
-            np.asarray(d["bucket_values"], dtype=np.float64),
-        )
+        return BucketRecalPredictor(predictor_from_dict(d["base"], hclass), float(d["delta"]), d["bucket_values"])
     if kind == "glm_linear":
         if hclass is None:
             raise ValueError("hypothesis class required to rebuild a glm_linear predictor")
@@ -714,8 +778,7 @@ def clip(score: Hypothesis | Callable[[np.ndarray], np.ndarray]) -> Predictor:
     """Truncate a real-valued score into [0, 1]; never increases the squared
     distance to any [0, 1]-valued target."""
     fn = score.values if isinstance(score, Hypothesis) else score
-    name = getattr(score, "tag", "score")
-    return FunctionPredictor(lambda X: clip01(np.asarray(fn(X), dtype=np.float64)), name=f"clip({name})")
+    return FunctionPredictor(fn, name=f"clip({getattr(score, 'tag', 'score')})")  # its values are clipped
 
 
 def distance(p1: Predictor, p2: Predictor, engine: ExpectationEngine, norm: str = "l2") -> float:

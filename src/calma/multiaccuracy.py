@@ -17,6 +17,7 @@ import numpy as np
 
 from .calibration import Sampler
 from .core import (
+    AddHypStage,
     Dataset,
     ExpectationEngine,
     Hypothesis,
@@ -130,12 +131,6 @@ class MAResult:
         return len(self.updates) + 1
 
 
-def _as_pipeline(p: Predictor) -> PipelinePredictor:
-    if isinstance(p, PipelinePredictor):
-        return p
-    return PipelinePredictor([("base", p)])
-
-
 def ma_algorithm(
     p0: Predictor,
     alpha: float,
@@ -157,7 +152,7 @@ def ma_algorithm(
         raise ValueError("ma_algorithm requires alpha >= rho of the weak learner")
     sigma = wl.sigma
     cap = max_iters if max_iters is not None else int(math.ceil(4.0 / sigma**2))
-    pred = _as_pipeline(p0)
+    pred = PipelinePredictor.of(p0)
     cur = pred.values(engine.X)
     updates: list[MAUpdate] = []
     while True:
@@ -173,7 +168,7 @@ def ma_algorithm(
         c, corr = picked
         before = engine.expect((engine.ystar - cur) ** 2)
         cur = clip01(cur + sigma * c.values(engine.X))
-        pred = pred.extended(("add_hyp", c, sigma))
+        pred = pred.extended(AddHypStage(c, sigma))
         after = engine.expect((engine.ystar - cur) ** 2)
         updates.append(MAUpdate(c.tag, corr, before, after))
 

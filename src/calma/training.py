@@ -15,7 +15,7 @@ they use fresh draws, the estimate repeated and median-aggregated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -80,24 +80,7 @@ class CalmaTrace:
         return sum(r.wl_updates for r in self.rounds)
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "delta": self.delta,
-            "mu": self.mu,
-            "final_ece": self.final_ece,
-            "final_mae": self.final_mae,
-            "rounds": [
-                {
-                    "wl_updates": r.wl_updates,
-                    "wl_calls": r.wl_calls,
-                    "est_ece": r.est_ece,
-                    "recalibrated": r.recalibrated,
-                    "potential_before": r.potential_before,
-                    "potential_after": r.potential_after,
-                }
-                for r in self.rounds
-            ],
-        }
+        return asdict(self)
 
 
 def calma(

@@ -91,13 +91,13 @@ class TestTrainer:
         for backend, op in (("isotonic", "isotonic"), ("bucket", "bucket")):
             pred, rounds = train_calma_bench(train, cal, alpha=0.1, recal_backend=backend)
             assert rounds >= 1
-            assert any(stage[0] == op for stage in pred.stages)
+            assert any(stage.op == op for stage in pred.stages)
         # each bucket stage holds the shared bucket-mean values of the
         # predictions it recalibrates, on the cal split
         for i, stage in enumerate(pred.stages):
-            if stage[0] == "bucket":
+            if stage.op == "bucket":
                 pv_cal = PipelinePredictor(pred.stages[:i]).values(cal.X)
-                assert np.array_equal(stage[2], bucket_means(pv_cal, cal.y, np.ones(cal.n), stage[1]))
+                assert np.array_equal(stage.values, bucket_means(pv_cal, cal.y, np.ones(cal.n), stage.delta))
 
     def test_backend_validated(self):
         cfg = MixtureConfig(s=2, d=2, seed=11, n_test=10)

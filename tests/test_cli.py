@@ -3,11 +3,13 @@
 import json
 import os
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from calma.bench import MixtureConfig, run_benchmark
 from calma.cli import main
+from calma.core import coordinate_class, predictor_from_dict
 
 
 @pytest.fixture()
@@ -34,7 +36,10 @@ def test_gen_train_audit_roundtrip(runner, tmp_path):
     assert res.exit_code == 0, res.output
     with open(model) as fh:
         payload = json.load(fh)
-    assert payload["predictor"]["kind"] == "bucket_recal"  # discretized output
+    predictor = payload["predictor"]
+    assert predictor["kind"] == "pipeline"  # one flat stage list
+    assert not any(s["op"] == "base" and "stages" in s["base"] for s in predictor["stages"])
+    assert predictor["stages"][-1]["op"] == "bucket"  # discretized output
     assert payload["final_ece"] <= 0.2
     with open(trace) as fh:
         tr = json.load(fh)
@@ -50,6 +55,55 @@ def test_gen_train_audit_roundtrip(runner, tmp_path):
         rep = json.load(fh)
     assert rep["max_decomposition_residual"] <= 1e-9
     assert len(rep["pairs"]) > 0
+
+
+def test_nested_bucket_recal_model_still_loads():
+    # the nested format older versions wrote: each recalibration wrapped the
+    # pipeline whose base stage held the previous model
+    nested = {
+        "kind": "bucket_recal",
+        "delta": 0.25,
+        "bucket_values": [0.2, 0.7],
+        "base": {
+            "kind": "pipeline",
+            "stages": [
+                {
+                    "op": "base",
+                    "base": {
+                        "kind": "bucket_recal",
+                        "delta": 0.25,
+                        "bucket_values": [0.25, 0.75],
+                        "base": {
+                            "kind": "pipeline",
+                            "stages": [
+                                {"op": "base", "base": {"kind": "constant", "value": 0.4}},
+                                {"op": "add_hyp", "tag": "x0", "coef": 0.3},
+                            ],
+                        },
+                    },
+                },
+                {"op": "add_hyp", "tag": "-x1", "coef": 0.3},
+            ],
+        },
+    }
+    flat = {
+        "kind": "pipeline",
+        "stages": [
+            {"op": "base", "base": {"kind": "constant", "value": 0.4}},
+            {"op": "add_hyp", "tag": "x0", "coef": 0.3},
+            {"op": "bucket", "delta": 0.25, "values": [0.25, 0.75]},
+            {"op": "add_hyp", "tag": "-x1", "coef": 0.3},
+            {"op": "bucket", "delta": 0.25, "values": [0.2, 0.7]},
+        ],
+    }
+    hclass = coordinate_class(2)
+    X = np.array([[a, b] for a in np.linspace(-1, 1, 9) for b in np.linspace(-1, 1, 9)])
+    old, new = predictor_from_dict(nested, hclass), predictor_from_dict(flat, hclass)
+    assert old.to_dict() == flat
+    assert np.array_equal(old.values(X), new.values(X))
+    p = np.clip(0.4 + 0.3 * X[:, 0], 0, 1)
+    p = np.clip(np.where(p < 0.5, 0.25, 0.75) - 0.3 * X[:, 1], 0, 1)
+    assert np.array_equal(old.values(X), np.where(p < 0.5, 0.2, 0.7))
 
 
 def test_baseline_command(runner, tmp_path):

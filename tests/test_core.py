@@ -1,12 +1,17 @@
 """Data model: engines, derived hypothesis classes, predictors, distances."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from calma.calibration import recalibrate_with_engine
 from calma.core import (
+    AddHypStage,
+    AddLinearStage,
+    BaseStage,
     BucketRecalPredictor,
     BudgetExceededError,
     ConstantPredictor,
@@ -15,10 +20,12 @@ from calma.core import (
     FiniteDistribution,
     Hypothesis,
     NonFiniteRangeError,
+    PipelinePredictor,
     TablePredictor,
     bayes_predictor,
     bucket_index,
     clip,
+    coordinate_class,
     correlate,
     distance,
     interval_class,
@@ -29,6 +36,7 @@ from calma.core import (
     make_class,
     n_buckets,
     power_class,
+    predictor_from_dict,
     save_dataset,
     save_distribution,
     value_matrix,
@@ -397,13 +405,71 @@ class TestPredictors:
         rng = np.random.default_rng(20)
         dist = random_distribution(rng)
         cls = random_class(rng, dist, k=2)
-        from calma.core import PipelinePredictor
+        from calma.core import AddHypStage, BucketStage, ConstStage, PipelinePredictor, predictor_from_dict
 
-        pred = PipelinePredictor([("const", 0.5)])
-        pred = pred.extended(("add_hyp", cls.member("h0"), 0.1))
-        pred = pred.extended(("bucket", 0.1, (2 * np.arange(5) + 1.0) * 0.1))
-        rebuilt = PipelinePredictor.from_dict(pred.to_dict(), cls)
+        pred = PipelinePredictor([ConstStage(0.5)])
+        pred = pred.extended(AddHypStage(cls.member("h0"), 0.1))
+        pred = pred.extended(BucketStage(0.1, (2 * np.arange(5) + 1.0) * 0.1))
+        rebuilt = predictor_from_dict(pred.to_dict(), cls)
         np.testing.assert_allclose(rebuilt.values(dist.points), pred.values(dist.points))
+
+
+def _json_depth(obj) -> int:
+    children = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ()
+    return 1 + max((_json_depth(c) for c in children), default=0)
+
+
+_HALF = {"op": "const", "value": 0.5}
+MALFORMED_PIPELINES = {
+    "short bucket list": [_HALF, {"op": "bucket", "delta": 0.1, "values": [0.1, 0.3, 0.5, 0.7]}],
+    "bucket value 7": [_HALF, {"op": "bucket", "delta": 0.25, "values": [0.25, 7.0]}],
+    "const 3": [{"op": "const", "value": 3.0}],
+    "unsorted isotonic thresholds": [_HALF, {"op": "isotonic", "thresholds": [0.5, 0.2], "values": [0.1, 0.9]}],
+    "unequal isotonic lengths": [_HALF, {"op": "isotonic", "thresholds": [0.2, 0.5], "values": [0.1]}],
+}
+
+
+class TestPipelineStages:
+    @pytest.mark.parametrize("stages", list(MALFORMED_PIPELINES.values()), ids=list(MALFORMED_PIPELINES))
+    def test_malformed_model_json_rejected_on_load(self, stages):
+        with pytest.raises(ValueError):
+            predictor_from_dict({"kind": "pipeline", "stages": stages})
+
+    def test_stages_validate_when_built(self):
+        h = coordinate_class(1).member("x0")
+        with pytest.raises(ValueError):
+            AddHypStage(h, float("nan"))
+        with pytest.raises(ValueError):
+            AddLinearStage([1.0, float("inf")], 0.0)
+        pipeline = PipelinePredictor.of(ConstantPredictor(0.5))
+        with pytest.raises(ValueError):
+            BaseStage(pipeline)  # pipelines are extended, never nested
+        with pytest.raises(ValueError):
+            pipeline.extended(BaseStage(ConstantPredictor(0.2)))  # only the first stage starts
+
+    def test_of_returns_pipelines_unchanged(self):
+        pipeline = PipelinePredictor.of(ConstantPredictor(0.5))
+        assert PipelinePredictor.of(pipeline) is pipeline
+        assert isinstance(pipeline.stages[0], BaseStage)
+
+    def test_deep_run_stays_flat_and_round_trips(self):
+        # 600 boosting steps alternating with recalibration, as a long
+        # calibrated-multiaccuracy run builds them
+        dist = random_distribution(np.random.default_rng(23), n_points=8)
+        engine = ExpectationEngine.exact(dist)
+        members = coordinate_class(2).members
+        pred = PipelinePredictor.of(ConstantPredictor(0.5))
+        depths = []
+        for t in range(600):
+            pred = recalibrate_with_engine(pred.extended(AddHypStage(members[t % len(members)], 0.05)), 0.1, engine)
+            if t == 1:
+                depths.append(_json_depth(pred.to_dict()))
+        assert len(pred.stages) == 1 + 2 * 600
+        values = pred.values(dist.points)
+        payload = json.loads(json.dumps(pred.to_dict()))
+        assert _json_depth(payload) == depths[0]
+        rebuilt = predictor_from_dict(payload, coordinate_class(2))
+        assert np.array_equal(rebuilt.values(dist.points), values)
 
 
 class TestIO:
