@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import (
     ExpectationEngine,
@@ -381,6 +380,8 @@ def _sim_lp(blocks: list[np.ndarray]) -> tuple[float, np.ndarray]:
     one value, ordered by the single-index score.  The objective is piecewise
     linear and convex, so the exact minimum is a small linear program.
     """
+    from scipy.optimize import linprog  # imported on demand to keep `import calma` light
+
     nb = len(blocks)
     n_var = 2 * nb + 1  # w blocks, e slack per block, t
     c = np.zeros(n_var)

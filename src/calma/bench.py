@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .calibration import bucket_means, discretize, ece, isotonic_fit
 from .core import AddLinearStage, BucketStage, ConstStage, Dataset, ExpectationEngine, PipelinePredictor, clip01
@@ -194,6 +193,8 @@ def _fit_logistic(X: np.ndarray, y: np.ndarray, tol: float = 1e-8) -> tuple[np.n
 
 
 def _fit_exp(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    from scipy.optimize import minimize  # imported on demand to keep `import calma` light
+
     X1 = np.column_stack([X, np.ones(len(X))])
     n = len(y)
 

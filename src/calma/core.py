@@ -9,10 +9,13 @@ computed analytically as the Bernoulli mixture ``p(x) * f(x, 1) + (1 - p(x)) *
 f(x, 0)``, never by sampling.
 
 All containers are immutable after construction (arrays are marked read-only)
-and safe to share across threads.  Every expectation and residual correlation
-reduces through ``correlate``, a BLAS dot or matrix-vector product: repeated
-calls with the same shapes, numpy/BLAS build and BLAS thread count give
-bit-identical results, which are not exactly rounded.
+and safe to share across threads.  An engine's one cache, the member matrix of
+each hypothesis class, holds one read-only array per class: racing first calls
+may each build it, and all of them get the one stored first.  Every
+expectation and residual correlation reduces through ``correlate``, a BLAS dot
+or matrix-vector product: repeated calls with the same shapes, numpy/BLAS build
+and BLAS thread count give bit-identical results, which are not exactly
+rounded.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -247,6 +250,7 @@ class ExpectationEngine:
     ystar: np.ndarray
     dist: FiniteDistribution | None = None
     data: Dataset | None = None
+    _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def exact(cls, dist: FiniteDistribution) -> "ExpectationEngine":
@@ -257,6 +261,17 @@ class ExpectationEngine:
         w = np.full(data.n, 1.0 / data.n)
         w.flags.writeable = False
         return cls("empirical", data.X, w, data.y, data=data)
+
+    def member_matrix(self, hclass: "HypothesisClass") -> np.ndarray:
+        """Read-only n x |C| matrix of every member of ``hclass`` on ``X``,
+        built on the first call for that class and reused after."""
+        hit = self._members.get(id(hclass))
+        if hit is None:
+            matrix = value_matrix(hclass, self.X)
+            matrix.flags.writeable = False
+            # holding the class keeps its id unique; setdefault hands racing first calls one array
+            hit = self._members.setdefault(id(hclass), (hclass, matrix))
+        return hit[1]
 
     def expect(self, values: np.ndarray) -> float:
         """E over x of a per-point quantity."""
@@ -507,26 +522,39 @@ class FunctionPredictor(Predictor):
         return clip01(out)
 
 
+def _row_keys(X: np.ndarray) -> np.ndarray:
+    """One opaque key per row of a C-contiguous float matrix: equal iff the rows' bytes are."""
+    return X.view(np.dtype((np.void, X.dtype.itemsize * X.shape[1]))).ravel()
+
+
 class TablePredictor(Predictor):
-    """Lookup table over an explicit finite domain."""
+    """Lookup table over an explicit finite domain; a repeated point keeps its
+    last value."""
 
     kind = "table"
 
     def __init__(self, points: np.ndarray, table_values: np.ndarray):
         pts = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
         vals = _unit_interval(table_values, "table values")
-        if len(pts) != len(vals):
-            raise ValueError("points and values must have equal length")
+        if not 0 < len(pts) == len(vals):
+            raise ValueError("points and values must be nonempty and of equal length")
         self._points = pts
         self._values = clip01(vals)
-        self._lookup = {row.tobytes(): v for row, v in zip(pts, self._values)}
+        keys = _row_keys(pts)
+        order = np.argsort(keys, kind="stable")
+        last = np.append(keys[order[1:]] != keys[order[:-1]], True)  # last of each run of equal rows
+        self._keys = keys[order[last]]
+        self._key_values = self._values[order[last]]
 
     def values(self, X):
         X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
-        try:
-            return np.array([self._lookup[row.tobytes()] for row in X])
-        except KeyError:
-            raise ValueError("point outside the table predictor's domain") from None
+        if X.shape[1] != self._points.shape[1]:
+            raise ValueError("point outside the table predictor's domain")
+        keys = _row_keys(X)
+        idx = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        if not np.all(self._keys[idx] == keys):
+            raise ValueError("point outside the table predictor's domain")
+        return self._key_values[idx]
 
     def to_dict(self):
         return {"kind": self.kind, "points": self._points.tolist(), "values": self._values.tolist()}

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import expit, logit, xlogy
 
 __all__ = [
@@ -41,6 +40,7 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_DECISION_BLOCK = 256  # levels per grid scan: each levels x grid temporary is 4 MB
 
 
 class MonotonicityError(ValueError):
@@ -55,21 +55,33 @@ class UnboundedBelowError(ValueError):
     """Loss minimization produced non-finite values on the action domain."""
 
 
-def _golden_section(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10) -> float:
-    a, b = lo, hi
+def _golden_section(loss: "Loss", P: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Golden-section minimizers of ploss(P[i], .) on [a[i], b[i]], all run in
+    lock step: each bracket keeps shrinking until its own width is <= tol, so
+    every row sees the evaluations a scalar search on it would make."""
+    a, b = a.copy(), b.copy()
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
+    fc, fd = loss.ploss(P, c), loss.ploss(P, d)
+    idx = np.flatnonzero(b - a > tol)
+    while idx.size:
+        left = fc[idx] < fd[idx]
+        L, R = idx[left], idx[~left]
+        b[L], d[L], fd[L] = d[L], c[L], fc[L]
+        c[L] = b[L] - _GOLDEN * (b[L] - a[L])
+        a[R], c[R], fc[R] = c[R], d[R], fd[R]
+        d[R] = a[R] + _GOLDEN * (b[R] - a[R])
+        f_new = loss.ploss(P[idx], np.where(left, c[idx], d[idx]))
+        fc[L], fd[R] = f_new[left], f_new[~left]
+        idx = idx[b[idx] - a[idx] > tol]
     return 0.5 * (a + b)
+
+
+def _tie_break(t: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per row, the masked ``t`` of smallest absolute value, the positive one on a tie."""
+    size = np.where(mask, np.abs(t), np.inf)
+    best = mask & (size == size.min(axis=1, keepdims=True))
+    return np.where(best, t, -np.inf).max(axis=1)
 
 
 @dataclass(frozen=True)
@@ -77,7 +89,8 @@ class Loss:
     """Binary-label loss given by its two action curves.
 
     ``kfn``, when present, is the closed-form optimal decision; otherwise
-    decisions fall back to a grid scan refined by golden-section search on
+    ``decision`` solves every distinct level of ``p`` in one
+    ``optimal_decision`` call: a grid scan refined by golden-section search on
     ``action_domain``, breaking ties toward the smallest absolute action and
     then toward the positive one.
     """
@@ -106,13 +119,12 @@ class Loss:
         return self.at1(t) - self.at0(t)
 
     def decision(self, p):
-        """Vectorized optimal decision k(p)."""
+        """Optimal decision k(p) for a scalar or an array of ``p``: ``kfn`` when
+        present, else one ``optimal_decision`` call over all of ``p``."""
         p = np.asarray(p, dtype=np.float64)
         if self.kfn is not None:
             return np.asarray(self.kfn(p), dtype=np.float64)
-        flat = np.atleast_1d(p).ravel()
-        out = np.array([optimal_decision(self, float(q)) for q in flat])
-        return out.reshape(np.shape(p)) if np.shape(p) else float(out[0])
+        return optimal_decision(self, p)
 
 
 def partial_sup(loss: Loss, grid_points: int = 513) -> float:
@@ -121,34 +133,45 @@ def partial_sup(loss: Loss, grid_points: int = 513) -> float:
     return float(np.max(np.abs(loss.partial(np.linspace(lo, hi, grid_points)))))
 
 
-def optimal_decision(loss: Loss, p: float, grid_points: int = 2001, tol: float = 1e-10) -> float:
-    """Global minimizer of loss(p, .) over the action domain.
+def optimal_decision(loss: Loss, p, grid_points: int = 2001, tol: float = 1e-10):
+    """Global minimizer of loss(p, .) over the action domain, for a scalar ``p``
+    (returns a float) or an array (returns one of the same shape).
 
-    Among (near-)minimizers the one of smallest absolute value is returned,
-    with ties on absolute value broken toward the positive action.
+    Without ``kfn``, each distinct level of ``p`` is scanned on a grid of
+    ``grid_points`` actions, and both the grid argmin and the smallest-|t| grid
+    near-minimizer (within 1e-12) are refined by golden-section search to width
+    ``tol``.  Among the near-minimizers of those three candidates the one of
+    smallest absolute value is returned, with ties on absolute value broken
+    toward the positive action.  Levels are solved ``_DECISION_BLOCK`` at a
+    time, so the temporaries stay a few MB for any size of ``p``.
     """
-    if not 0 <= p <= 1:
+    p = np.asarray(p, dtype=np.float64)
+    if not np.all((p >= 0) & (p <= 1)):
         raise ValueError("p must lie in [0, 1]")
     if loss.kfn is not None:
-        return float(loss.kfn(np.asarray(p, dtype=np.float64)))
-    lo, hi = loss.action_domain
-    grid = np.linspace(lo, hi, grid_points)
-    vals = loss.ploss(p, grid)
-    if not np.all(np.isfinite(vals)):
-        raise UnboundedBelowError(f"{loss.name} is non-finite on its action domain")
-    h = (hi - lo) / (grid_points - 1)
-
-    def refine(t0: float) -> float:
-        return _golden_section(lambda t: float(loss.ploss(p, t)), max(lo, t0 - h), min(hi, t0 + h), tol)
-
-    # flat minima: prefer the candidate closest to zero, then the positive one
-    near = grid[vals <= float(np.min(vals)) + 1e-12]
-    t_near = float(min(near, key=lambda t: (abs(t), -t)))
-    candidates = [refine(float(grid[int(np.argmin(vals))])), t_near, refine(t_near)]
-    values = [float(loss.ploss(p, t)) for t in candidates]
-    vmin = min(values)
-    eligible = [t for t, v in zip(candidates, values) if v <= vmin + 1e-12]
-    return float(min(eligible, key=lambda t: (abs(t), -t)))
+        out = np.asarray(loss.kfn(p), dtype=np.float64)
+    else:
+        lo, hi = loss.action_domain
+        grid = np.linspace(lo, hi, grid_points)
+        h = (hi - lo) / (grid_points - 1)
+        levels, inverse = np.unique(p.ravel(), return_inverse=True)
+        k = np.empty(len(levels))
+        for s in range(0, len(levels), _DECISION_BLOCK):
+            P = levels[s : s + _DECISION_BLOCK]
+            vals = loss.ploss(P[:, None], grid)
+            if not np.all(np.isfinite(vals)):
+                raise UnboundedBelowError(f"{loss.name} is non-finite on its action domain")
+            t_near = _tie_break(grid, vals <= vals.min(axis=1, keepdims=True) + 1e-12)
+            starts = np.concatenate([grid[np.argmin(vals, axis=1)], t_near])
+            del vals
+            refined = _golden_section(
+                loss, np.concatenate([P, P]), np.maximum(lo, starts - h), np.minimum(hi, starts + h), tol
+            ).reshape(2, -1)
+            cands = np.column_stack([refined[0], t_near, refined[1]])
+            cvals = loss.ploss(P[:, None], cands)
+            k[s : s + _DECISION_BLOCK] = _tie_break(cands, cvals <= cvals.min(axis=1, keepdims=True) + 1e-12)
+        out = k[inverse].reshape(p.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +364,8 @@ def glm_from_transfer(
     closed form is known, and the Legendre dual through the inverse transfer:
     f(v) = v t* - g(t*) and f'(v) = t* where g'(t*) = v.
     """
+    from scipy.integrate import quad  # imported on demand to keep `import calma` light
+
     lo, hi = working_interval
     grid = np.linspace(lo, hi, check_points)
     gv = np.asarray(gprime(grid), dtype=np.float64)

@@ -57,7 +57,11 @@ class NonConvergenceError(RuntimeError):
 
 def mae(pred: Predictor, hypotheses: HypothesisClass | Iterable[Hypothesis], engine: ExpectationEngine) -> float:
     """Largest absolute correlation of any member with the residual y* - p."""
-    corr = correlate(engine.weights, engine.ystar - pred.values(engine.X), value_matrix(hypotheses, engine.X))
+    if isinstance(hypotheses, HypothesisClass):
+        G = engine.member_matrix(hypotheses)
+    else:
+        G = value_matrix(hypotheses, engine.X)
+    corr = correlate(engine.weights, engine.ystar - pred.values(engine.X), G)
     return float(np.max(np.abs(corr), initial=0.0))
 
 
@@ -67,18 +71,24 @@ class ResidualAccess:
 
     In exact mode ``z`` is f(x) = p*(x) - p(x) itself; in empirical mode it
     is the real-valued label y - p(x), whose conditional mean is f(x).
+    ``engine`` is set when the points are the engine's own, so member values
+    come from its cached matrix; sampled points are evaluated afresh.
     """
 
     X: np.ndarray
     z: np.ndarray
     weights: np.ndarray
+    engine: ExpectationEngine | None = None
 
     def correlation(self, h: Hypothesis) -> float:
         return float(correlate(self.weights, self.z, h.values(self.X)))
 
+    def member_matrix(self, hclass: HypothesisClass) -> np.ndarray:
+        return value_matrix(hclass, self.X) if self.engine is None else self.engine.member_matrix(hclass)
+
 
 def exact_residual_access(engine: ExpectationEngine, pred_values: np.ndarray) -> ResidualAccess:
-    return ResidualAccess(engine.X, engine.ystar - pred_values, engine.weights)
+    return ResidualAccess(engine.X, engine.ystar - pred_values, engine.weights, engine)
 
 
 def sampled_residual_access(sampler: Sampler, pred: Predictor, n: int) -> ResidualAccess:
@@ -105,7 +115,7 @@ class ExhaustiveWeakLearner:
             raise ValueError("need 0 < sigma <= rho")
 
     def query(self, access: ResidualAccess) -> tuple[Hypothesis, float] | None:
-        corr = correlate(access.weights, access.z, value_matrix(self.hclass, access.X))
+        corr = correlate(access.weights, access.z, access.member_matrix(self.hclass))
         best = int(np.argmax(corr))
         if corr[best] >= self.sigma - self.tol:
             return self.hclass.members[best], float(corr[best])

@@ -2,11 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import calma
 from calma.bench import MixtureConfig, run_benchmark
 from calma.cli import main
 from calma.core import coordinate_class, predictor_from_dict
@@ -143,3 +146,11 @@ def test_bench_writes_markdown_table(runner, tmp_path):
         text = fh.read()
     # one seed: every mean is that seed's value, so the table is the cell's own
     assert text == run_benchmark(MixtureConfig(s=2, d=2, seed=0)).to_markdown() + "\n"
+
+
+def test_import_leaves_scipy_optimize_and_integrate_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(calma.__file__)))
+    code = "import sys, calma.cli; print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

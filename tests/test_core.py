@@ -392,6 +392,29 @@ class TestPredictors:
         with pytest.raises(ValueError):
             pred.values(np.ones((1, 2)))
 
+    def test_table_predictor_unknown_row_among_known_rows(self):
+        pts = np.array([[0.0, 1.0], [2.0, 3.0], [-1.0, 0.5]])
+        pred = TablePredictor(pts, [0.1, 0.2, 0.3])
+        for bad in ([[0.0, 1.0], [2.0, 3.5]], [[9.0, 9.0]], [[-0.0, 1.0]], [[0.0, 1.0, 2.0]]):
+            with pytest.raises(ValueError, match="outside the table"):
+                pred.values(np.array(bad))
+
+    def test_table_predictor_duplicate_rows_keep_last_value(self):
+        pts = np.array([[0.0, 1.0], [2.0, 3.0], [0.0, 1.0], [2.0, 3.0], [0.0, 1.0]])
+        pred = TablePredictor(pts, [0.1, 0.2, 0.3, 0.4, 0.5])
+        assert np.array_equal(pred.values(np.array([[2.0, 3.0], [0.0, 1.0], [0.0, 1.0]])), [0.4, 0.5, 0.5])
+        assert pred.to_dict()["values"] == [0.1, 0.2, 0.3, 0.4, 0.5]
+
+    def test_table_predictor_matches_row_dictionary(self):
+        rng = np.random.default_rng(21)
+        pts = rng.normal(size=(36, 3))
+        vals = rng.uniform(0, 1, 36)
+        X = pts[rng.integers(0, 36, 500)]
+        lookup = {row.tobytes(): v for row, v in zip(pts, vals)}
+        expected = np.array([lookup[row.tobytes()] for row in X])
+        assert np.array_equal(TablePredictor(pts, vals).values(X), expected)
+        assert TablePredictor(pts, vals).values(np.empty((0, 3))).shape == (0,)
+
     def test_bucket_recal_discreteness_flag(self):
         base = ConstantPredictor(0.3)
         delta = 0.1

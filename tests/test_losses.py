@@ -1,13 +1,18 @@
 """Losses, discrete derivatives, optimal decisions, transfers and duals."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from calma.audit import random_bounded_loss, random_lipschitz_loss
 from calma.losses import (
+    Loss,
     MonotonicityError,
     OutOfRangeError,
+    UnboundedBelowError,
     bregman,
     crelu_glm,
     exp_loss,
@@ -21,6 +26,8 @@ from calma.losses import (
     transfer_inverse,
     truncated_decision,
 )
+
+from support import scalar_optimal_decision
 
 ALL_GLMS = [identity_glm(), sigmoid_glm(), crelu_glm()]
 REGISTRY = ["l1", "l2", "l4", "lp:3", "glm:identity", "glm:sigmoid", "glm:crelu", "exp"]
@@ -76,8 +83,6 @@ class TestOptimalDecision:
         assert optimal_decision(sigmoid_glm(), 0.75) == pytest.approx(math.log(3), abs=1e-12)
 
     def test_numeric_minimality(self):
-        from calma.audit import random_bounded_loss
-
         rng = np.random.default_rng(2)
         for _ in range(10):
             loss = random_bounded_loss(rng)
@@ -93,6 +98,81 @@ class TestOptimalDecision:
 
         loss = Loss(at0=lambda t: np.ones_like(np.asarray(t, float)), at1=lambda t: np.ones_like(np.asarray(t, float)))
         assert optimal_decision(loss, 0.4) == pytest.approx(0.0, abs=1e-9)
+
+
+def _flat_loss() -> Loss:
+    return Loss(at0=lambda t: np.ones_like(np.asarray(t, float)), at1=lambda t: np.ones_like(np.asarray(t, float)))
+
+
+def _twin_minima_loss() -> Loss:
+    # minima of equal value at -1/2 and +1/2 for every p
+    curve = lambda t: (np.abs(np.asarray(t, float)) - 0.5) ** 2
+    return Loss(at0=curve, at1=curve)
+
+
+class TestVectorizedDecision:
+    """``optimal_decision`` over arrays of p against the one-point oracle."""
+
+    def test_bit_identical_to_scalar_oracle(self):
+        rng = np.random.default_rng(11)
+        for i in range(200):
+            loss = (random_bounded_loss if i % 2 else random_lipschitz_loss)(rng)
+            a, b = rng.uniform(0, 1, 2)
+            p = np.array([0.0, 0.5, a, 1.0, b, a, 0.5, b, 0.0])
+            expected = np.array([scalar_optimal_decision(loss, float(q)) for q in p])
+            assert np.array_equal(optimal_decision(loss, p), expected)
+            assert np.array_equal(loss.decision(p), expected)
+
+    def test_flat_minimum_and_ties_through_array_path(self):
+        p = np.array([0.0, 0.4, 0.4, 1.0])
+        assert np.array_equal(optimal_decision(_flat_loss(), p), np.zeros(4))
+        twin = _twin_minima_loss()
+        k = optimal_decision(twin, p)
+        assert np.array_equal(k, [scalar_optimal_decision(twin, float(q)) for q in p])
+        assert np.all(k > 0) and np.allclose(k, 0.5, atol=1e-9)  # the positive minimizer
+        # l1 without its closed form: flat at p = 1/2, so the smallest |t| wins
+        l1 = dataclasses.replace(lp_loss(1), kfn=None)
+        q = np.array([0.3, 0.5, 0.7])
+        assert np.array_equal(optimal_decision(l1, q), [scalar_optimal_decision(l1, float(v)) for v in q])
+        assert optimal_decision(l1, 0.5) == 0.0
+
+    def test_shapes(self):
+        loss = random_bounded_loss(np.random.default_rng(3))
+        p = np.random.default_rng(4).uniform(0, 1, (3, 4))
+        k = optimal_decision(loss, p)
+        assert k.shape == (3, 4)
+        assert np.array_equal(k.ravel(), optimal_decision(loss, p.ravel()))
+        scalar = optimal_decision(loss, np.float64(0.3))
+        assert type(scalar) is float and type(loss.decision(0.3)) is float
+        assert scalar == scalar_optimal_decision(loss, 0.3)
+        assert optimal_decision(loss, np.empty(0)).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+    def test_invalid_p_rejected(self, bad):
+        loss = random_lipschitz_loss(np.random.default_rng(5))
+        with pytest.raises(ValueError):
+            optimal_decision(loss, bad)
+        with pytest.raises(ValueError):
+            optimal_decision(loss, np.array([0.2, bad, 0.7]))
+        with pytest.raises(ValueError):
+            loss.decision(np.array([[0.2], [bad]]))
+
+    def test_non_finite_loss_rejected(self):
+        log_abs = Loss(at0=lambda t: np.log(np.abs(np.asarray(t, float))), at1=lambda t: np.zeros_like(t))
+        with np.errstate(divide="ignore"), pytest.raises(UnboundedBelowError):
+            optimal_decision(log_abs, np.array([0.2, 0.6]))
+
+    def test_memory_bounded_on_many_levels(self):
+        loss = random_bounded_loss(np.random.default_rng(6))
+        p = np.linspace(0.0, 1.0, 50_000)
+        tracemalloc.start()
+        try:
+            k = optimal_decision(loss, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert k.shape == p.shape and np.all(np.isfinite(k))
+        assert peak < 64 * 2**20
 
 
 class TestTransfers:

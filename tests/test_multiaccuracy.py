@@ -11,15 +11,18 @@ from calma.core import (
     Dataset,
     ExpectationEngine,
     FiniteDistribution,
+    Hypothesis,
     bayes_predictor,
     make_class,
     predictor_from_dict,
+    value_matrix,
 )
 from calma.calibration import DistributionSampler
 from calma.losses import crelu_glm, identity_glm, sigmoid_glm
 from calma.multiaccuracy import (
     ExhaustiveWeakLearner,
     NonTerminationError,
+    ResidualAccess,
     exact_residual_access,
     l1_glm_fit,
     ma_algorithm,
@@ -47,6 +50,46 @@ class TestMae:
     def test_constant_class_value(self):
         dist, engine, cls = single_point_instance()
         assert mae(ConstantPredictor(0.2), cls, engine) == pytest.approx(0.5, abs=1e-15)
+
+
+class TestMemberMatrix:
+    def test_built_once_per_class_and_read_only(self):
+        rng = np.random.default_rng(3)
+        dist = random_distribution(rng)
+        engine = ExpectationEngine.exact(dist)
+        calls = []
+
+        def scaled_first_coordinate(X, j):
+            calls.append(j)
+            return np.atleast_2d(X)[:, 0] * j
+
+        members = [Hypothesis(lambda X, j=j: scaled_first_coordinate(X, j), 1.0, f"c{j}") for j in range(3)]
+        cls = make_class(members, ensure_one=False, close_negation=False)
+        other = random_class(rng, dist, 2)
+        M = engine.member_matrix(cls)
+        assert not M.flags.writeable
+        assert np.array_equal(M, value_matrix(cls, dist.points))
+        assert engine.member_matrix(other).shape == (dist.n, len(other))
+        calls.clear()
+        wl = ExhaustiveWeakLearner(cls, rho=0.01, sigma=0.01)
+        for _ in range(3):
+            wl.query(exact_residual_access(engine, np.full(dist.n, 0.5)))
+        mae(ConstantPredictor(0.5), cls, engine)
+        assert engine.member_matrix(cls) is M
+        assert calls == []  # no member evaluated again after the first build
+
+    def test_cached_and_fresh_paths_agree_bitwise(self):
+        rng = np.random.default_rng(4)
+        dist = random_distribution(rng, n_points=20)
+        engine = ExpectationEngine.exact(dist)
+        cls = random_class(rng, dist, 5)
+        pred = random_predictor(rng, dist)
+        pv = pred.values(dist.points)
+        wl = ExhaustiveWeakLearner(cls, rho=0.01, sigma=0.01)
+        cached = exact_residual_access(engine, pv)
+        fresh = ResidualAccess(cached.X, cached.z, cached.weights)
+        assert wl.query(cached) == wl.query(fresh)
+        assert mae(pred, cls, engine) == mae(pred, list(cls.members), engine)
 
 
 class TestWeakLearner:
