@@ -47,10 +47,8 @@ from .calibration import (
     WeightFunction,
     discretize,
     ece,
-    est_ece,
     isotonic_fit,
-    recal,
-    recalibrate_exact,
+    recalibrate_with_engine,
     weighted_ce,
 )
 from .multiaccuracy import (

@@ -464,6 +464,20 @@ def _bayes_unate() -> bool:
     return False
 
 
+def _monotone_tuples(values: np.ndarray, k: int) -> np.ndarray:
+    """Nondecreasing k-tuples of ``values`` (one per row), in the order of
+    ``itertools.combinations_with_replacement(values, k)``."""
+    m = len(values)
+    idx = np.arange(m)[:, None]
+    for _ in range(k - 1):
+        # row (..., last) is followed by its extensions last, last + 1, ..., m - 1
+        last = idx[:, -1]
+        reps = m - last
+        starts = np.repeat(np.cumsum(reps) - reps - last, reps)
+        idx = np.column_stack([np.repeat(idx, reps, axis=0), np.arange(reps.sum()) - starts])
+    return values[idx]
+
+
 def _gridded_block_min(blocks: list[np.ndarray], grid: np.ndarray, w_star: np.ndarray) -> float:
     """Minimum violation over monotone block values restricted to the grid.
 
@@ -492,14 +506,11 @@ def _gridded_block_min(blocks: list[np.ndarray], grid: np.ndarray, w_star: np.nd
         i = int(np.argmin(vals))
         return float(vals[i]), W[i]
 
-    def monotone_tuples(values: np.ndarray) -> np.ndarray:
-        return np.array(list(itertools.combinations_with_replacement(values, nb)))
-
     if nb <= 3:
-        return evaluate(monotone_tuples(grid), already_monotone=True)[0]
+        return evaluate(_monotone_tuples(grid, nb), already_monotone=True)[0]
 
     stride = max(1, len(grid) // 34)
-    best, best_w = evaluate(monotone_tuples(grid[::stride]), already_monotone=True)
+    best, best_w = evaluate(_monotone_tuples(grid[::stride], nb), already_monotone=True)
 
     def window(center: float) -> np.ndarray:
         i = int(np.argmin(np.abs(grid - center)))

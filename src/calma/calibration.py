@@ -1,11 +1,12 @@
 """Calibration errors, bucket discretization and recalibration.
 
 The discretization splits [0, 1] into width-2*delta buckets ``I_j = [(2j)d,
-(2j+2)d)`` and snaps predictions to the bucket midpoints ``(2j+1)d``.  Exact
-recalibration replaces each bucket's output by the true conditional label
-mean; the sampled variants estimate those means from fresh draws.  Empty
-buckets keep their midpoint, which preserves discreteness and bounds the
-perturbation.
+(2j+2)d)`` and snaps predictions to the bucket midpoints ``(2j+1)d``.
+Recalibration replaces each bucket's output by its label mean under an
+engine: the true conditional mean under an exact engine, a sample mean under
+an empirical one.  A fresh sample is measured the same way, as
+``ExpectationEngine.empirical(sampler.draw(n))``.  Empty buckets keep their
+midpoint, which preserves discreteness and bounds the perturbation.
 """
 
 from __future__ import annotations
@@ -40,11 +41,8 @@ __all__ = [
     "ece",
     "weighted_ce",
     "discretize",
-    "recalibrate_exact",
     "recalibrate_with_engine",
-    "est_ece",
     "est_ece_samples_needed",
-    "recal",
     "recal_samples_needed",
     "isotonic_fit",
 ]
@@ -67,7 +65,7 @@ class WeightFunction:
 
 
 class Sampler(Protocol):
-    def draw(self, n: int) -> tuple[np.ndarray, np.ndarray]: ...
+    def draw(self, n: int) -> Dataset: ...
 
 
 class DistributionSampler:
@@ -77,10 +75,10 @@ class DistributionSampler:
         self.dist = dist
         self.rng = np.random.default_rng(seed)
 
-    def draw(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def draw(self, n: int) -> Dataset:
         idx = self.rng.choice(self.dist.n, size=n, p=self.dist.mass)
         y = (self.rng.random(n) < self.dist.bayes[idx]).astype(float)
-        return self.dist.points[idx], y
+        return Dataset(self.dist.points[idx], y)
 
 
 class DatasetSampler:
@@ -98,12 +96,12 @@ class DatasetSampler:
     def remaining(self) -> int:
         return len(self._y) - self._cursor
 
-    def draw(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def draw(self, n: int) -> Dataset:
         if n > self.remaining:
             raise InsufficientSamplesError(f"need {n} rows, {self.remaining} left")
         sl = slice(self._cursor, self._cursor + n)
         self._cursor += n
-        return self._X[sl], self._y[sl]
+        return Dataset(self._X[sl], self._y[sl])
 
 
 # ---------------------------------------------------------------------------
@@ -186,58 +184,14 @@ def recalibrate_with_engine(pred: Predictor, delta: float, engine: ExpectationEn
     return BucketRecalPredictor(pred, delta, values)
 
 
-def recalibrate_exact(pred: Predictor, delta: float, dist: FiniteDistribution) -> BucketRecalPredictor:
-    """Exact bucket-mean recalibration; perfectly calibrated on its level sets."""
-    return recalibrate_with_engine(pred, delta, ExpectationEngine.exact(dist))
-
-
 def est_ece_samples_needed(delta: float, mu: float, constant: float = 8.0) -> int:
+    """Fresh draws for an ECE estimate of a delta-discrete predictor within mu."""
     return int(math.ceil(constant * math.log(1.0 / delta) ** 2 / (delta * mu**3)))
 
 
-def est_ece(
-    pred: Predictor,
-    delta: float,
-    mu: float,
-    sampler: Sampler,
-    constant: float = 8.0,
-    n_samples: int | None = None,
-) -> float:
-    """Sampled estimate of the discretized predictor's calibration error.
-
-    Draws ``constant * log(1/delta)^2 / (delta mu^3)`` labeled points, bins
-    them by the discretized prediction and returns the count-weighted absolute
-    gap between bucket label means and bucket midpoints.  All nonempty buckets
-    contribute.
-    """
-    if not 0 < delta <= 1 or not 0 < mu <= 1:
-        raise ValueError("delta and mu must lie in (0, 1]")
-    m = n_samples if n_samples is not None else est_ece_samples_needed(delta, mu, constant)
-    X, y = sampler.draw(m)
-    stats = _bucket_stats(pred.values(X), y, np.ones(len(y)), delta)
-    live = stats.count > 0
-    gaps = np.abs(stats.label_mean[live] - stats.midpoints[live])
-    return float(np.sum(stats.count[live] / m * gaps))
-
-
 def recal_samples_needed(delta: float, constant: float = 8.0) -> int:
+    """Fresh draws for bucket means that recalibrate within the paper's bound."""
     return int(math.ceil(constant * math.log(1.0 / delta) ** 2 / delta**4))
-
-
-def recal(
-    pred: Predictor,
-    delta: float,
-    source: Sampler | FiniteDistribution,
-    constant: float = 8.0,
-    n_samples: int | None = None,
-) -> BucketRecalPredictor:
-    """Bucket-mean recalibration from a fresh sample (or exactly, when the
-    source is a finite distribution)."""
-    if isinstance(source, FiniteDistribution):
-        return recalibrate_exact(pred, delta, source)
-    m = n_samples if n_samples is not None else recal_samples_needed(delta, constant)
-    X, y = source.draw(m)
-    return BucketRecalPredictor(pred, delta, bucket_means(pred.values(X), y, np.ones(len(y)), delta))
 
 
 def bucket_stats(pred: Predictor, delta: float, engine: ExpectationEngine) -> BucketStats:

@@ -4,9 +4,9 @@ predictors, hypothesis classes and the expectation engine.
 Two evaluation modes sit behind one engine.  Exact mode works on a finite
 distribution whose conditional label probabilities are known, so every
 expectation is a closed-form weighted sum.  Empirical mode works on a labeled
-sample.  Expectations over simulated labels drawn from a predictor are always
-computed analytically as the Bernoulli mixture ``p(x) * f(x, 1) + (1 - p(x)) *
-f(x, 0)``, never by sampling.
+sample: a full dataset, or a batch of fresh draws from a sampler.  Labels
+simulated from a predictor are never sampled: every gap against them is the
+residual correlation ``E[(p - y*) g(x)]``.
 
 All containers are immutable after construction (arrays are marked read-only)
 and safe to share across threads.  An engine's one cache, the member matrix of
@@ -220,13 +220,10 @@ def save_dataset(data: Dataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> Dataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[-1] != "y":
+    with open(path) as fh:
+        if fh.readline().rstrip("\r\n").split(",")[-1] != "y":
             raise ValueError("expected CSV header f0,...,f{d-1},y")
-        rows = [[float(v) for v in row] for row in reader if row]
-    arr = np.asarray(rows, dtype=np.float64)
+        arr = np.loadtxt(fh, delimiter=",", ndmin=2)
     return Dataset(arr[:, :-1], arr[:, -1])
 
 
@@ -237,7 +234,7 @@ def load_dataset(path: str) -> Dataset:
 
 @dataclass(frozen=True)
 class ExpectationEngine:
-    """Uniform access to expectations over (x, y*) and simulated (x, y~).
+    """Uniform access to expectations over (x, y*).
 
     ``ystar`` holds the conditional label mean per supported point: the true
     probabilities in exact mode, the observed 0/1 labels in empirical mode.
@@ -276,15 +273,6 @@ class ExpectationEngine:
     def expect(self, values: np.ndarray) -> float:
         """E over x of a per-point quantity."""
         return float(correlate(self.weights, 1.0, values))
-
-    def expect_label(self, at1: np.ndarray, at0: np.ndarray) -> float:
-        """E over (x, y*) of a quantity given per-point values at y=1 / y=0."""
-        return self.expect(self.ystar * at1 + (1.0 - self.ystar) * at0)
-
-    def expect_simulated(self, pred_values: np.ndarray, at1: np.ndarray, at0: np.ndarray) -> float:
-        """E over (x, y~) with y~ ~ Ber(pred(x)), computed analytically."""
-        pv = np.asarray(pred_values, dtype=np.float64)
-        return self.expect(pv * at1 + (1.0 - pv) * at0)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ __all__ = [
     "mae",
     "ResidualAccess",
     "exact_residual_access",
-    "sampled_residual_access",
     "ExhaustiveWeakLearner",
     "MAResult",
     "MAUpdate",
@@ -67,33 +66,22 @@ def mae(pred: Predictor, hypotheses: HypothesisClass | Iterable[Hypothesis], eng
 
 @dataclass(frozen=True)
 class ResidualAccess:
-    """Access to the residual function f via weighted labeled points.
+    """Access to the residual function f via an engine's weighted points.
 
-    In exact mode ``z`` is f(x) = p*(x) - p(x) itself; in empirical mode it
-    is the real-valued label y - p(x), whose conditional mean is f(x).
-    ``engine`` is set when the points are the engine's own, so member values
-    come from its cached matrix; sampled points are evaluated afresh.
+    Under an exact engine ``z`` is f(x) = p*(x) - p(x) itself; under an
+    empirical one it is the real-valued label y - p(x), whose conditional
+    mean is f(x).  Member values come from the engine's cached matrix.
     """
 
-    X: np.ndarray
+    engine: ExpectationEngine
     z: np.ndarray
-    weights: np.ndarray
-    engine: ExpectationEngine | None = None
 
     def correlation(self, h: Hypothesis) -> float:
-        return float(correlate(self.weights, self.z, h.values(self.X)))
-
-    def member_matrix(self, hclass: HypothesisClass) -> np.ndarray:
-        return value_matrix(hclass, self.X) if self.engine is None else self.engine.member_matrix(hclass)
+        return float(correlate(self.engine.weights, self.z, h.values(self.engine.X)))
 
 
 def exact_residual_access(engine: ExpectationEngine, pred_values: np.ndarray) -> ResidualAccess:
-    return ResidualAccess(engine.X, engine.ystar - pred_values, engine.weights, engine)
-
-
-def sampled_residual_access(sampler: Sampler, pred: Predictor, n: int) -> ResidualAccess:
-    X, y = sampler.draw(n)
-    return ResidualAccess(X, y - pred.values(X), np.full(len(y), 1.0 / len(y)))
+    return ResidualAccess(engine, engine.ystar - pred_values)
 
 
 @dataclass(frozen=True)
@@ -115,7 +103,7 @@ class ExhaustiveWeakLearner:
             raise ValueError("need 0 < sigma <= rho")
 
     def query(self, access: ResidualAccess) -> tuple[Hypothesis, float] | None:
-        corr = correlate(access.weights, access.z, access.member_matrix(self.hclass))
+        corr = correlate(access.engine.weights, access.z, access.engine.member_matrix(self.hclass))
         best = int(np.argmax(corr))
         if corr[best] >= self.sigma - self.tol:
             return self.hclass.members[best], float(corr[best])
@@ -169,7 +157,8 @@ def ma_algorithm(
         if sampler is None:
             access = exact_residual_access(engine, cur)
         else:
-            access = sampled_residual_access(sampler, pred, batch_size)
+            fresh = ExpectationEngine.empirical(sampler.draw(batch_size))
+            access = exact_residual_access(fresh, pred.values(fresh.X))
         picked = wl.query(access)
         if picked is None:
             return MAResult(pred, tuple(updates))

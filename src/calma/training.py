@@ -7,9 +7,11 @@ run with the discretized predictor, which is then both calibrated and
 multiaccurate.  Both kinds of step lower the squared distance to the label
 means, which bounds the number of rounds and total weak-learner calls.
 
-With no sampler the calibration estimate and the recalibration use the
-engine's own measure (exact distributions or a full dataset).  With a sampler
-they use fresh draws, the estimate repeated and median-aggregated.
+Every step takes its expectations under an ``ExpectationEngine``.  With no
+sampler that is the engine passed in (an exact distribution or a full
+dataset).  With a sampler each weak-learner query, calibration estimate and
+recalibration measures its own fresh draws as an empirical engine, and the
+estimate is repeated and median-aggregated against estimator failure.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .calibration import (
     Sampler,
     discretize,
     ece,
-    est_ece,
-    recal,
+    est_ece_samples_needed,
+    recal_samples_needed,
     recalibrate_with_engine,
 )
 from .core import ExpectationEngine, Predictor
@@ -46,6 +48,15 @@ class CalmaConfig:
     recal_constant: float = 8.0
     recal_samples: int | None = None
     cap_factor: float = 2.0
+
+    def __post_init__(self):
+        for name in ("ma_batch", "est_ece_repeats", "est_ece_samples", "recal_samples"):
+            value = getattr(self, name)
+            if value is not None and not value >= 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("est_ece_constant", "recal_constant", "cap_factor"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -109,33 +120,25 @@ def calma(
         raise ValueError("need alpha - alpha^2/32 >= rho of the weak learner")
 
     cap = int(math.ceil(cfg.cap_factor * (1.0 + 8.0 / alpha**2)))
+    n_est = cfg.est_ece_samples or est_ece_samples_needed(delta, mu, cfg.est_ece_constant)
+    n_recal = cfg.recal_samples or recal_samples_needed(delta, cfg.recal_constant)
+    repeats = 1 if sampler is None else cfg.est_ece_repeats
+
+    def measure(n: int) -> ExpectationEngine:
+        return engine if sampler is None else ExpectationEngine.empirical(sampler.draw(n))
+
     rounds: list[CalmaRound] = []
     q = p0
+    pot_after = engine.expect((engine.ystar - q.values(engine.X)) ** 2)
     result = None
     for _ in range(cap):
-        pot_before = engine.expect((engine.ystar - q.values(engine.X)) ** 2)
+        pot_before = pot_after
         ma = ma_algorithm(q, alpha - delta, wl, engine, sampler=sampler, batch_size=cfg.ma_batch)
         p_t = ma.predictor
         p_disc = discretize(p_t, delta)
-        if sampler is None:
-            estimate = ece(p_disc, engine)
-        else:
-            estimate = float(
-                np.median(
-                    [
-                        est_ece(p_disc, delta, mu, sampler, cfg.est_ece_constant, cfg.est_ece_samples)
-                        for _ in range(cfg.est_ece_repeats)
-                    ]
-                )
-            )
+        estimate = float(np.median([ece(p_disc, measure(n_est)) for _ in range(repeats)]))
         recalibrate = estimate > 0.75 * alpha
-        if recalibrate:
-            if sampler is None:
-                q = recalibrate_with_engine(p_t, delta, engine)
-            else:
-                q = recal(p_t, delta, sampler, cfg.recal_constant, cfg.recal_samples)
-        else:
-            q = p_disc
+        q = recalibrate_with_engine(p_t, delta, measure(n_recal)) if recalibrate else p_disc
         pot_after = engine.expect((engine.ystar - q.values(engine.X)) ** 2)
         rounds.append(
             CalmaRound(

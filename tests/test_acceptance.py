@@ -23,8 +23,8 @@ from calma.calibration import (
     WeightFunction,
     discretize,
     ece,
-    recal,
-    recalibrate_exact,
+    recal_samples_needed,
+    recalibrate_with_engine,
     weighted_ce,
 )
 from calma.core import (
@@ -159,10 +159,11 @@ def test_criterion_06_recalibration_error_reduction():
         pred = random_predictor(local, dist)
         disc = discretize(pred, delta)
         ece_sq = ece(disc, engine) ** 2
-        exact = recalibrate_exact(pred, delta, dist)
+        exact = recalibrate_with_engine(pred, delta, engine)
         drop_exact = distance(pstar, disc, engine, "l2") ** 2 - distance(pstar, exact, engine, "l2") ** 2
         assert drop_exact >= ece_sq - 1e-12
-        hat = recal(pred, delta, DistributionSampler(dist, seed=seed))
+        fresh = ExpectationEngine.empirical(DistributionSampler(dist, seed=seed).draw(recal_samples_needed(delta)))
+        hat = recalibrate_with_engine(pred, delta, fresh)
         drop_hat = distance(pstar, pred, engine, "l2") ** 2 - distance(pstar, hat, engine, "l2") ** 2
         assert drop_hat >= ece_sq - 4 * delta - 1e-12
     note(6, "exact recal drop >= ECE^2 and sampled recal drop >= ECE^2 - 4 delta on 50 seeds")

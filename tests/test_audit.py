@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from calma.audit import (
+    _monotone_tuples,
     audit_family,
     decision_oi_gap,
     hypothesis_oi_gap,
@@ -336,6 +337,14 @@ class TestParityConstruction:
 
 
 class TestSimConstruction:
+    @pytest.mark.parametrize("m,k", [(1, 1), (1, 3), (2, 2), (5, 1), (7, 3), (12, 4)])
+    def test_monotone_tuples_match_itertools_order(self, m, k):
+        values = np.linspace(0.0, 1.0, m)
+        expected = np.array(list(itertools.combinations_with_replacement(values, k))).reshape(-1, k)
+        got = _monotone_tuples(values, k)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
     def test_constant_sim_violation(self):
         assert sim_violation(np.full(4, 3 / 8)) == pytest.approx(1 / 8, abs=1e-12)
 

@@ -12,10 +12,10 @@ from calma.calibration import (
     WeightFunction,
     discretize,
     ece,
-    est_ece,
+    est_ece_samples_needed,
     isotonic_fit,
-    recal,
-    recalibrate_exact,
+    recal_samples_needed,
+    recalibrate_with_engine,
     weighted_ce,
 )
 from calma.core import (
@@ -30,6 +30,11 @@ from calma.core import (
 from calma.multiaccuracy import mae
 
 from support import bernoulli_dataset, random_class, random_distribution, random_predictor
+
+
+def fresh_engine(sampler, n):
+    """Empirical engine over n fresh draws."""
+    return ExpectationEngine.empirical(sampler.draw(n))
 
 
 def two_level_set_instance():
@@ -161,17 +166,17 @@ class TestRecalibrateExact:
         vals = np.array([0.1, 0.5, 0.9])
         dist = FiniteDistribution(pts, [1 / 3] * 3, vals)
         pred = TablePredictor(pts, vals)
-        rec = recalibrate_exact(pred, 0.1, dist)
+        rec = recalibrate_with_engine(pred, 0.1, ExpectationEngine.exact(dist))
         np.testing.assert_allclose(rec.values(pts), vals, atol=1e-12)
 
     def test_single_bucket_mean(self):
         dist = FiniteDistribution(np.zeros((1, 1)), [1.0], [0.7])
-        rec = recalibrate_exact(ConstantPredictor(0.1), 0.1, dist)
+        rec = recalibrate_with_engine(ConstantPredictor(0.1), 0.1, ExpectationEngine.exact(dist))
         assert rec.values(np.zeros((1, 1)))[0] == pytest.approx(0.7, abs=1e-12)
 
     def test_empty_buckets_keep_midpoints(self):
         dist = FiniteDistribution(np.zeros((1, 1)), [1.0], [0.7])
-        rec = recalibrate_exact(ConstantPredictor(0.1), 0.1, dist)
+        rec = recalibrate_with_engine(ConstantPredictor(0.1), 0.1, ExpectationEngine.exact(dist))
         np.testing.assert_allclose(rec.bucket_values[1:], (2 * np.arange(1, 5) + 1) * 0.1)
 
     def test_output_perfectly_calibrated(self):
@@ -180,7 +185,7 @@ class TestRecalibrateExact:
             dist = random_distribution(rng, n_points=10)
             engine = ExpectationEngine.exact(dist)
             pred = random_predictor(rng, dist)
-            rec = recalibrate_exact(pred, 0.08, dist)
+            rec = recalibrate_with_engine(pred, 0.08, engine)
             assert ece(rec, engine) <= 1e-12
 
     def test_error_reduction_inequality(self):
@@ -194,7 +199,7 @@ class TestRecalibrateExact:
             pred = random_predictor(rng, dist)
             delta = rng.uniform(0.03, 0.25)
             disc = discretize(pred, delta)
-            rec = recalibrate_exact(pred, delta, dist)
+            rec = recalibrate_with_engine(pred, delta, engine)
             drop = distance(pstar, disc, engine, "l2") ** 2 - distance(pstar, rec, engine, "l2") ** 2
             assert drop >= ece(disc, engine) ** 2 - 1e-12
 
@@ -206,12 +211,14 @@ class TestEstEce:
         vals = np.array([0.15, 0.35, 0.55, 0.75])  # exact bucket midpoints at delta 0.05... delta=0.05 -> mids 0.05,0.15,...
         dist = FiniteDistribution(pts, [0.25] * 4, vals)
         pred = TablePredictor(pts, vals)
-        est = est_ece(pred, 0.05, 0.1, DistributionSampler(dist, seed=1))
+        fresh = fresh_engine(DistributionSampler(dist, seed=1), est_ece_samples_needed(0.05, 0.1))
+        est = ece(discretize(pred, 0.05), fresh)
         assert est <= 0.1
 
     def test_half_predictor_all_ones(self):
         dist = FiniteDistribution(np.zeros((1, 1)), [1.0], [1.0])
-        est = est_ece(ConstantPredictor(0.5), 0.1, 0.1, DistributionSampler(dist, seed=2))
+        fresh = fresh_engine(DistributionSampler(dist, seed=2), est_ece_samples_needed(0.1, 0.1))
+        est = ece(discretize(ConstantPredictor(0.5), 0.1), fresh)
         assert est == pytest.approx(0.5, abs=0.1)
 
     def test_tracks_exact_value_across_seeds(self):
@@ -223,23 +230,30 @@ class TestEstEce:
             pred = random_predictor(rng, dist)
             disc = discretize(pred, delta)
             exact = ece(disc, engine)
-            est = est_ece(disc, delta, mu, DistributionSampler(dist, seed=seed))
+            est = ece(disc, fresh_engine(DistributionSampler(dist, seed=seed), est_ece_samples_needed(delta, mu)))
             assert abs(est - exact) <= mu
 
     def test_insufficient_samples(self):
         data = Dataset(np.zeros((5, 1)), [0, 1, 0, 1, 1])
         with pytest.raises(InsufficientSamplesError):
-            est_ece(ConstantPredictor(0.5), 0.1, 0.1, DatasetSampler(data))
+            fresh_engine(DatasetSampler(data), est_ece_samples_needed(0.1, 0.1))
 
 
 class TestRecal:
-    def test_exact_source_matches_recalibrate_exact(self):
+    def test_sample_realizing_distribution_matches_exact(self):
+        # a dataset whose rows realize the distribution exactly is the same
+        # measure, so its empirical engine recalibrates like the exact engine
         rng = np.random.default_rng(12)
-        dist = random_distribution(rng)
+        counts = rng.integers(1, 5, 8)
+        ones = rng.integers(0, counts + 1)
+        pts = np.arange(8, dtype=float).reshape(-1, 1)
+        dist = FiniteDistribution(pts, counts / counts.sum(), ones / counts)
+        X = np.repeat(pts, counts, axis=0)
+        y = np.concatenate([np.arange(c) < k for c, k in zip(counts, ones)]).astype(float)
         pred = random_predictor(rng, dist)
-        a = recal(pred, 0.1, dist)
-        b = recalibrate_exact(pred, 0.1, dist)
-        np.testing.assert_allclose(a.bucket_values, b.bucket_values)
+        a = recalibrate_with_engine(pred, 0.1, ExpectationEngine.empirical(Dataset(X, y)))
+        b = recalibrate_with_engine(pred, 0.1, ExpectationEngine.exact(dist))
+        np.testing.assert_allclose(a.bucket_values, b.bucket_values, rtol=0, atol=1e-12)
 
     def test_close_to_exact_bucket_means(self):
         rng = np.random.default_rng(13)
@@ -248,8 +262,9 @@ class TestRecal:
             dist = random_distribution(rng, n_points=8)
             engine = ExpectationEngine.exact(dist)
             pred = random_predictor(rng, dist)
-            exact = recalibrate_exact(pred, delta, dist)
-            sampled = recal(pred, delta, DistributionSampler(dist, seed=seed))
+            exact = recalibrate_with_engine(pred, delta, engine)
+            fresh = fresh_engine(DistributionSampler(dist, seed=seed), recal_samples_needed(delta))
+            sampled = recalibrate_with_engine(pred, delta, fresh)
             assert distance(exact, sampled, engine, "l1") <= delta
 
     def test_corollary_error_reduction(self):
@@ -262,7 +277,8 @@ class TestRecal:
             pstar = bayes_predictor(dist)
             pred = random_predictor(rng, dist)
             disc = discretize(pred, delta)
-            hat = recal(pred, delta, DistributionSampler(dist, seed=seed))
+            fresh = fresh_engine(DistributionSampler(dist, seed=seed), recal_samples_needed(delta))
+            hat = recalibrate_with_engine(pred, delta, fresh)
             drop = distance(pstar, pred, engine, "l2") ** 2 - distance(pstar, hat, engine, "l2") ** 2
             assert drop >= ece(disc, engine) ** 2 - 4 * delta - 1e-12
 
@@ -312,8 +328,8 @@ class TestSamplers:
     def test_dataset_sampler_consumes_without_replacement(self):
         data = Dataset(np.arange(6, dtype=float).reshape(-1, 1), [0, 1, 0, 1, 0, 1])
         s = DatasetSampler(data)
-        X1, _ = s.draw(4)
-        X2, _ = s.draw(2)
+        X1 = s.draw(4).X
+        X2 = s.draw(2).X
         assert s.remaining == 0
         together = np.concatenate([X1, X2]).ravel()
         np.testing.assert_array_equal(np.sort(together), np.arange(6))

@@ -71,6 +71,27 @@ class TestTermination:
             calma(ConstantPredictor(0.5), 0.1, wl, engine)
 
 
+class TestConfig:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("ma_batch", 0),
+            ("est_ece_repeats", 0),
+            ("est_ece_samples", 0),
+            ("recal_samples", -5),
+            ("est_ece_constant", 0.0),
+            ("recal_constant", -1.0),
+            ("cap_factor", float("nan")),
+        ],
+    )
+    def test_field_validated(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CalmaConfig(**{field: value})
+
+    def test_smallest_counts_accepted(self):
+        CalmaConfig(ma_batch=1, est_ece_repeats=1, est_ece_samples=1, recal_samples=1)
+
+
 class TestGuarantees:
     def run_batch(self, alpha, n_instances, seed0):
         out = []

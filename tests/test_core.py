@@ -91,24 +91,13 @@ class TestExpectationEngine:
         assert abs(engine.expect(ind) - hand) <= 1e-12
         # E[y * ind] = sum mass * bayes * ind
         hand_y = math.fsum((dist.mass * dist.bayes * ind).tolist())
-        assert abs(engine.expect_label(ind, np.zeros_like(ind)) - hand_y) <= 1e-12
-
-    def test_simulated_expectations_are_analytic(self):
-        rng = np.random.default_rng(2)
-        dist = random_distribution(rng, n_points=5)
-        engine = ExpectationEngine.exact(dist)
-        pred = random_predictor(rng, dist)
-        pv = pred.values(dist.points)
-        a1 = rng.uniform(-1, 1, dist.n)
-        a0 = rng.uniform(-1, 1, dist.n)
-        expected = math.fsum((dist.mass * (pv * a1 + (1 - pv) * a0)).tolist())
-        assert engine.expect_simulated(pv, a1, a0) == pytest.approx(expected, abs=1e-15)
+        assert abs(engine.expect(engine.ystar * ind) - hand_y) <= 1e-12
 
     def test_empirical_matches_mean(self):
         data = Dataset(np.arange(6, dtype=float).reshape(-1, 1), [0, 1, 0, 1, 1, 1])
         engine = ExpectationEngine.empirical(data)
         assert engine.expect(np.ones(6)) == pytest.approx(1.0)
-        assert engine.expect_label(np.ones(6), np.zeros(6)) == pytest.approx(4 / 6)
+        assert engine.expect(engine.ystar) == pytest.approx(4 / 6)
 
 
 class TestCorrelate:
@@ -505,6 +494,36 @@ class TestIO:
         back = load_dataset(path)
         np.testing.assert_array_equal(back.X, X)
         np.testing.assert_array_equal(back.y, y)
+
+    def test_dataset_roundtrip_awkward_floats(self, tmp_path):
+        X = np.array([[1e-300, -2.5e300], [0.1 + 0.2, -0.0], [np.pi, 5e-324]])
+        path = str(tmp_path / "data.csv")
+        save_dataset(Dataset(X, [1.0, 0.0, 1.0]), path)
+        back = load_dataset(path)
+        assert np.array_equal(back.X, X) and np.array_equal(back.y, [1.0, 0.0, 1.0])
+
+    def test_one_row_file(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("f0,f1,y\n0.5,-1.5,1\n")
+        back = load_dataset(str(path))
+        assert back.X.shape == (1, 2)
+        assert np.array_equal(back.X, [[0.5, -1.5]]) and np.array_equal(back.y, [1.0])
+
+    def test_trailing_blank_line_ignored(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("f0,y\n0.25,0\n0.75,1\n\n")
+        back = load_dataset(str(path))
+        assert np.array_equal(back.X, [[0.25], [0.75]]) and np.array_equal(back.y, [0.0, 1.0])
+
+    @pytest.mark.filterwarnings("ignore:loadtxt")
+    @pytest.mark.parametrize(
+        "text", ["f0,f1,y\n", "f0,f1,y\n0.5,1.5,1\n0.5,1\n", "", "f0,f1,label\n0.5,1.5,1\n"]
+    )
+    def test_malformed_file_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_dataset(str(path))
 
     def test_distribution_roundtrip(self, tmp_path):
         dist = random_distribution(np.random.default_rng(22))

@@ -27,7 +27,6 @@ from calma.multiaccuracy import (
     l1_glm_fit,
     ma_algorithm,
     mae,
-    sampled_residual_access,
 )
 
 from support import bernoulli_dataset, random_class, random_distribution, random_predictor
@@ -87,7 +86,7 @@ class TestMemberMatrix:
         pv = pred.values(dist.points)
         wl = ExhaustiveWeakLearner(cls, rho=0.01, sigma=0.01)
         cached = exact_residual_access(engine, pv)
-        fresh = ResidualAccess(cached.X, cached.z, cached.weights)
+        fresh = ResidualAccess(ExpectationEngine.exact(dist), cached.z)
         assert wl.query(cached) == wl.query(fresh)
         assert mae(pred, cls, engine) == mae(pred, list(cls.members), engine)
 
@@ -134,7 +133,8 @@ class TestWeakLearner:
             if abs(exact_best - sigma) < sigma:  # only decide well-separated cases
                 continue
             sampler = DistributionSampler(dist, seed=seed)
-            access = sampled_residual_access(sampler, pred, 20000)
+            fresh = ExpectationEngine.empirical(sampler.draw(20000))
+            access = exact_residual_access(fresh, pred.values(fresh.X))
             got = wl.query(access)
             assert (got is not None) == (exact_best >= sigma)
 
