@@ -223,6 +223,10 @@ def load_dataset(path: str) -> Dataset:
     with open(path) as fh:
         if fh.readline().rstrip("\r\n").split(",")[-1] != "y":
             raise ValueError("expected CSV header f0,...,f{d-1},y")
+        body = fh.tell()
+        if not any(line.partition("#")[0].strip() for line in iter(fh.readline, "")):
+            raise ValueError("dataset must be nonempty")  # np.loadtxt would warn first
+        fh.seek(body)
         arr = np.loadtxt(fh, delimiter=",", ndmin=2)
     return Dataset(arr[:, :-1], arr[:, -1])
 

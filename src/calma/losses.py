@@ -5,7 +5,8 @@ Bregman divergences.
 A loss is stored as the pair ``t -> loss(0, t)`` and ``t -> loss(1, t)``; the
 mixture ``loss(p, t) = p * at1(t) + (1 - p) * at0(t)`` and the discrete
 derivative ``at1(t) - at0(t)`` follow from the pair.  Everything here is a
-pure function of immutable objects and thread-safe.
+pure function of immutable objects and thread-safe.  ``scipy`` is imported
+inside the functions that call it, so importing this module loads none of it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit, logit, xlogy
 
 __all__ = [
     "MonotonicityError",
@@ -230,6 +230,8 @@ def exp_loss() -> Loss:
         return np.exp(np.abs(1.0 - np.asarray(t, dtype=np.float64)))
 
     def kfn(q):
+        from scipy.special import logit
+
         q = np.clip(np.asarray(q, dtype=np.float64), 1e-300, 1.0 - 1e-16)
         return np.clip(0.5 * (1.0 + logit(q)), 0.0, 1.0)
 
@@ -296,6 +298,8 @@ def identity_glm() -> GlmLoss:
 
 
 def _entropy(v):
+    from scipy.special import xlogy
+
     v = np.asarray(v, dtype=np.float64)
     return xlogy(v, v) + xlogy(1.0 - v, 1.0 - v)
 
@@ -303,18 +307,28 @@ def _entropy(v):
 def sigmoid_glm() -> GlmLoss:
     softplus = lambda t: np.logaddexp(0.0, np.asarray(t, dtype=np.float64))
 
+    def gprime(t):
+        from scipy.special import expit
+
+        return expit(np.asarray(t, dtype=np.float64))
+
+    def dual_fprime(v):
+        from scipy.special import logit
+
+        return logit(np.asarray(v, dtype=np.float64))
+
     def inverse(v):
         v = np.asarray(v, dtype=np.float64)
         if np.any(v <= 0) or np.any(v >= 1):
             raise OutOfRangeError("sigmoid transfer only attains values in (0, 1)")
-        return logit(v)
+        return dual_fprime(v)
 
     return _glm_from_parts(
         "sigmoid",
-        gprime=lambda t: expit(np.asarray(t, dtype=np.float64)),
+        gprime=gprime,
         g=softplus,  # integral of the sigmoid up to the ln 2 offset at 0
         dual_f=_entropy,
-        dual_fprime=lambda v: logit(np.asarray(v, dtype=np.float64)),
+        dual_fprime=dual_fprime,
         inverse=inverse,
         im=(0.0, 1.0),
         work=(-40.0, 40.0),
@@ -443,6 +457,8 @@ def bregman(glm: GlmLoss, vstar, v):
         raise OutOfRangeError("bregman arguments must lie in the transfer image")
     if glm.transfer_name == "sigmoid":
         # binary KL with the 0 log 0 = 0 limit for the first argument
+        from scipy.special import xlogy
+
         v = np.clip(v, 1e-300, 1.0 - 1e-16)
         return xlogy(vstar, vstar / v) + xlogy(1.0 - vstar, (1.0 - vstar) / (1.0 - v))
     return glm.dual_f(vstar) - glm.dual_f(v) - (vstar - v) * glm.dual_fprime(v)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from calma.bench import _fit_l2
 from calma.core import (
     Dataset,
     ExpectationEngine,
@@ -126,3 +127,26 @@ def scalar_optimal_decision(loss, p: float, grid_points: int = 2001, tol: float 
     vmin = min(values)
     eligible = [t for t, v in zip(candidates, values) if v <= vmin + 1e-12]
     return float(min(eligible, key=lambda t: (abs(t), -t)))
+
+
+def reference_fit_l1(X: np.ndarray, y: np.ndarray, iters: int = 4000) -> tuple[np.ndarray, float]:
+    """Oracle: the two-matvec subgradient loop that ``bench._fit_l1`` runs with
+    one residual per step."""
+    X1 = np.column_stack([X, np.ones(len(X))])
+    n = len(y)
+    scale = np.maximum(np.sqrt(np.mean(X1**2, axis=0)), 1e-9)
+    w0, b0 = _fit_l2(X, y)
+    beta = np.concatenate([w0, [b0]])
+
+    def value(bv):
+        return float(np.mean(np.abs(y - X1 @ bv)))
+
+    best_beta, best_val = beta.copy(), value(beta)
+    for k in range(1, iters + 1):
+        g = X1.T @ (-np.sign(y - X1 @ beta)) / n
+        beta = beta - (0.2 / math.sqrt(k)) * g / scale**2
+        v = value(beta)
+        if v < best_val:
+            best_beta, best_val = beta.copy(), v
+    g = X1.T @ (-np.sign(y - X1 @ best_beta)) / n
+    return best_beta, float(np.linalg.norm(g))

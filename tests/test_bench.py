@@ -13,9 +13,12 @@ from calma.bench import (
     run_benchmark,
     train_calma_bench,
 )
-from calma.bench import _fit_l2
+from calma import bench
+from calma.bench import _fit_l1, _fit_l2
 from calma.calibration import bucket_means
 from calma.core import Dataset, PipelinePredictor
+
+from support import reference_fit_l1
 
 
 class TestGenerator:
@@ -82,6 +85,28 @@ class TestBaselines:
                 column_value_for_score(name, np.full(train.n, c), train.y) for c in consts
             )
             assert fitted <= best_const + 1e-9
+
+
+class TestL1Kernel:
+    """``_fit_l1`` reuses each step's residual; it must match the two-matvec
+    loop bit for bit."""
+
+    @pytest.mark.parametrize(
+        "s,d,seed,n_train",
+        [(s, d, seed, 3000) for s, d in ((2, 2), (4, 4), (4, 10)) for seed in (1, 2)] + [(2, 2, 5, 40)],
+    )
+    def test_matches_reference_loop(self, s, d, seed, n_train):
+        train, _, _ = gen_gaussian_mixture(MixtureConfig(s=s, d=d, seed=seed, n_train=n_train))
+        beta, gnorm = _fit_l1(train.X, train.y)
+        ref_beta, ref_gnorm = reference_fit_l1(train.X, train.y)
+        assert np.array_equal(beta, ref_beta)
+        assert gnorm == ref_gnorm
+
+    def test_benchmark_cell_unchanged_under_reference_loop(self, monkeypatch):
+        cfg = MixtureConfig(s=2, d=2, seed=3, n_train=400, n_cal=200, n_test=400)
+        fast = run_benchmark(cfg).to_dict()
+        monkeypatch.setattr(bench, "_fit_l1", reference_fit_l1)
+        assert repr(fast) == repr(run_benchmark(cfg).to_dict())
 
 
 class TestTrainer:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -515,15 +516,17 @@ class TestIO:
         back = load_dataset(str(path))
         assert np.array_equal(back.X, [[0.25], [0.75]]) and np.array_equal(back.y, [0.0, 1.0])
 
-    @pytest.mark.filterwarnings("ignore:loadtxt")
     @pytest.mark.parametrize(
-        "text", ["f0,f1,y\n", "f0,f1,y\n0.5,1.5,1\n0.5,1\n", "", "f0,f1,label\n0.5,1.5,1\n"]
+        "text",
+        ["f0,f1,y\n", "f0,f1,y\n\n# no rows\n", "f0,f1,y\n0.5,1.5,1\n0.5,1\n", "", "f0,f1,label\n0.5,1.5,1\n"],
     )
     def test_malformed_file_rejected(self, tmp_path, text):
         path = tmp_path / "bad.csv"
         path.write_text(text)
-        with pytest.raises(ValueError):
-            load_dataset(str(path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                load_dataset(str(path))
 
     def test_distribution_roundtrip(self, tmp_path):
         dist = random_distribution(np.random.default_rng(22))
