@@ -115,6 +115,7 @@ _PAIR_FIELDS = ("loss", "hypothesis", "hypothesis_gap", "decision_gap", "loss_ga
 @dataclass(frozen=True)
 class OIGapReport:
     rows: tuple  # one tuple per (loss, hypothesis) pair, in _PAIR_FIELDS order
+    warnings: tuple = ()  # the loss warnings the audit raised, in order
 
     @property
     def max_abs_hypothesis_gap(self) -> float:
@@ -139,6 +140,7 @@ class OIGapReport:
             "max_abs_decision_gap": self.max_abs_decision_gap,
             "max_abs_loss_gap": self.max_abs_loss_gap,
             "max_decomposition_residual": self.max_decomposition_residual,
+            "warnings": list(self.warnings),
         }
 
 
@@ -156,14 +158,15 @@ def audit_family(
     pv = pred.values(engine.X)
     resid = pv - engine.ystar
     members = value_matrix(hyps, engine.X)
-    rows = []
+    rows, warned = [], []
     for loss in losses:
         if not isinstance(loss, GlmLoss):
             sup = partial_sup(loss)
             if sup > 1.0 + 1e-9:
                 # gaps stay exact; only the generic family-level bounds assume
                 # a unit-bounded discrete derivative
-                warn(f"{loss.name}: |discrete derivative| reaches {sup:.3g} > 1 on its action domain")
+                warned.append(f"{loss.name}: |discrete derivative| reaches {sup:.3g} > 1 on its action domain")
+                warn(warned[-1])
         at_decision = loss.partial(loss.decision(pv))
         at_members = loss.partial(members)
         dec = float(correlate(engine.weights, resid, at_decision))
@@ -173,7 +176,7 @@ def audit_family(
         loss_gaps = correlate(engine.weights, resid, at_members - at_decision[:, None])
         for h, hg, lg in zip(hyps, hyp_gaps.tolist(), loss_gaps.tolist()):
             rows.append((loss.name, h.tag, hg, dec, lg, lg - (hg - dec)))
-    return OIGapReport(tuple(rows))
+    return OIGapReport(tuple(rows), tuple(warned))
 
 
 # ---------------------------------------------------------------------------

@@ -245,23 +245,20 @@ class ExpectationEngine:
     Both cases make ``E[g(x, y)] = E[ystar * g(x,1) + (1 - ystar) * g(x,0)]``.
     """
 
-    mode: str
     X: np.ndarray
     weights: np.ndarray
     ystar: np.ndarray
-    dist: FiniteDistribution | None = None
-    data: Dataset | None = None
     _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def exact(cls, dist: FiniteDistribution) -> "ExpectationEngine":
-        return cls("exact", dist.points, dist.mass, dist.bayes, dist=dist)
+        return cls(dist.points, dist.mass, dist.bayes)
 
     @classmethod
     def empirical(cls, data: Dataset) -> "ExpectationEngine":
         w = np.full(data.n, 1.0 / data.n)
         w.flags.writeable = False
-        return cls("empirical", data.X, w, data.y, data=data)
+        return cls(data.X, w, data.y)
 
     def member_matrix(self, hclass: "HypothesisClass") -> np.ndarray:
         """Read-only n x |C| matrix of every member of ``hclass`` on ``X``,
@@ -677,6 +674,29 @@ class BucketStage(_Stage):
 
     def apply(self, X, p):
         return self.values[bucket_index(p, self.delta)]
+
+    def to_dict(self):
+        """Sparse: the buckets (ascending) whose value is not the midpoint (2j+1)delta."""
+        moved = np.flatnonzero(self.values != bucket_midpoints(self.delta))
+        return {"op": self.op, "delta": float(self.delta), "buckets": moved.tolist(),
+                "values": self.values[moved].tolist()}
+
+    @classmethod
+    def from_dict(cls, d, hclass):
+        if "buckets" not in d:  # the dense form older versions wrote
+            return cls(d["delta"], d["values"])
+        delta = float(d["delta"])
+        if not 0 < delta <= 0.5:
+            raise ValueError("need 0 < delta <= 1/2")
+        idx, moved = np.asarray(d["buckets"]), np.asarray(d["values"], dtype=np.float64)
+        values = bucket_midpoints(delta)
+        if not (idx.ndim == moved.ndim == 1 and len(idx) == len(moved)
+                and (idx.size == 0 or idx.dtype.kind in "iu" and np.all(np.diff(idx) > 0)
+                     and 0 <= idx[0] and idx[-1] < len(values))):
+            raise ValueError("bucket indices must be strictly increasing integers in "
+                             "[0, n_buckets), one per listed value")
+        values[idx.astype(np.intp)] = moved
+        return cls(delta, values)
 
 
 @dataclass(frozen=True)

@@ -275,6 +275,19 @@ class TestAuditFamily:
         assert report.max_decomposition_residual <= 1e-12
         d = report.to_dict()
         assert d["max_abs_loss_gap"] == report.max_abs_loss_gap
+        assert report.warnings == () and d["warnings"] == []
+
+    def test_report_records_loss_warnings(self):
+        rng = np.random.default_rng(15)
+        dist, engine, cls, pred = random_audit_instance(rng)
+        with pytest.warns(UserWarning) as caught:
+            report = audit_family(pred, [get_loss("l2"), get_loss("exp")], cls.members, engine)
+        assert report.warnings == tuple(str(w.message) for w in caught)
+        assert len(report.warnings) == 1 and report.warnings[0].startswith("exp: |discrete derivative|")
+        d = report.to_dict()
+        assert d["warnings"] == list(report.warnings)
+        assert set(d) == {"pairs", "max_abs_hypothesis_gap", "max_abs_decision_gap", "max_abs_loss_gap",
+                          "max_decomposition_residual", "warnings"}
 
     def test_predictions_and_decisions_computed_once(self, monkeypatch):
         rng = np.random.default_rng(16)

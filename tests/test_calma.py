@@ -1,15 +1,21 @@
 """The alternating boosting/recalibration trainer and its accounting."""
 
+import json
+
 import numpy as np
 import pytest
 
+from calma.bench import MixtureConfig, gen_gaussian_mixture
 from calma.calibration import DistributionSampler, discretize, ece
 from calma.core import (
     ConstantPredictor,
     ExpectationEngine,
     TablePredictor,
     bayes_predictor,
+    coordinate_class,
     distance,
+    interval_class,
+    predictor_from_dict,
 )
 from calma.multiaccuracy import ExhaustiveWeakLearner, mae
 from calma.training import CalmaConfig, IterationCapError, calma
@@ -177,3 +183,20 @@ class TestSampledMode:
         d = trace.to_dict()
         assert d["alpha"] == 0.2
         assert len(d["rounds"]) == trace.outer_iterations
+
+
+def test_trained_model_file_lists_only_moved_buckets():
+    # s=4, d=10 mixture at alpha = 0.03: bucket stages of ceil(16 / alpha^2) buckets each
+    train, _, _ = gen_gaussian_mixture(MixtureConfig(s=4, d=10, n_train=10_000, n_cal=1, n_test=1, seed=3))
+    scales = np.max(np.abs(train.X), axis=0)
+    hclass = interval_class(coordinate_class(train.dim, scales), 0.25)
+    alpha = 0.03
+    engine = ExpectationEngine.empirical(train)
+    pred, trace = calma(ConstantPredictor(float(np.mean(train.y))), alpha, make_wl(hclass, alpha), engine)
+    assert any(r.recalibrated for r in trace.rounds)
+    text = json.dumps(pred.to_dict())
+    assert len(text) < 10_000
+    rebuilt = predictor_from_dict(json.loads(text), hclass)
+    assert np.array_equal(rebuilt.values(train.X), pred.values(train.X))
+    buckets = [s for s in pred.stages if s.op == "bucket"]
+    assert buckets and all(len(s.values) == 17_778 for s in buckets)

@@ -102,7 +102,13 @@ def test_nested_bucket_recal_model_still_loads():
     hclass = coordinate_class(2)
     X = np.array([[a, b] for a in np.linspace(-1, 1, 9) for b in np.linspace(-1, 1, 9)])
     old, new = predictor_from_dict(nested, hclass), predictor_from_dict(flat, hclass)
-    assert old.to_dict() == flat
+    # the dense bucket lists of older files are written back sparsely: only
+    # the buckets whose value is not the midpoint (2j+1)delta
+    assert old.to_dict() == new.to_dict()
+    assert [s for s in new.to_dict()["stages"] if s["op"] == "bucket"] == [
+        {"op": "bucket", "delta": 0.25, "buckets": [], "values": []},
+        {"op": "bucket", "delta": 0.25, "buckets": [0, 1], "values": [0.2, 0.7]},
+    ]
     assert np.array_equal(old.values(X), new.values(X))
     p = np.clip(0.4 + 0.3 * X[:, 0], 0, 1)
     p = np.clip(np.where(p < 0.5, 0.25, 0.75) - 0.3 * X[:, 1], 0, 1)

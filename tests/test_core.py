@@ -14,6 +14,7 @@ from calma.core import (
     AddLinearStage,
     BaseStage,
     BucketRecalPredictor,
+    BucketStage,
     BudgetExceededError,
     ConstantPredictor,
     Dataset,
@@ -25,6 +26,7 @@ from calma.core import (
     TablePredictor,
     bayes_predictor,
     bucket_index,
+    bucket_midpoints,
     clip,
     coordinate_class,
     correlate,
@@ -436,6 +438,14 @@ _HALF = {"op": "const", "value": 0.5}
 MALFORMED_PIPELINES = {
     "short bucket list": [_HALF, {"op": "bucket", "delta": 0.1, "values": [0.1, 0.3, 0.5, 0.7]}],
     "bucket value 7": [_HALF, {"op": "bucket", "delta": 0.25, "values": [0.25, 7.0]}],
+    "negative bucket index": [_HALF, {"op": "bucket", "delta": 0.1, "buckets": [-1], "values": [0.5]}],
+    "bucket index n_buckets": [_HALF, {"op": "bucket", "delta": 0.1, "buckets": [5], "values": [0.5]}],
+    "duplicate bucket index": [_HALF, {"op": "bucket", "delta": 0.1, "buckets": [1, 1], "values": [0.5, 0.5]}],
+    "unsorted bucket indices": [_HALF, {"op": "bucket", "delta": 0.1, "buckets": [3, 1], "values": [0.5, 0.5]}],
+    "non-integer bucket index": [_HALF, {"op": "bucket", "delta": 0.1, "buckets": [1.5], "values": [0.5]}],
+    "unequal bucket lengths": [_HALF, {"op": "bucket", "delta": 0.1, "buckets": [1, 2], "values": [0.5]}],
+    "listed bucket value 7": [_HALF, {"op": "bucket", "delta": 0.1, "buckets": [2], "values": [7.0]}],
+    "listed bucket delta 0": [_HALF, {"op": "bucket", "delta": 0.0, "buckets": [], "values": []}],
     "const 3": [{"op": "const", "value": 3.0}],
     "unsorted isotonic thresholds": [_HALF, {"op": "isotonic", "thresholds": [0.5, 0.2], "values": [0.1, 0.9]}],
     "unequal isotonic lengths": [_HALF, {"op": "isotonic", "thresholds": [0.2, 0.5], "values": [0.1]}],
@@ -459,6 +469,22 @@ class TestPipelineStages:
             BaseStage(pipeline)  # pipelines are extended, never nested
         with pytest.raises(ValueError):
             pipeline.extended(BaseStage(ConstantPredictor(0.2)))  # only the first stage starts
+
+    @pytest.mark.parametrize(
+        "delta, values, moved",
+        [
+            (0.1, bucket_midpoints(0.1), []),  # what discretize builds
+            (0.1, [0.0, 0.2, 0.45, 0.65, 1.0], [0, 1, 2, 3, 4]),
+            (0.1, np.where(np.arange(5) == 2, 0.55, bucket_midpoints(0.1)), [2]),  # midpoint values are omitted
+            (0.4, [0.4, 1.0], []),  # the last midpoint 1.2 is clipped to 1.0
+            (0.4, [0.4, 0.9], [1]),
+        ],
+    )
+    def test_bucket_stage_lists_only_moved_buckets(self, delta, values, moved):
+        stage = BucketStage(delta, values)
+        d = json.loads(json.dumps(stage.to_dict()))
+        assert d == {"op": "bucket", "delta": delta, "buckets": moved, "values": stage.values[moved].tolist()}
+        assert np.array_equal(BucketStage.from_dict(d, None).values, stage.values)
 
     def test_of_returns_pipelines_unchanged(self):
         pipeline = PipelinePredictor.of(ConstantPredictor(0.5))
