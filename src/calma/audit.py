@@ -166,7 +166,7 @@ def audit_family(
                 # gaps stay exact; only the generic family-level bounds assume
                 # a unit-bounded discrete derivative
                 warned.append(f"{loss.name}: |discrete derivative| reaches {sup:.3g} > 1 on its action domain")
-                warn(warned[-1])
+                warn(warned[-1], stacklevel=2)
         at_decision = loss.partial(loss.decision(pv))
         at_members = loss.partial(members)
         dec = float(correlate(engine.weights, resid, at_decision))
@@ -185,8 +185,20 @@ def audit_family(
 
 
 def _interp_loss(xs: np.ndarray, ys: np.ndarray, name: str, lipschitz: float | None) -> Loss:
+    """loss(0, t) = 0 and loss(1, t) = interp(t; xs, ys) on knots spanning [-1, 1].
+
+    loss(p, t) = p * interp(t) is piecewise linear in t, so for every p > 0
+    the minimizer is the knot of least value, or 0 on a flat minimal segment
+    across it; ties go to the smallest |t|, then the positive one.  At p = 0
+    every action is optimal and the decision is 0.
+    """
+
     def partial_fn(t):
         return np.interp(np.asarray(t, dtype=np.float64), xs, ys)
+
+    cands = np.union1d(xs, [0.0])
+    vals = partial_fn(cands)
+    k_pos = max(cands[vals == vals.min()].tolist(), key=lambda t: (-abs(t), t))
 
     return Loss(
         at0=lambda t: np.zeros_like(np.asarray(t, dtype=np.float64)),
@@ -194,6 +206,7 @@ def _interp_loss(xs: np.ndarray, ys: np.ndarray, name: str, lipschitz: float | N
         action_domain=(-1.0, 1.0),
         lipschitz_bound=lipschitz,
         name=name,
+        kfn=lambda p: np.where(p > 0, k_pos, 0.0),
     )
 
 

@@ -20,7 +20,6 @@ rounded.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -72,6 +71,7 @@ __all__ = [
 ]
 
 _MASS_TOL = 1e-12
+_CSV_BLOCK = 128  # rows per write in save_dataset
 
 
 class BudgetExceededError(ValueError):
@@ -211,12 +211,15 @@ def load_distribution(path: str) -> FiniteDistribution:
 
 
 def save_dataset(data: Dataset, path: str) -> None:
-    d = data.dim
+    """Write the header ``f0,...,f{d-1},y`` and one line per row: ``repr`` of
+    each feature, then the integer label, CRLF-terminated (the bytes
+    ``csv.writer`` writes).  Rows are formatted ``_CSV_BLOCK`` at a time, so
+    the text held in memory does not grow with the number of rows."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{j}" for j in range(d)] + ["y"])
-        for row, label in zip(data.X, data.y):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        fh.write(",".join([f"f{j}" for j in range(data.dim)] + ["y"]) + "\r\n")
+        for s in range(0, data.n, _CSV_BLOCK):
+            rows = zip(data.X[s : s + _CSV_BLOCK].tolist(), data.y[s : s + _CSV_BLOCK].tolist())
+            fh.write("".join(f"{','.join(map(repr, x))},{int(y)}\r\n" for x, y in rows))
 
 
 def load_dataset(path: str) -> Dataset:

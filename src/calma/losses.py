@@ -119,11 +119,8 @@ class Loss:
         return self.at1(t) - self.at0(t)
 
     def decision(self, p):
-        """Optimal decision k(p) for a scalar or an array of ``p``: ``kfn`` when
-        present, else one ``optimal_decision`` call over all of ``p``."""
-        p = np.asarray(p, dtype=np.float64)
-        if self.kfn is not None:
-            return np.asarray(self.kfn(p), dtype=np.float64)
+        """Optimal decision k(p) for a scalar or an array of ``p`` in [0, 1]:
+        ``optimal_decision(self, p)``."""
         return optimal_decision(self, p)
 
 
@@ -260,6 +257,10 @@ class GlmLoss(Loss):
     working_interval: tuple[float, float] = (-40.0, 40.0)
     transfer_name: str = "glm"
     inverse: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def partial(self, t):
+        """Discrete derivative (g(t) - t) - g(t) = -t, without evaluating g."""
+        return -np.asarray(t, dtype=np.float64)
 
 
 def _glm_from_parts(name, gprime, g, dual_f, dual_fprime, inverse, im, work, domain, lip=None):

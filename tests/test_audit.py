@@ -284,6 +284,7 @@ class TestAuditFamily:
             report = audit_family(pred, [get_loss("l2"), get_loss("exp")], cls.members, engine)
         assert report.warnings == tuple(str(w.message) for w in caught)
         assert len(report.warnings) == 1 and report.warnings[0].startswith("exp: |discrete derivative|")
+        assert caught[0].filename == __file__  # names the caller, not calma/audit.py
         d = report.to_dict()
         assert d["warnings"] == list(report.warnings)
         assert set(d) == {"pairs", "max_abs_hypothesis_gap", "max_abs_decision_gap", "max_abs_loss_gap",

@@ -1,5 +1,6 @@
 """Data model: engines, derived hypothesis classes, predictors, distances."""
 
+import csv
 import json
 import math
 import warnings
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from calma.bench import MixtureConfig, gen_gaussian_mixture
 from calma.calibration import recalibrate_with_engine
 from calma.core import (
     AddHypStage,
@@ -528,6 +530,23 @@ class TestIO:
         save_dataset(Dataset(X, [1.0, 0.0, 1.0]), path)
         back = load_dataset(path)
         assert np.array_equal(back.X, X) and np.array_equal(back.y, [1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("case", ["awkward", "one_column", "mixture"])
+    def test_saved_bytes_match_csv_writer(self, tmp_path, case):
+        if case == "awkward":
+            data = Dataset(np.array([[1e-300, -2.5e300], [0.1 + 0.2, -0.0], [np.pi, 5e-324]]), [1.0, 0.0, 1.0])
+        elif case == "one_column":
+            data = Dataset(np.array([[0.5], [-1e-7], [123456789.125]]), [0.0, 1.0, 1.0])
+        else:
+            data = gen_gaussian_mixture(MixtureConfig(s=4, d=10, n_train=10_000, n_cal=10, n_test=10, seed=3))[0]
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"f{j}" for j in range(data.dim)] + ["y"])
+            for row, label in zip(data.X, data.y):
+                writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        save_dataset(data, str(tmp_path / "data.csv"))
+        assert (tmp_path / "data.csv").read_bytes() == ref.read_bytes()
 
     def test_one_row_file(self, tmp_path):
         path = tmp_path / "one.csv"

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from calma.audit import random_bounded_loss, random_lipschitz_loss
+from calma.audit import _interp_loss, random_bounded_loss, random_lipschitz_loss
 from calma.losses import (
     Loss,
     MonotonicityError,
@@ -69,6 +69,11 @@ class TestDiscreteTaylor:
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
+def _fallback(loss: Loss) -> Loss:
+    """The loss without its closed form, so decisions take the grid scan."""
+    return dataclasses.replace(loss, kfn=None)
+
+
 class TestOptimalDecision:
     def test_l2_is_identity(self):
         assert optimal_decision(lp_loss(2), 0.7) == pytest.approx(0.7, abs=1e-12)
@@ -85,7 +90,7 @@ class TestOptimalDecision:
     def test_numeric_minimality(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            loss = random_bounded_loss(rng)
+            loss = _fallback(random_bounded_loss(rng))
             for p in np.linspace(0, 1, 7):
                 k = optimal_decision(loss, float(p))
                 ts = rng.uniform(-1, 1, 200)
@@ -116,7 +121,7 @@ class TestVectorizedDecision:
     def test_bit_identical_to_scalar_oracle(self):
         rng = np.random.default_rng(11)
         for i in range(200):
-            loss = (random_bounded_loss if i % 2 else random_lipschitz_loss)(rng)
+            loss = _fallback((random_bounded_loss if i % 2 else random_lipschitz_loss)(rng))
             a, b = rng.uniform(0, 1, 2)
             p = np.array([0.0, 0.5, a, 1.0, b, a, 0.5, b, 0.0])
             expected = np.array([scalar_optimal_decision(loss, float(q)) for q in p])
@@ -137,7 +142,7 @@ class TestVectorizedDecision:
         assert optimal_decision(l1, 0.5) == 0.0
 
     def test_shapes(self):
-        loss = random_bounded_loss(np.random.default_rng(3))
+        loss = _fallback(random_bounded_loss(np.random.default_rng(3)))
         p = np.random.default_rng(4).uniform(0, 1, (3, 4))
         k = optimal_decision(loss, p)
         assert k.shape == (3, 4)
@@ -163,7 +168,7 @@ class TestVectorizedDecision:
             optimal_decision(log_abs, np.array([0.2, 0.6]))
 
     def test_memory_bounded_on_many_levels(self):
-        loss = random_bounded_loss(np.random.default_rng(6))
+        loss = _fallback(random_bounded_loss(np.random.default_rng(6)))
         p = np.linspace(0.0, 1.0, 50_000)
         tracemalloc.start()
         try:
@@ -173,6 +178,78 @@ class TestVectorizedDecision:
             tracemalloc.stop()
         assert k.shape == p.shape and np.all(np.isfinite(k))
         assert peak < 64 * 2**20
+
+
+def _knot_loss(xs, ys) -> Loss:
+    return _interp_loss(np.array(xs, dtype=float), np.array(ys, dtype=float), "knots", None)
+
+
+def _random_knots(rng):
+    k = int(rng.integers(2, 22))
+    return np.concatenate([[-1.0], np.sort(rng.uniform(-1, 1, k - 2)), [1.0]]), rng.uniform(-1, 1, k)
+
+
+LEVELS = np.array([0.0, 1e-6, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
+
+
+class TestKnotDecision:
+    """Closed-form decisions of the piecewise-linear losses of ``calma.audit``."""
+
+    def test_minimal_over_knots_zero_and_dense_grid(self):
+        rng = np.random.default_rng(31)
+        grid = np.linspace(-1.0, 1.0, 20_001)
+        for _ in range(300):
+            xs, ys = _random_knots(rng)
+            loss = _knot_loss(xs, ys)
+            ts = np.concatenate([xs, [0.0], grid])
+            k = loss.decision(LEVELS)
+            best = loss.ploss(LEVELS[:, None], ts).min(axis=1)
+            assert np.all(loss.ploss(LEVELS, k) <= best + 1e-15)
+
+    def test_never_worse_than_fallback(self):
+        rng = np.random.default_rng(32)
+        for i in range(150):
+            loss = (random_bounded_loss if i % 2 else random_lipschitz_loss)(rng)
+            p = np.concatenate([LEVELS, rng.uniform(0, 1, 4)])
+            k, k_grid = loss.decision(p), optimal_decision(_fallback(loss), p)
+            assert np.all(loss.ploss(p, k) <= loss.ploss(p, k_grid) + 1e-15)
+
+    def test_zero_level_decides_zero(self):
+        loss = random_bounded_loss(np.random.default_rng(33))
+        assert type(loss.decision(0.0)) is float and loss.decision(0.0) == 0.0
+        assert np.array_equal(loss.decision(np.zeros((2, 3))), np.zeros((2, 3)))
+
+    def test_flat_minimal_segment(self):
+        across_zero = _knot_loss([-1.0, -0.5, 0.5, 1.0], [0.0, -1.0, -1.0, 0.5])
+        assert np.array_equal(across_zero.decision(LEVELS), np.zeros(len(LEVELS)))
+        right_of_zero = _knot_loss([-1.0, 0.2, 0.6, 1.0], [0.0, -1.0, -1.0, 0.0])
+        assert np.array_equal(right_of_zero.decision(LEVELS[1:]), np.full(len(LEVELS) - 1, 0.2))
+
+    def test_equal_minima_take_the_positive_action(self):
+        twin = _knot_loss([-1.0, -0.4, 0.0, 0.4, 1.0], [0.0, -1.0, 0.0, -1.0, 0.0])
+        assert np.array_equal(twin.decision(LEVELS[1:]), np.full(len(LEVELS) - 1, 0.4))
+
+    def test_narrow_valley_between_grid_points(self):
+        # the knot at -0.90455 sits in a valley about 1e-3 wide, so the 2001-point
+        # grid scan misses it and settles near t = 1, which costs 5.5e-4 more at p = 1
+        xs = [-1.0, -0.9045522495971801, -0.8656280979855153, -0.17926136429539086,
+              0.07143824913690278, 0.8536769543189267, 1.0]
+        ys = [0.06901212241822341, -0.5399208636865194, -0.2953087197212161, -0.501206774000734,
+              -0.06628471205311826, 0.854627753519116, -0.539370387031971]
+        loss = _knot_loss(xs, ys)
+        k = loss.decision(LEVELS[1:])
+        assert np.array_equal(k, np.full(len(LEVELS) - 1, xs[1]))
+        assert loss.ploss(1.0, k[-1]) == min(ys)
+
+    @pytest.mark.parametrize("name", ["l1", "l2", "glm:identity"])
+    @pytest.mark.parametrize("bad", [np.nan, -0.2, 1.5])
+    def test_closed_forms_validate_p(self, name, bad):
+        loss = get_loss(name)
+        with pytest.raises(ValueError):
+            loss.decision(bad)
+        with pytest.raises(ValueError):
+            loss.decision(np.array([0.3, bad]))
+        assert type(loss.decision(0.3)) is float
 
 
 class TestTransfers:
@@ -195,6 +272,11 @@ class TestTransfers:
         for glm in ALL_GLMS:
             for t in (-1.0, 0.0, 0.5):
                 assert glm.partial(t) == pytest.approx(-t, abs=1e-12)
+
+    def test_partial_is_exactly_negated_action(self):
+        t = np.random.default_rng(34).uniform(-30.0, 30.0, 100)
+        for glm in ALL_GLMS + [glm_from_transfer(np.tanh, "tanh")]:
+            assert np.array_equal(glm.partial(t), -t)
 
     def test_crelu_piecewise_integral(self):
         glm = crelu_glm()
