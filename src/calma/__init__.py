@@ -41,7 +41,6 @@ from .losses import (
     truncated_decision,
 )
 from .calibration import (
-    BucketStats,
     DatasetSampler,
     DistributionSampler,
     WeightFunction,

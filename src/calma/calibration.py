@@ -34,7 +34,6 @@ from .core import (
 __all__ = [
     "InsufficientSamplesError",
     "WeightFunction",
-    "BucketStats",
     "Sampler",
     "DistributionSampler",
     "DatasetSampler",
@@ -135,47 +134,14 @@ def discretize(pred: Predictor, delta: float) -> BucketRecalPredictor:
     return BucketRecalPredictor(pred, delta, bucket_midpoints(delta))
 
 
-@dataclass(frozen=True)
-class BucketStats:
-    """Per-bucket mass/count and label mean for a discretized predictor."""
-
-    delta: float
-    count: np.ndarray
-    label_mean: np.ndarray
-
-    @property
-    def midpoints(self) -> np.ndarray:
-        return bucket_midpoints(self.delta)
-
-    def to_dicts(self) -> list[dict]:
-        out = []
-        for j in range(n_buckets(self.delta)):
-            out.append(
-                {
-                    "lo": 2 * j * self.delta,
-                    "hi": min(2 * (j + 1) * self.delta, 1.0),
-                    "midpoint": float(self.midpoints[j]),
-                    "count": float(self.count[j]),
-                    "label_mean": float(self.label_mean[j]) if self.count[j] > 0 else None,
-                }
-            )
-        return out
-
-
-def _bucket_stats(pv: np.ndarray, yv: np.ndarray, wv: np.ndarray, delta: float) -> BucketStats:
+def bucket_means(pv: np.ndarray, yv: np.ndarray, wv: np.ndarray, delta: float) -> np.ndarray:
+    """Recalibrated bucket outputs: the weighted label mean of each nonempty
+    bucket of predictions ``pv``, the bucket midpoint for empty ones."""
     m = n_buckets(delta)
     idx = bucket_index(pv, delta)
     w = np.bincount(idx, weights=wv, minlength=m)
     wy = np.bincount(idx, weights=wv * yv, minlength=m)
-    means = np.divide(wy, w, out=np.zeros(m), where=w > 0)
-    return BucketStats(delta, w, means)
-
-
-def bucket_means(pv: np.ndarray, yv: np.ndarray, wv: np.ndarray, delta: float) -> np.ndarray:
-    """Recalibrated bucket outputs: the weighted label mean of each nonempty
-    bucket of predictions ``pv``, the bucket midpoint for empty ones."""
-    stats = _bucket_stats(pv, yv, wv, delta)
-    return np.where(stats.count > 0, stats.label_mean, stats.midpoints)
+    return np.divide(wy, w, out=bucket_midpoints(delta), where=w > 0)
 
 
 def recalibrate_with_engine(pred: Predictor, delta: float, engine: ExpectationEngine) -> BucketRecalPredictor:
@@ -192,11 +158,6 @@ def est_ece_samples_needed(delta: float, mu: float, constant: float = 8.0) -> in
 def recal_samples_needed(delta: float, constant: float = 8.0) -> int:
     """Fresh draws for bucket means that recalibrate within the paper's bound."""
     return int(math.ceil(constant * math.log(1.0 / delta) ** 2 / delta**4))
-
-
-def bucket_stats(pred: Predictor, delta: float, engine: ExpectationEngine) -> BucketStats:
-    """Bucket statistics of a predictor under an engine, for audit dumps."""
-    return _bucket_stats(pred.values(engine.X), engine.ystar, engine.weights, delta)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ Exit codes: 0 on success, 2 when a result violates its acceptance threshold,
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 
@@ -53,7 +54,13 @@ def _build_class(spec: str, X: np.ndarray) -> tuple[HypothesisClass, dict]:
         scales = [max(float(np.max(np.abs(X[:, j]))), 1e-12) for j in range(X.shape[1])]
         return coordinate_class(X.shape[1], scales), {"kind": "coords", "scales": scales}
     if spec.startswith("coords:"):
-        scales = [float(v) for v in spec.split(":", 1)[1].split(",")]
+        try:
+            scales = [float(v) for v in spec.split(":", 1)[1].split(",")]
+        except ValueError:
+            scales = []
+        if not (len(scales) == X.shape[1] and all(math.isfinite(s) and s > 0 for s in scales)):
+            raise click.UsageError(f"class spec {spec!r} needs {X.shape[1]} scales, one per data column, "
+                                   "each finite and positive")
         return coordinate_class(len(scales), scales), {"kind": "coords", "scales": scales}
     raise click.UsageError(f"unknown class spec {spec!r}; use 'coords' or 'coords:s0,s1,...'")
 

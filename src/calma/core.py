@@ -9,9 +9,13 @@ simulated from a predictor are never sampled: every gap against them is the
 residual correlation ``E[(p - y*) g(x)]``.
 
 All containers are immutable after construction (arrays are marked read-only)
-and safe to share across threads.  An engine's one cache, the member matrix of
-each hypothesis class, holds one read-only array per class: racing first calls
-may each build it, and all of them get the one stored first.  Every
+and safe to share across threads; their two caches change no result.  An
+engine's member-matrix cache holds one read-only array per hypothesis class:
+racing first calls may each build it, and all of them get the one stored
+first.  A pipeline's one slot holds the output of a prefix of its stages on one
+read-only array of rows.  It is a tuple swapped in a single assignment, so
+racing evaluations each read a whole slot, old or new.  ``Predictor.values``
+may return a read-only array.  Every
 expectation and residual correlation reduces through ``correlate``, a BLAS dot
 or matrix-vector product: repeated calls with the same shapes, numpy/BLAS build
 and BLAS thread count give bit-identical results, which are not exactly
@@ -739,7 +743,15 @@ _START_STAGES = (ConstStage, BaseStage)
 
 class PipelinePredictor(Predictor):
     """A trained predictor as one flat stage list: a const or base stage, then
-    updates applied in order.  Trainers append stages; none holds a pipeline."""
+    updates applied in order.  Trainers append stages; none holds a pipeline.
+
+    One slot ``(X, k, values)`` holds the read-only output of the first ``k``
+    stages on the rows ``X``.  ``values(X)`` starts from it when ``X`` is that
+    very array and applies only the later stages.  The slot is filled only
+    while it is empty or holds those rows, and only for an ``X`` that is
+    read-only and owns its data, as engines' arrays are; ``extended`` and
+    ``BucketRecalPredictor`` hand it to the longer pipeline.
+    """
 
     kind = "pipeline"
 
@@ -749,6 +761,7 @@ class PipelinePredictor(Predictor):
                 and all(isinstance(s, _Stage) and not isinstance(s, _START_STAGES) for s in stages[1:])):
             raise ValueError("pipeline must be one 'const' or 'base' stage followed by update stages")
         self.stages = stages
+        self._slot = None
 
     @staticmethod
     def of(pred: Predictor) -> "PipelinePredictor":
@@ -756,13 +769,19 @@ class PipelinePredictor(Predictor):
         return pred if isinstance(pred, PipelinePredictor) else PipelinePredictor((BaseStage(pred),))
 
     def extended(self, stage) -> "PipelinePredictor":
-        return PipelinePredictor(self.stages + (stage,))
+        child = PipelinePredictor(self.stages + (stage,))
+        child._slot = self._slot
+        return child
 
     def values(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        p = None
-        for stage in self.stages:
+        slot, frozen = self._slot, not X.flags.writeable and X.base is None
+        k, p = slot[1:] if frozen and slot is not None and slot[0] is X else (0, None)
+        for stage in self.stages[k:]:
             p = stage.apply(X, p)
+        if frozen and k < len(self.stages) and (slot is None or slot[0] is X):
+            p.flags.writeable = False
+            self._slot = (X, len(self.stages), p)
         return p
 
     def to_dict(self):
@@ -773,7 +792,9 @@ class BucketRecalPredictor(PipelinePredictor):
     """``base``'s stages then one bucket stage: discretized or recalibrated output."""
 
     def __init__(self, base: Predictor, delta: float, bucket_values: np.ndarray):
-        super().__init__(PipelinePredictor.of(base).stages + (BucketStage(delta, bucket_values),))
+        base = PipelinePredictor.of(base)
+        super().__init__(base.stages + (BucketStage(delta, bucket_values),))
+        self._slot = base._slot
 
     def values(self, X):  # bound here so perfbench's tracer can wrap this class by name
         return super().values(X)

@@ -151,24 +151,19 @@ def ma_algorithm(
     sigma = wl.sigma
     cap = max_iters if max_iters is not None else int(math.ceil(4.0 / sigma**2))
     pred = PipelinePredictor.of(p0)
-    cur = pred.values(engine.X)
     updates: list[MAUpdate] = []
     while True:
-        if sampler is None:
-            access = exact_residual_access(engine, cur)
-        else:
-            fresh = ExpectationEngine.empirical(sampler.draw(batch_size))
-            access = exact_residual_access(fresh, pred.values(fresh.X))
-        picked = wl.query(access)
+        # on engine.X first, so the pipeline's slot holds those rows, not a fresh draw's
+        before = engine.expect((engine.ystar - pred.values(engine.X)) ** 2)
+        measured = engine if sampler is None else ExpectationEngine.empirical(sampler.draw(batch_size))
+        picked = wl.query(exact_residual_access(measured, pred.values(measured.X)))
         if picked is None:
             return MAResult(pred, tuple(updates))
         if len(updates) >= cap:
             raise NonTerminationError(f"no convergence within {cap} updates (sigma={sigma:g})")
         c, corr = picked
-        before = engine.expect((engine.ystar - cur) ** 2)
-        cur = clip01(cur + sigma * c.values(engine.X))
         pred = pred.extended(AddHypStage(c, sigma))
-        after = engine.expect((engine.ystar - cur) ** 2)
+        after = engine.expect((engine.ystar - pred.values(engine.X)) ** 2)
         updates.append(MAUpdate(c.tag, corr, before, after))
 
 

@@ -127,19 +127,20 @@ def calma(
     def measure(n: int) -> ExpectationEngine:
         return engine if sampler is None else ExpectationEngine.empirical(sampler.draw(n))
 
+    def potential(pred: Predictor) -> float:
+        return engine.expect((engine.ystar - pred.values(engine.X)) ** 2)
+
     rounds: list[CalmaRound] = []
     q = p0
-    pot_after = engine.expect((engine.ystar - q.values(engine.X)) ** 2)
     result = None
     for _ in range(cap):
-        pot_before = pot_after
+        pot_before = potential(q)
         ma = ma_algorithm(q, alpha - delta, wl, engine, sampler=sampler, batch_size=cfg.ma_batch)
         p_t = ma.predictor
         p_disc = discretize(p_t, delta)
         estimate = float(np.median([ece(p_disc, measure(n_est)) for _ in range(repeats)]))
         recalibrate = estimate > 0.75 * alpha
         q = recalibrate_with_engine(p_t, delta, measure(n_recal)) if recalibrate else p_disc
-        pot_after = engine.expect((engine.ystar - q.values(engine.X)) ** 2)
         rounds.append(
             CalmaRound(
                 wl_updates=len(ma.updates),
@@ -147,7 +148,7 @@ def calma(
                 est_ece=estimate,
                 recalibrated=recalibrate,
                 potential_before=pot_before,
-                potential_after=pot_after,
+                potential_after=potential(q),
             )
         )
         if not recalibrate:

@@ -8,6 +8,7 @@ import numpy as np
 
 from calma.bench import _fit_l2
 from calma.core import (
+    STAGES,
     Dataset,
     ExpectationEngine,
     FiniteDistribution,
@@ -150,3 +151,15 @@ def reference_fit_l1(X: np.ndarray, y: np.ndarray, iters: int = 4000) -> tuple[n
             best_beta, best_val = beta.copy(), v
     g = X1.T @ (-np.sign(y - X1 @ best_beta)) / n
     return best_beta, float(np.linalg.norm(g))
+
+
+def record_stage_applications(monkeypatch) -> list:
+    """From now on, append ``(op, X)`` for every stage application."""
+    calls = []
+    for cls in STAGES.values():
+        def apply(self, X, p, original=cls.apply):
+            calls.append((self.op, X))
+            return original(self, X, p)
+
+        monkeypatch.setattr(cls, "apply", apply)
+    return calls

@@ -310,20 +310,6 @@ class TestIsotonic:
         assert np.all(fit.values(np.linspace(0, 1, 11)) <= 1)
 
 
-class TestBucketStats:
-    def test_json_fields(self):
-        from calma.calibration import bucket_stats
-
-        rng = np.random.default_rng(17)
-        dist = random_distribution(rng)
-        engine = ExpectationEngine.exact(dist)
-        stats = bucket_stats(random_predictor(rng, dist), 0.1, engine)
-        rows = stats.to_dicts()
-        assert len(rows) == 5
-        assert set(rows[0]) == {"lo", "hi", "midpoint", "count", "label_mean"}
-        assert rows[0]["lo"] == 0.0 and rows[-1]["hi"] == 1.0
-
-
 class TestSamplers:
     def test_dataset_sampler_consumes_without_replacement(self):
         data = Dataset(np.arange(6, dtype=float).reshape(-1, 1), [0, 1, 0, 1, 0, 1])

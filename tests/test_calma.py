@@ -140,6 +140,8 @@ class TestGuarantees:
             # twice the sup-norm perturbation delta
             last = trace.rounds[-1]
             assert last.potential_after <= last.potential_before + 2 * trace.delta + 1e-12
+            # a round starts from the predictor the previous one ended with
+            assert all(r.potential_before == prev.potential_after for prev, r in zip(trace.rounds, trace.rounds[1:]))
         assert saw_recal > 0  # the batch must actually exercise recalibration
 
     def test_exact_recalibration_round_drops_potential_enough(self):

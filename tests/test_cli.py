@@ -12,7 +12,7 @@ from click.testing import CliRunner
 import calma
 from calma.bench import MixtureConfig, run_benchmark
 from calma.cli import main
-from calma.core import coordinate_class, predictor_from_dict
+from calma.core import Dataset, coordinate_class, predictor_from_dict, save_dataset
 
 
 @pytest.fixture()
@@ -58,6 +58,42 @@ def test_gen_train_audit_roundtrip(runner, tmp_path):
         rep = json.load(fh)
     assert rep["max_decomposition_residual"] <= 1e-9
     assert len(rep["pairs"]) > 0
+
+
+@pytest.fixture()
+def three_columns(tmp_path):
+    """A 3-column CSV and a model file over it with a constant predictor."""
+    data, model = str(tmp_path / "data.csv"), str(tmp_path / "model.json")
+    rng = np.random.default_rng(5)
+    save_dataset(Dataset(rng.normal(size=(40, 3)), rng.integers(0, 2, 40)), data)
+    with open(model, "w") as fh:
+        json.dump({"class": {"kind": "coords", "scales": [1.0, 1.0, 1.0]}, "predictor": {"kind": "constant", "value": 0.5}}, fh)
+    return data, model
+
+
+@pytest.mark.parametrize("command", ["train", "audit"])
+@pytest.mark.parametrize(
+    "spec", ["coords:1,1,1,1", "coords:1,x", "coords:5,5", "coords:", "coords:1,0,1", "coords:1,-2,1", "coords:1,nan,1", "coords:1,inf,1"]
+)
+def test_malformed_coords_spec_is_a_usage_error(runner, tmp_path, three_columns, command, spec):
+    data, model = three_columns
+    args = {
+        "train": ["train", "--data", data, "--out", str(tmp_path / "m.json"), "--trace", str(tmp_path / "t.json")],
+        "audit": ["audit", "--model", model, "--data", data, "--out", str(tmp_path / "r.json")],
+    }[command]
+    res = runner.invoke(main, args + ["--class", spec])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    assert f"class spec {spec!r} needs 3 scales, one per data column, each finite and positive" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_coords_spec_scales_are_stored(runner, tmp_path, three_columns):
+    data, _ = three_columns
+    model = str(tmp_path / "m.json")
+    res = runner.invoke(main, ["train", "--data", data, "--class", "coords:2,0.5,4", "--out", model, "--trace", ""])
+    assert res.exit_code == 0, res.output
+    with open(model) as fh:
+        assert json.load(fh)["class"] == {"kind": "coords", "scales": [2.0, 0.5, 4.0]}
 
 
 def test_nested_bucket_recal_model_still_loads():

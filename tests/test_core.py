@@ -23,6 +23,7 @@ from calma.core import (
     ExpectationEngine,
     FiniteDistribution,
     Hypothesis,
+    IsotonicStage,
     NonFiniteRangeError,
     PipelinePredictor,
     TablePredictor,
@@ -49,7 +50,7 @@ from calma.core import (
 from calma.losses import lp_loss
 from calma.multiaccuracy import mae
 
-from support import random_class, random_distribution, random_predictor, table_hypothesis
+from support import random_class, random_distribution, random_predictor, record_stage_applications, table_hypothesis
 
 
 class TestContainers:
@@ -492,6 +493,72 @@ class TestPipelineStages:
         pipeline = PipelinePredictor.of(ConstantPredictor(0.5))
         assert PipelinePredictor.of(pipeline) is pipeline
         assert isinstance(pipeline.stages[0], BaseStage)
+
+    def test_extended_pipeline_applies_only_its_new_stage(self, monkeypatch):
+        dist = random_distribution(np.random.default_rng(31), n_points=10)
+        engine = ExpectationEngine.exact(dist)
+        stages = [
+            AddHypStage(coordinate_class(2).member("x0"), 0.3),
+            BucketStage(0.1, [0.05, 0.3, 0.5, 0.7, 0.95]),
+            IsotonicStage([0.0, 0.4, 0.6], [0.1, 0.5, 0.8]),
+            AddLinearStage([0.1, -0.2], 0.05),
+        ]
+        pred = PipelinePredictor.of(TablePredictor(dist.points, dist.bayes))
+        pred.values(engine.X)
+        calls = record_stage_applications(monkeypatch)
+        for stage in stages:
+            pred = pred.extended(stage)
+            calls.clear()
+            out = pred.values(engine.X)
+            assert [op for op, _ in calls] == [stage.op]
+            assert np.array_equal(out, PipelinePredictor(pred.stages).values(engine.X))
+        calls.clear()
+        recal = BucketRecalPredictor(pred, 0.25, [0.3, 0.8])  # hands over the slot like extended
+        out = recal.values(engine.X)
+        assert [op for op, _ in calls] == ["bucket"]
+        assert np.array_equal(out, PipelinePredictor(recal.stages).values(engine.X))
+        calls.clear()
+        recal.values(engine.X)
+        assert calls == []
+
+    def test_slot_ignores_rows_that_can_change(self):
+        pred = PipelinePredictor.of(ConstantPredictor(0.5)).extended(AddHypStage(coordinate_class(2).member("x0"), 0.1))
+        X = np.array([[0.0, 0.0], [1.0, 1.0]])
+        view = X.view()
+        view.flags.writeable = False  # a read-only view of a writeable array
+        for rows in (X, view, X, view):
+            before = pred.values(rows).copy()
+            X[:, 0] += 1.0
+            after = pred.values(rows)
+            assert not np.array_equal(after, before)
+            assert np.array_equal(after, PipelinePredictor(pred.stages).values(X.copy()))
+            assert np.array_equal(pred.extended(AddHypStage(coordinate_class(2).member("x1"), 0.0)).values(rows), after)
+
+    def test_other_rows_do_not_displace_the_slot(self, monkeypatch):
+        rows, other = (Dataset(np.random.default_rng(s).normal(size=(6, 2)), [0.0, 1.0] * 3).X for s in (1, 2))
+        h = coordinate_class(2).member("x1")
+        pred = PipelinePredictor.of(ConstantPredictor(0.5)).extended(AddHypStage(h, 0.1))
+        pred.values(rows)
+        calls = record_stage_applications(monkeypatch)
+        pred.values(other)
+        assert len(calls) == 2
+        calls.clear()
+        pred.values(rows)
+        assert calls == []
+        child = pred.extended(AddHypStage(h, 0.2))
+        child.values(other)
+        calls.clear()
+        child.values(rows)
+        assert [op for op, _ in calls] == ["add_hyp"]
+
+    def test_values_from_the_slot_are_read_only(self):
+        engine = ExpectationEngine.exact(random_distribution(np.random.default_rng(32), n_points=5))
+        pred = PipelinePredictor.of(ConstantPredictor(0.5)).extended(AddHypStage(coordinate_class(2).member("x0"), 0.1))
+        for _ in range(2):
+            out = pred.values(engine.X)
+            assert not out.flags.writeable
+            with pytest.raises(ValueError):
+                out[0] = 0.0
 
     def test_deep_run_stays_flat_and_round_trips(self):
         # 600 boosting steps alternating with recalibration, as a long

@@ -29,7 +29,7 @@ from calma.multiaccuracy import (
     mae,
 )
 
-from support import bernoulli_dataset, random_class, random_distribution, random_predictor
+from support import bernoulli_dataset, random_class, random_distribution, random_predictor, record_stage_applications
 
 
 def single_point_instance():
@@ -173,6 +173,17 @@ class TestMaAlgorithm:
                 assert u.potential_before - u.potential_after >= sigma**2 * (1 - 1e-9)
             assert len(result.updates) <= pot0 / sigma**2 + 1e-9
             assert mae(result.predictor, cls, engine) <= sigma + 1e-12
+
+    def test_sampled_run_applies_each_stage_once_on_engine_rows(self, monkeypatch):
+        # fresh draws replay the pipeline; the engine's rows start from its slot
+        rng = np.random.default_rng(3)
+        dist = random_distribution(rng, n_points=8, bayes_range=(0.1, 0.9))
+        engine = ExpectationEngine.exact(dist)
+        wl = ExhaustiveWeakLearner(random_class(rng, dist, 2), rho=0.05, sigma=0.05)
+        calls = record_stage_applications(monkeypatch)
+        result = ma_algorithm(ConstantPredictor(0.0), 0.05, wl, engine, sampler=DistributionSampler(dist, seed=5), batch_size=500)
+        assert len(result.updates) > 0
+        assert sum(X is engine.X for _, X in calls) == len(result.predictor.stages)
 
     def test_alpha_must_cover_rho(self):
         dist, engine, cls = single_point_instance()
