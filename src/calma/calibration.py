@@ -185,18 +185,15 @@ def isotonic_fit(scores, labels) -> IsotonicStage:
     blk_mean: list[float] = []
     blk_w: list[float] = []
     blk_end: list[int] = []  # inclusive index of the last score in the block
-    for i in range(len(xs)):
-        m, ww = means[i], w[i]
+    for i, (m, ww) in enumerate(zip(means.tolist(), w.tolist())):
         blk_mean.append(m)
         blk_w.append(ww)
         blk_end.append(i)
         while len(blk_mean) > 1 and blk_mean[-2] >= blk_mean[-1]:
-            m2 = (blk_mean[-2] * blk_w[-2] + blk_mean[-1] * blk_w[-1]) / (blk_w[-2] + blk_w[-1])
-            w2 = blk_w[-2] + blk_w[-1]
-            e2 = blk_end[-1]
-            blk_mean = blk_mean[:-2] + [m2]
-            blk_w = blk_w[:-2] + [w2]
-            blk_end = blk_end[:-2] + [e2]
+            m1, w1, e1 = blk_mean.pop(), blk_w.pop(), blk_end.pop()
+            blk_mean[-1] = (blk_mean[-1] * blk_w[-1] + m1 * w1) / (blk_w[-1] + w1)
+            blk_w[-1] += w1
+            blk_end[-1] = e1
 
     fitted = np.empty(len(xs))
     start = 0

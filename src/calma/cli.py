@@ -181,7 +181,11 @@ def audit(model_path, data_path, losses, class_spec, out_path, clamp):
 def baseline(loss_name, data_path, test_path):
     """Fit the per-loss linear baseline; print train (and test) loss."""
     data = load_dataset(data_path)
-    fit = fit_linear_baseline(loss_name, data)
+    try:
+        fit = fit_linear_baseline(loss_name, data)
+    except NonConvergenceError as exc:
+        click.echo(str(exc), err=True)
+        sys.exit(EXIT_CONVERGENCE)
     out = {
         "loss": loss_name,
         "weights": fit.w.tolist(),

@@ -131,8 +131,9 @@ def scalar_optimal_decision(loss, p: float, grid_points: int = 2001, tol: float 
 
 
 def reference_fit_l1(X: np.ndarray, y: np.ndarray, iters: int = 4000) -> tuple[np.ndarray, float]:
-    """Oracle: the two-matvec subgradient loop that ``bench._fit_l1`` runs with
-    one residual per step."""
+    """Reference l1 fit: subgradient descent with decaying steps from the
+    least-squares start, keeping the best of ``iters`` iterates.  The exact
+    LP fit of ``bench._fit_l1`` must never score worse than it."""
     X1 = np.column_stack([X, np.ones(len(X))])
     n = len(y)
     scale = np.maximum(np.sqrt(np.mean(X1**2, axis=0)), 1e-9)

@@ -161,6 +161,39 @@ def test_baseline_command(runner, tmp_path):
     assert payload["train_loss"] > 0
 
 
+def test_baseline_l1_is_solved_exactly(runner, tmp_path):
+    out = str(tmp_path)
+    runner.invoke(main, ["gen", "--n-train", "200", "--n-cal", "50", "--n-test", "50", "--out-dir", out])
+    res = runner.invoke(
+        main,
+        ["baseline", "--loss", "l1", "--data", os.path.join(out, "train.csv"), "--test", os.path.join(out, "test.csv")],
+    )
+    assert res.exit_code == 0, res.output
+    payload = json.loads(res.output)
+    assert payload["grad_norm"] <= 1e-9
+    assert payload["test_loss"] > 0
+
+
+@pytest.mark.parametrize("x", [None, "solved"])
+def test_baseline_l1_solver_failure_exit_code(runner, tmp_path, monkeypatch, x):
+    import scipy.optimize
+
+    solve = scipy.optimize.linprog
+
+    def failed(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.status, res.message = 4, "numerical difficulties"
+        if x is None:
+            res.x, res.eqlin.marginals = None, None
+        return res
+
+    out = str(tmp_path)
+    runner.invoke(main, ["gen", "--n-train", "200", "--n-cal", "50", "--n-test", "50", "--out-dir", out])
+    monkeypatch.setattr(scipy.optimize, "linprog", failed)
+    res = runner.invoke(main, ["baseline", "--loss", "l1", "--data", os.path.join(out, "train.csv")])
+    assert res.exit_code == 3, res.output
+
+
 def test_counterexample_parity_exit_code(runner):
     res = runner.invoke(main, ["counterexamples", "--which", "parity"])
     assert res.exit_code == 0, res.output
