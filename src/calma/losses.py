@@ -2,16 +2,16 @@
 generalized-linear-model family: transfers, matching losses, convex duals and
 Bregman divergences.
 
-A loss is stored as the pair ``t -> loss(0, t)`` and ``t -> loss(1, t)``; the
-mixture ``loss(p, t) = p * at1(t) + (1 - p) * at0(t)`` and the discrete
-derivative ``at1(t) - at0(t)`` follow from the pair.  Everything here is a
-pure function of immutable objects and thread-safe.  ``scipy`` is imported
-inside the functions that call it, so importing this module loads none of it.
+A loss is stored as the pair ``t -> loss(0, t)`` and ``t -> loss(1, t)`` plus
+its optimal decision ``kfn``; the mixture ``loss(p, t) = p * at1(t) + (1 - p) *
+at0(t)`` and the discrete derivative ``at1(t) - at0(t)`` follow from the pair.
+Everything here is a pure function of immutable objects and thread-safe.
+``scipy`` is imported inside the functions that call it, so importing this
+module loads none of it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,10 +39,6 @@ __all__ = [
     "REGISTRY_NAMES",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_DECISION_BLOCK = 256  # levels per grid scan: each levels x grid temporary is 4 MB
-
-
 class MonotonicityError(ValueError):
     """Transfer function decreases somewhere on the sampled grid."""
 
@@ -52,55 +48,28 @@ class OutOfRangeError(ValueError):
 
 
 class UnboundedBelowError(ValueError):
-    """Loss minimization produced non-finite values on the action domain."""
-
-
-def _golden_section(loss: "Loss", P: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Golden-section minimizers of ploss(P[i], .) on [a[i], b[i]], all run in
-    lock step: each bracket keeps shrinking until its own width is <= tol, so
-    every row sees the evaluations a scalar search on it would make."""
-    a, b = a.copy(), b.copy()
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = loss.ploss(P, c), loss.ploss(P, d)
-    idx = np.flatnonzero(b - a > tol)
-    while idx.size:
-        left = fc[idx] < fd[idx]
-        L, R = idx[left], idx[~left]
-        b[L], d[L], fd[L] = d[L], c[L], fc[L]
-        c[L] = b[L] - _GOLDEN * (b[L] - a[L])
-        a[R], c[R], fc[R] = c[R], d[R], fd[R]
-        d[R] = a[R] + _GOLDEN * (b[R] - a[R])
-        f_new = loss.ploss(P[idx], np.where(left, c[idx], d[idx]))
-        fc[L], fd[R] = f_new[left], f_new[~left]
-        idx = idx[b[idx] - a[idx] > tol]
-    return 0.5 * (a + b)
-
-
-def _tie_break(t: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per row, the masked ``t`` of smallest absolute value, the positive one on a tie."""
-    size = np.where(mask, np.abs(t), np.inf)
-    best = mask & (size == size.min(axis=1, keepdims=True))
-    return np.where(best, t, -np.inf).max(axis=1)
+    """No bounded decision rule meets the requested suboptimality."""
 
 
 @dataclass(frozen=True)
 class Loss:
-    """Binary-label loss given by its two action curves.
+    """Binary-label loss: its two action curves and its optimal decision.
 
-    ``kfn``, when present, is the closed-form optimal decision; otherwise
-    ``decision`` solves every distinct level of ``p`` in one
-    ``optimal_decision`` call: a grid scan refined by golden-section search on
-    ``action_domain``, breaking ties toward the smallest absolute action and
-    then toward the positive one.
+    ``kfn`` maps label-1 probabilities to a minimizer of ``ploss(p, .)`` over
+    ``action_domain``; every loss carries one, and building a ``Loss`` whose
+    ``kfn`` is not callable raises ``TypeError``.
     """
 
     at0: Callable[[np.ndarray], np.ndarray]
     at1: Callable[[np.ndarray], np.ndarray]
+    kfn: Callable[[np.ndarray], np.ndarray]
     action_domain: tuple[float, float] = (-1.0, 1.0)
     lipschitz_bound: float | None = None
     name: str = "loss"
-    kfn: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if not callable(self.kfn):
+            raise TypeError(f"loss {self.name!r} needs a callable decision kfn")
 
     def loss(self, y, t):
         y = np.asarray(y, dtype=np.float64)
@@ -130,44 +99,15 @@ def partial_sup(loss: Loss, grid_points: int = 513) -> float:
     return float(np.max(np.abs(loss.partial(np.linspace(lo, hi, grid_points)))))
 
 
-def optimal_decision(loss: Loss, p, grid_points: int = 2001, tol: float = 1e-10):
-    """Global minimizer of loss(p, .) over the action domain, for a scalar ``p``
-    (returns a float) or an array (returns one of the same shape).
-
-    Without ``kfn``, each distinct level of ``p`` is scanned on a grid of
-    ``grid_points`` actions, and both the grid argmin and the smallest-|t| grid
-    near-minimizer (within 1e-12) are refined by golden-section search to width
-    ``tol``.  Among the near-minimizers of those three candidates the one of
-    smallest absolute value is returned, with ties on absolute value broken
-    toward the positive action.  Levels are solved ``_DECISION_BLOCK`` at a
-    time, so the temporaries stay a few MB for any size of ``p``.
+def optimal_decision(loss: Loss, p):
+    """The loss's decision ``loss.kfn(p)`` for a scalar ``p`` (returns a float)
+    or an array (returns one of the same shape).  Raises ``ValueError`` unless
+    every ``p`` lies in [0, 1], so NaN is rejected too.
     """
     p = np.asarray(p, dtype=np.float64)
     if not np.all((p >= 0) & (p <= 1)):
         raise ValueError("p must lie in [0, 1]")
-    if loss.kfn is not None:
-        out = np.asarray(loss.kfn(p), dtype=np.float64)
-    else:
-        lo, hi = loss.action_domain
-        grid = np.linspace(lo, hi, grid_points)
-        h = (hi - lo) / (grid_points - 1)
-        levels, inverse = np.unique(p.ravel(), return_inverse=True)
-        k = np.empty(len(levels))
-        for s in range(0, len(levels), _DECISION_BLOCK):
-            P = levels[s : s + _DECISION_BLOCK]
-            vals = loss.ploss(P[:, None], grid)
-            if not np.all(np.isfinite(vals)):
-                raise UnboundedBelowError(f"{loss.name} is non-finite on its action domain")
-            t_near = _tie_break(grid, vals <= vals.min(axis=1, keepdims=True) + 1e-12)
-            starts = np.concatenate([grid[np.argmin(vals, axis=1)], t_near])
-            del vals
-            refined = _golden_section(
-                loss, np.concatenate([P, P]), np.maximum(lo, starts - h), np.minimum(hi, starts + h), tol
-            ).reshape(2, -1)
-            cands = np.column_stack([refined[0], t_near, refined[1]])
-            cvals = loss.ploss(P[:, None], cands)
-            k[s : s + _DECISION_BLOCK] = _tie_break(cands, cvals <= cvals.min(axis=1, keepdims=True) + 1e-12)
-        out = k[inverse].reshape(p.shape)
+    out = np.asarray(loss.kfn(p), dtype=np.float64)
     return float(out) if out.ndim == 0 else out
 
 
@@ -256,7 +196,6 @@ class GlmLoss(Loss):
     im_gprime: tuple[float, float] = (0.0, 1.0)
     working_interval: tuple[float, float] = (-40.0, 40.0)
     transfer_name: str = "glm"
-    inverse: Callable[[np.ndarray], np.ndarray] | None = None
 
     def partial(self, t):
         """Discrete derivative (g(t) - t) - g(t) = -t, without evaluating g."""
@@ -278,7 +217,6 @@ def _glm_from_parts(name, gprime, g, dual_f, dual_fprime, inverse, im, work, dom
         im_gprime=im,
         working_interval=work,
         transfer_name=name,
-        inverse=inverse,
     )
 
 
@@ -442,7 +380,7 @@ def glm_from_transfer(
 
 def transfer_inverse(glm: GlmLoss, p: float):
     """Inverse transfer evaluated at p; the optimal decision for the loss."""
-    return glm.inverse(np.asarray(p, dtype=np.float64))
+    return glm.kfn(np.asarray(p, dtype=np.float64))
 
 
 def bregman(glm: GlmLoss, vstar, v):
@@ -496,7 +434,7 @@ def truncated_decision(glm: GlmLoss, delta: float, max_bound: float = 2.0**30) -
 
         def kfn(p):
             p = np.clip(np.asarray(p, dtype=np.float64), lo, hi)
-            return np.clip(glm.inverse(p), -D, D)
+            return np.clip(glm.kfn(p), -D, D)
 
         return kfn
 

@@ -17,7 +17,6 @@ from calma.core import (
     TablePredictor,
     make_class,
 )
-from calma.losses import UnboundedBelowError
 
 
 def random_distribution(
@@ -85,49 +84,6 @@ def bernoulli_dataset(rng: np.random.Generator, dist: FiniteDistribution, n: int
     idx = rng.choice(dist.n, size=n, p=dist.mass)
     y = (rng.random(n) < dist.bayes[idx]).astype(float)
     return Dataset(dist.points[idx], y)
-
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def scalar_optimal_decision(loss, p: float, grid_points: int = 2001, tol: float = 1e-10) -> float:
-    """Oracle: the one-point grid scan plus two golden-section refinements that
-    ``optimal_decision`` runs for every level at once."""
-    if not 0 <= p <= 1:
-        raise ValueError("p must lie in [0, 1]")
-    lo, hi = loss.action_domain
-    grid = np.linspace(lo, hi, grid_points)
-    vals = loss.ploss(p, grid)
-    if not np.all(np.isfinite(vals)):
-        raise UnboundedBelowError(f"{loss.name} is non-finite on its action domain")
-    h = (hi - lo) / (grid_points - 1)
-
-    def f(t: float) -> float:
-        return float(loss.ploss(p, t))
-
-    def refine(t0: float) -> float:
-        a, b = max(lo, t0 - h), min(hi, t0 + h)
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        fc, fd = f(c), f(d)
-        while b - a > tol:
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - _GOLDEN * (b - a)
-                fc = f(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _GOLDEN * (b - a)
-                fd = f(d)
-        return 0.5 * (a + b)
-
-    near = grid[vals <= float(np.min(vals)) + 1e-12]
-    t_near = float(min(near, key=lambda t: (abs(t), -t)))
-    candidates = [refine(float(grid[int(np.argmin(vals))])), t_near, refine(t_near)]
-    values = [f(t) for t in candidates]
-    vmin = min(values)
-    eligible = [t for t, v in zip(candidates, values) if v <= vmin + 1e-12]
-    return float(min(eligible, key=lambda t: (abs(t), -t)))
 
 
 def reference_fit_l1(X: np.ndarray, y: np.ndarray, iters: int = 4000) -> tuple[np.ndarray, float]:

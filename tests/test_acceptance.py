@@ -208,7 +208,7 @@ def test_criterion_08_pythagorean_identity_and_bound():
         alpha = 0.15
         rho = alpha - alpha**2 / 32
         pred, _ = calma(random_predictor(rng, dist), alpha, ExhaustiveWeakLearner(cls, rho, rho), engine)
-        w = WeightFunction(lambda v: -glm.inverse(np.clip(v, 1e-9, 1 - 1e-9)), math.inf, "-logit")
+        w = WeightFunction(lambda v: -glm.kfn(np.clip(v, 1e-9, 1 - 1e-9)), math.inf, "-logit")
         a1 = weighted_ce(pred, [w], engine)
         a2 = mae(pred, cls, engine)
         for _ in range(20):
