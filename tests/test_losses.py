@@ -128,20 +128,27 @@ class TestKnotDecision:
     """Closed-form decisions of the piecewise-linear losses of ``calma.audit``."""
 
     def test_minimal_over_knots_zero_and_dense_grid(self):
-        grid = np.linspace(-1.0, 1.0, 20_001)
-        cases = []  # (loss, actions to beat, levels of p)
         rng = np.random.default_rng(31)
+        grid = np.linspace(-1.0, 1.0, 20_001)
         for _ in range(300):
             xs, ys = _random_knots(rng)
-            cases.append((_knot_loss(xs, ys), np.concatenate([xs, [0.0], grid]), LEVELS))
+            loss = _knot_loss(xs, ys)
+            ts = np.concatenate([xs, [0.0], grid])
+            k = loss.decision(LEVELS)
+            best = loss.ploss(LEVELS[:, None], ts).min(axis=1)
+            assert np.all(loss.ploss(LEVELS, k) <= best + 1e-15)
+
+    def test_never_worse_than_fallback(self):
+        # the fallback is a grid-scan decision: the best action among 0 and a
+        # 20,001-point grid on [-1, 1]
         rng = np.random.default_rng(32)
+        ts = np.concatenate([[0.0], np.linspace(-1.0, 1.0, 20_001)])
         for i in range(150):
             loss = (random_bounded_loss if i % 2 else random_lipschitz_loss)(rng)
-            cases.append((loss, np.concatenate([[0.0], grid]), np.concatenate([LEVELS, rng.uniform(0, 1, 4)])))
-        for loss, ts, p in cases:
+            p = np.concatenate([LEVELS, rng.uniform(0, 1, 4)])
             k = loss.decision(p)
-            best = loss.ploss(p[:, None], ts).min(axis=1)
-            assert np.all(loss.ploss(p, k) <= best + 1e-15)
+            k_grid = ts[np.argmin(loss.ploss(p[:, None], ts), axis=1)]
+            assert np.all(loss.ploss(p, k) <= loss.ploss(p, k_grid) + 1e-15)
 
     def test_zero_level_decides_zero(self):
         loss = random_bounded_loss(np.random.default_rng(33))
