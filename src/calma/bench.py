@@ -15,10 +15,13 @@ optimal decision to its predictions; the log-loss decision is truncated so
 extreme predictions stay finite.
 
 Each column's linear optimum is fitted on the training split: least squares,
-Newton steps for the logistic loss, L-BFGS for the exponential loss, and an
-exact linear program for the absolute loss (least absolute deviations through
-its dual, solved by HiGHS).  The practical trainer returns the predictor whose
-held-out calibration error it checked, discretized to bucket midpoints.
+Newton steps for the logistic loss, an exact active-set Newton method for the
+exponential loss (whose kinks at zero residuals it pins and releases by their
+multipliers), and an exact linear program for the absolute loss (least
+absolute deviations through its dual, solved by HiGHS).  The exact fits report
+the subgradient norm their multipliers certify.  The practical trainer returns
+the predictor whose held-out calibration error it checked, discretized to
+bucket midpoints.
 """
 
 from __future__ import annotations
@@ -76,15 +79,16 @@ class MixtureConfig:
         object.__setattr__(self, "shift", shift)
 
 
-def _orthonormal_complement(u: np.ndarray) -> np.ndarray:
-    """Rows form an orthonormal basis of the hyperplane orthogonal to u."""
-    d = len(u)
-    _, _, vt = np.linalg.svd(u.reshape(1, d))
-    return vt[1:]
+def _null_space(A: np.ndarray) -> np.ndarray:
+    """Columns form an orthonormal basis of {x : A x = 0}."""
+    if not len(A):
+        return np.eye(A.shape[1])
+    _, sv, vt = np.linalg.svd(A)
+    return vt[int(np.sum(sv > sv[0] * max(A.shape) * np.finfo(float).eps)) :].T
 
 
 def _place_centers(cfg: MixtureConfig, rng: np.random.Generator) -> np.ndarray:
-    basis = _orthonormal_complement(cfg.shift)
+    basis = _null_space(cfg.shift[None, :]).T  # rows span the shift's orthogonal complement
     span = max(4.0, 2.5 * cfg.s)
     for _ in range(500):
         raw = rng.uniform(-span, span, size=(cfg.s, cfg.d - 1))
@@ -196,30 +200,136 @@ def _fit_logistic(X: np.ndarray, y: np.ndarray, tol: float = 1e-8) -> tuple[np.n
         H = (X1.T * W) @ X1 / n
         step = np.linalg.solve(H, g)
         v0, t_step = value(t), 1.0
-        while value(X1 @ (beta - t_step * step)) > v0 - 1e-12 and t_step > 1e-8:
+        # a Newton decrement g'H^-1 g <= 2e-12 cannot buy the 1e-12 decrease: take the full step
+        while g @ step > 2e-12 and value(X1 @ (beta - t_step * step)) > v0 - 1e-12 and t_step > 1e-8:
             t_step *= 0.5
         beta = beta - t_step * step
     return beta, float(np.linalg.norm(g)), tol
 
 
-def _fit_exp(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    from scipy.optimize import minimize  # imported on demand to keep `import calma` light
+_ON_KINK = 1e-12  # a residual this small sits on its kink of exp(|r|)
 
-    X1 = np.column_stack([X, np.ones(len(X))])
-    n = len(y)
 
-    def value_grad(bv):
-        r = y - X1 @ bv
+def _exp_line_search(r: np.ndarray, q: np.ndarray) -> tuple[float, int]:
+    """Exact minimizer a >= 0 of sum(exp(|r - a q|)), and the index of the
+    point whose kink r_i / q_i it is (-1 when it lies between kinks).
+
+    The function is convex with kinks where a residual reaches 0.  The first
+    kink whose right slope is >= 0 is found by galloping and bisection; when
+    its left slope is <= 0 it is the minimizer, and otherwise the minimizer
+    lies in the smooth stretch before it, where Newton's method, safeguarded
+    by the bracket's secant, solves for a zero slope.  A residual of exactly
+    0 has left its kink already, in the direction -q_i.
+    """
+
+    def right_slope(a, at=None):  # point `at` sits on its kink at a
+        t = r - a * q
+        if at is not None:
+            t[at] = 0.0
+        return -float(np.dot(np.where(t == 0.0, -np.sign(q), np.sign(t)) * q, np.exp(np.abs(t))))
+
+    ahead = np.flatnonzero(r * q > 0)
+    kinks = r[ahead] / q[ahead]
+    order = np.argsort(kinks)
+    ahead, kinks = ahead[order], kinks[order]
+
+    @functools.cache
+    def kink_slope(j):
+        return right_slope(kinks[j], ahead[j])
+
+    lo, hi, width = 0, len(kinks), 1
+    with np.errstate(over="ignore"):
+        while lo < hi:  # the minimizer is usually within the first few kinks
+            j = min(lo + width, hi) - 1
+            if kink_slope(j) >= 0:
+                hi = j
+                break
+            lo, width = j + 1, 2 * width
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if kink_slope(mid) >= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        a, da = (kinks[lo - 1], kink_slope(lo - 1)) if lo else (0.0, right_slope(0.0))
+        b, db = np.inf, np.inf
+        if lo < len(kinks):
+            b, db = kinks[lo], kink_slope(lo) - 2.0 * abs(q[ahead[lo]])
+            if db <= 0:
+                return float(b), int(ahead[lo])
+
+        def inside():  # a point strictly inside (a, b), for when Newton's is not
+            if b == np.inf:
+                return 2.0 * a
+            secant = a - da * (b - a) / (db - da)
+            return secant if a < secant < b else 0.5 * (a + b)
+
+        x = 1.0 if a < 1.0 < b else inside()
+        for _ in range(100):
+            t = r - x * q
+            e = np.exp(np.abs(t))
+            terms = np.sign(t) * q * e
+            d1 = -float(np.sum(terms))
+            if abs(d1) <= 1e-13 * float(np.sum(np.abs(terms))) < np.inf:  # zero up to rounding
+                break
+            if d1 < 0:
+                a, da = x, d1
+            else:
+                b, db = x, d1
+            x = x - d1 / float(np.dot(q * q, e))
+            if not a < x < b:
+                x = inside()
+    return float(x), -1
+
+
+def _fit_exp(X: np.ndarray, y: np.ndarray, max_steps: int = 300) -> tuple[np.ndarray, float, bool]:
+    """Exact minimizer of mean exp(|y - X1 beta|) by active-set Newton.
+
+    From the least-squares start, points whose residual is 0 stay pinned
+    there; each step is a Newton step on the other points' smooth part,
+    restricted to keep the pinned residuals at 0, followed by an exact line
+    search that pins a point when it stops on its kink.  When no Newton step
+    is left, the pinned points' multipliers sigma balance the free gradient;
+    the one with |sigma| > 1 largest is released toward sign(sigma).  Returns
+    the coefficients, the norm of the subgradient that sigma (clipped to
+    [-1, 1]) certifies, and whether ``max_steps`` ran out first.
+    """
+    X1t = np.vstack([X.T, np.ones(len(X))])  # rows are the coordinates and the intercept
+    k, n = X1t.shape
+    beta, _, rank, _ = np.linalg.lstsq(X1t.T, y, rcond=None)
+    r = y - beta @ X1t
+    # directions that move no residual, which a rank-deficient design has
+    moveless = _null_space(np.linalg.qr(X1t.T, mode="r")).T if rank < k else np.empty((0, k))
+    pinned = np.abs(r) <= _ON_KINK
+    sign = np.where(pinned, 0.0, np.sign(r))
+    for steps in range(max_steps + 1):
         e = np.exp(np.abs(r))
-        return float(np.mean(e)), X1.T @ (-np.sign(r) * e) / n
-
-    best = None
-    w0, b0 = _fit_l2(X, y)
-    for init in (np.concatenate([w0, [b0]]), np.zeros(X1.shape[1])):
-        res = minimize(value_grad, init, jac=True, method="L-BFGS-B", options={"maxiter": 500, "ftol": 1e-14})
-        if best is None or res.fun < best.fun:
-            best = res
-    return best.x, float(np.linalg.norm(best.jac))
+        g = -(X1t @ (sign * e)) / n
+        if steps == max_steps:
+            break
+        basis = _null_space(np.vstack([X1t[:, pinned].T, moveless]))
+        H = (X1t * np.where(pinned, 0.0, e)) @ X1t.T / n
+        d = basis @ np.linalg.lstsq(basis.T @ H @ basis, -(basis.T @ g), rcond=None)[0]
+        if -(g @ d) <= 1e-24:
+            sigma = np.linalg.lstsq(X1t[:, pinned], n * g, rcond=None)[0]
+            if not len(sigma) or np.max(np.abs(sigma)) <= 1.0:
+                break
+            j = int(np.argmax(np.abs(sigma)))
+            i = np.flatnonzero(pinned)[j]
+            # its residual counts as exactly 0, so the line search sees it leave the kink
+            pinned[i], sign[i], r[i] = False, np.sign(sigma[j]), 0.0
+            continue
+        live = np.flatnonzero(~pinned)
+        alpha, at = _exp_line_search(r[live], (d @ X1t)[live])
+        beta = beta + alpha * d
+        r = y - beta @ X1t
+        pinned |= np.abs(r) <= _ON_KINK
+        if at >= 0:
+            pinned[live[at]] = True
+        sign = np.where(pinned, 0.0, np.sign(r))
+    u = sign * e
+    u[pinned] = np.clip(np.linalg.lstsq(X1t[:, pinned], n * g, rcond=None)[0], -1.0, 1.0)
+    return beta, float(np.linalg.norm(X1t @ u)) / n, steps == max_steps
 
 
 def _fit_l1(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
@@ -232,7 +342,7 @@ def _fit_l1(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
     from scipy.optimize import linprog  # imported on demand to keep `import calma` light
 
     X1 = np.column_stack([X, np.ones(len(X))])
-    res = linprog(-y, A_eq=X1.T, b_eq=np.zeros(X1.shape[1]), bounds=(-1.0, 1.0))
+    res = linprog(-y, A_eq=X1.T, b_eq=np.zeros(X1.shape[1]), bounds=(-1.0, 1.0), options={"presolve": False})
     if res.x is None or res.eqlin.marginals is None:
         raise NonConvergenceError(f"l1 baseline: the LP solver returned no solution ({res.message})")
     return -res.eqlin.marginals, float(np.linalg.norm(X1.T @ res.x)) / len(y), res.status == 0
@@ -242,10 +352,12 @@ def fit_linear_baseline(loss_name: str, data: Dataset) -> LinearBaseline:
     """Fit the per-loss optimal linear score on the dataset.
 
     Squared error uses least squares, the log column logistic regression
-    (Newton), the exponential column L-BFGS with restarts, and the absolute
-    error an exact solve of its linear-program dual (HiGHS), whose dual point
-    certifies the reported subgradient norm.  A solve that returns no
-    solution raises ``NonConvergenceError``.
+    (Newton), the exponential column an exact active-set Newton method, and
+    the absolute error an exact solve of its linear-program dual (HiGHS).
+    The exp fit's multipliers on its zero residuals, and the l1 fit's dual
+    point, certify the reported subgradient norm; the exp fit has converged
+    when that norm is at most 1e-9 within its step cap.  A solve that returns
+    no solution raises ``NonConvergenceError``.
     """
     X, y = data.X, data.y
     if loss_name == "l2":
@@ -255,8 +367,8 @@ def fit_linear_baseline(loss_name: str, data: Dataset) -> LinearBaseline:
         beta, gnorm, tol = _fit_logistic(X, y)
         return LinearBaseline(loss_name, beta[:-1], float(beta[-1]), gnorm, gnorm <= tol)
     if loss_name == "exp":
-        beta, gnorm = _fit_exp(X, y)
-        return LinearBaseline(loss_name, beta[:-1], float(beta[-1]), gnorm, gnorm <= 1e-5)
+        beta, gnorm, capped = _fit_exp(X, y)
+        return LinearBaseline(loss_name, beta[:-1], float(beta[-1]), gnorm, gnorm <= 1e-9 and not capped)
     if loss_name == "l1":
         beta, gnorm, converged = _fit_l1(X, y)
         return LinearBaseline(loss_name, beta[:-1], float(beta[-1]), gnorm, converged)

@@ -13,11 +13,11 @@ from calma.bench import (
     run_benchmark,
     train_calma_bench,
 )
-from calma.bench import _fit_l2
+from calma.bench import _fit_exp, _fit_l2
 from calma.calibration import bucket_means, bucket_midpoints, ece
 from calma.core import BucketRecalPredictor, Dataset, ExpectationEngine, PipelinePredictor
 
-from support import reference_fit_l1
+from support import reference_fit_exp, reference_fit_l1
 
 
 class TestGenerator:
@@ -68,6 +68,13 @@ class TestBaselines:
         fit = fit_linear_baseline("log", train)
         assert fit.grad_norm <= 1e-6
 
+    def test_logistic_newton_does_not_stall_near_its_optimum(self):
+        # the damped steps demanded a decrease of 1e-12 that no step near the
+        # optimum can deliver, and stopped after 200 steps at a gradient of 1.1e-8
+        train, _, _ = gen_gaussian_mixture(MixtureConfig(s=2, d=2, seed=17, n_cal=10, n_test=10))
+        fit = fit_linear_baseline("log", train)
+        assert fit.converged and fit.grad_norm <= 1e-9
+
     def test_constant_only_l2_equals_label_mean(self):
         data = Dataset(np.zeros((10, 1)), [1, 1, 1, 0, 0, 1, 0, 1, 1, 0])
         fit = fit_linear_baseline("l2", data)
@@ -86,15 +93,15 @@ class TestBaselines:
             assert fitted <= best_const + 1e-9
 
 
+_KKT_CELLS = [(s, d, seed, 3000) for s, d in ((2, 2), (4, 4), (4, 10)) for seed in (1, 2)] + [(2, 2, 5, 40)]
+
+
 class TestL1Kernel:
     """``_fit_l1`` solves least absolute deviations exactly; its optimality is
     checked here with an independent KKT certificate, not with the solver's
     own dual."""
 
-    @pytest.mark.parametrize(
-        "s,d,seed,n_train",
-        [(s, d, seed, 3000) for s, d in ((2, 2), (4, 4), (4, 10)) for seed in (1, 2)] + [(2, 2, 5, 40)],
-    )
+    @pytest.mark.parametrize("s,d,seed,n_train", _KKT_CELLS)
     def test_kkt_certificate(self, s, d, seed, n_train):
         train, _, _ = gen_gaussian_mixture(MixtureConfig(s=s, d=d, seed=seed, n_train=n_train))
         fit = fit_linear_baseline("l1", train)
@@ -118,6 +125,57 @@ class TestL1Kernel:
             assert column_value_for_score("l1", fit.score(train.X), train.y) <= column_value_for_score(
                 "l1", ref_score, train.y
             )
+
+
+class TestExpKernel:
+    """``_fit_exp`` minimizes mean exp(|y - t|) exactly; its optimality is
+    checked here with an independent KKT certificate, not with the solver's
+    own multipliers."""
+
+    @staticmethod
+    def assert_kkt(X, y, fit):
+        X1 = np.column_stack([X, np.ones(len(y))])
+        r = y - fit.score(X)
+        # 0 lies in the subdifferential: the points fitted exactly carry
+        # weights in [-1, 1] that cancel sign(r) exp(|r|) summed over the others
+        zero = np.abs(r) <= 1e-9
+        rhs = -X1[~zero].T @ (np.sign(r[~zero]) * np.exp(np.abs(r[~zero])))
+        sigma, *_ = np.linalg.lstsq(X1[zero].T, rhs, rcond=None)
+        assert np.max(np.abs(sigma), initial=0.0) <= 1.0
+        # on the mean scale of grad_norm: the 3000-term sum itself rounds near 1e-11
+        assert np.linalg.norm(X1[zero].T @ sigma - rhs) / len(y) <= 1e-12
+
+    @pytest.mark.parametrize("s,d,seed,n_train", _KKT_CELLS)
+    def test_kkt_certificate_and_never_worse_than_reference(self, s, d, seed, n_train):
+        train, _, _ = gen_gaussian_mixture(MixtureConfig(s=s, d=d, seed=seed, n_train=n_train, n_cal=10, n_test=10))
+        fit = fit_linear_baseline("exp", train)
+        assert fit.converged and fit.grad_norm <= 1e-9
+        self.assert_kkt(train.X, train.y, fit)
+        ref_beta, _ = reference_fit_exp(train.X, train.y)
+        ref_score = train.X @ ref_beta[:-1] + ref_beta[-1]
+        assert column_value_for_score("exp", fit.score(train.X), train.y) <= column_value_for_score(
+            "exp", ref_score, train.y
+        )
+
+    def test_step_cap_reports_unconverged_without_raising(self):
+        train, _, _ = gen_gaussian_mixture(MixtureConfig(s=4, d=4, seed=1, n_cal=10, n_test=10))
+        beta, gnorm, capped = _fit_exp(train.X, train.y, max_steps=1)
+        assert capped and np.all(np.isfinite(beta)) and gnorm > 1e-9
+
+    def test_constant_only_design(self):
+        y = np.array([1.0] * 6 + [0.0] * 4)
+        fit = fit_linear_baseline("exp", Dataset(np.zeros((10, 1)), y))
+        # minimizes (6 exp(1 - b) + 4 exp(b)) / 10
+        assert fit.converged and fit.grad_norm <= 1e-9
+        assert fit.score(np.zeros((1, 1)))[0] == pytest.approx((1.0 + np.log(1.5)) / 2.0, abs=1e-12)
+
+    def test_duplicated_column(self):
+        train, _, _ = gen_gaussian_mixture(MixtureConfig(s=2, d=2, seed=3, n_cal=10, n_test=10))
+        X = np.column_stack([train.X, train.X[:, 0]])
+        fit = fit_linear_baseline("exp", Dataset(X, train.y))
+        assert fit.converged and fit.grad_norm <= 1e-9
+        self.assert_kkt(X, train.y, fit)
+        np.testing.assert_allclose(fit.score(X), fit_linear_baseline("exp", train).score(train.X), atol=1e-9)
 
 
 class TestTrainer:

@@ -174,6 +174,23 @@ def test_baseline_l1_is_solved_exactly(runner, tmp_path):
     assert payload["test_loss"] > 0
 
 
+@pytest.mark.parametrize(
+    "loss,gen",
+    [
+        # the L-BFGS exp fit stopped at a gradient norm of 1e-4..1e-2 and exited 3 here
+        ("exp", ["--s", "4", "--d", "4", "--n-train", "3000", "--seed", "1"]),
+        # the damped Newton log fit stalled at a gradient norm of 1.1e-8 and exited 3 here
+        ("log", ["--s", "2", "--d", "2", "--n-train", "3000", "--seed", "17"]),
+    ],
+)
+def test_baseline_exp_and_log_certify(runner, tmp_path, loss, gen):
+    out = str(tmp_path)
+    runner.invoke(main, ["gen", *gen, "--n-cal", "10", "--n-test", "10", "--out-dir", out])
+    res = runner.invoke(main, ["baseline", "--loss", loss, "--data", os.path.join(out, "train.csv")])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["grad_norm"] <= 1e-9
+
+
 @pytest.mark.parametrize("x", [None, "solved"])
 def test_baseline_l1_solver_failure_exit_code(runner, tmp_path, monkeypatch, x):
     import scipy.optimize
