@@ -240,7 +240,7 @@ def _exp_line_search(r: np.ndarray, q: np.ndarray) -> tuple[float, int]:
 
     lo, hi, width = 0, len(kinks), 1
     with np.errstate(over="ignore"):
-        # on table cells the minimizer is the first kink ahead in half the line searches, and among
+        # on table cells the minimizer is the first kink ahead in 58 % of line searches, and among
         # the first 4 of about 1500 in 82 %: galloping finds it in a few slopes where bisection takes 11
         while lo < hi:
             j = min(lo + width, hi) - 1
