@@ -37,7 +37,6 @@ from .losses import (
     optimal_decision,
     sigmoid_glm,
     squared_loss,
-    transfer_inverse,
     truncated_decision,
 )
 from .calibration import (

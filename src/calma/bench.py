@@ -131,6 +131,7 @@ _EXP = exp_loss()
 _LOGISTIC = sigmoid_glm()
 
 _COLUMN_LOSS = {"l2": _SQ, "l1": _L1, "exp": _EXP, "log": _LOGISTIC}
+_BASELINE_TOL = 1e-9  # the (sub)gradient norm at which the log and exp fits have converged
 
 
 @functools.cache
@@ -180,8 +181,8 @@ def _fit_l2(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     return coef[:-1], float(coef[-1])
 
 
-def _fit_logistic(X: np.ndarray, y: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, float, float]:
-    """Damped Newton steps; at most 200, then the gradient at the last iterate."""
+def _fit_logistic(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Damped Newton steps until the gradient norm is at most ``_BASELINE_TOL``, 200 at most."""
     X1 = np.column_stack([X, np.ones(len(X))])
     n, k = X1.shape
     beta = np.zeros(k)
@@ -194,7 +195,8 @@ def _fit_logistic(X: np.ndarray, y: np.ndarray, tol: float = 1e-8) -> tuple[np.n
         t = X1 @ beta
         mu = expit(t)
         g = X1.T @ (mu - y) / n
-        if np.linalg.norm(g) <= tol or steps == 200:
+        gnorm = float(np.linalg.norm(g))
+        if gnorm <= _BASELINE_TOL or steps == 200:
             break
         W = mu * (1.0 - mu) + 1e-10
         H = (X1.T * W) @ X1 / n
@@ -204,7 +206,7 @@ def _fit_logistic(X: np.ndarray, y: np.ndarray, tol: float = 1e-8) -> tuple[np.n
         while g @ step > 2e-12 and value(X1 @ (beta - t_step * step)) > v0 - 1e-12 and t_step > 1e-8:
             t_step *= 0.5
         beta = beta - t_step * step
-    return beta, float(np.linalg.norm(g)), tol
+    return beta, gnorm, gnorm <= _BASELINE_TOL
 
 
 _ON_KINK = 1e-12  # a residual this small sits on its kink of exp(|r|)
@@ -295,7 +297,8 @@ def _fit_exp(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
     is left, the pinned points' multipliers sigma balance the free gradient;
     the one with |sigma| > 1 largest is released toward sign(sigma).  Returns
     the coefficients, the norm of the subgradient that sigma (clipped to
-    [-1, 1]) certifies, and whether ``_EXP_MAX_STEPS`` ran out first.
+    [-1, 1]) certifies, and whether it reaches ``_BASELINE_TOL`` within
+    ``_EXP_MAX_STEPS``.
     """
     X1t = np.vstack([X.T, np.ones(len(X))])  # rows are the coordinates and the intercept
     k, n = X1t.shape
@@ -332,7 +335,8 @@ def _fit_exp(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
         sign = np.where(pinned, 0.0, np.sign(r))
     u = sign * e
     u[pinned] = np.clip(np.linalg.lstsq(X1t[:, pinned], n * g, rcond=None)[0], -1.0, 1.0)
-    return beta, float(np.linalg.norm(X1t @ u)) / n, steps == _EXP_MAX_STEPS
+    gnorm = float(np.linalg.norm(X1t @ u)) / n
+    return beta, gnorm, gnorm <= _BASELINE_TOL and steps < _EXP_MAX_STEPS
 
 
 def _fit_l1(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
@@ -358,24 +362,19 @@ def fit_linear_baseline(loss_name: str, data: Dataset) -> LinearBaseline:
     (Newton), the exponential column an exact active-set Newton method, and
     the absolute error an exact solve of its linear-program dual (HiGHS).
     The exp fit's multipliers on its zero residuals, and the l1 fit's dual
-    point, certify the reported subgradient norm; the exp fit has converged
-    when that norm is at most 1e-9 within its step cap.  A solve that returns
-    no solution raises ``NonConvergenceError``.
+    point, certify the reported subgradient norm; the log and exp fits have
+    converged when their (sub)gradient norm is at most 1e-9 within their step
+    caps.  A solve that returns no solution raises ``NonConvergenceError``.
     """
     X, y = data.X, data.y
     if loss_name == "l2":
         w, b = _fit_l2(X, y)
         return LinearBaseline(loss_name, w, b, 0.0, True)
-    if loss_name == "log":
-        beta, gnorm, tol = _fit_logistic(X, y)
-        return LinearBaseline(loss_name, beta[:-1], float(beta[-1]), gnorm, gnorm <= tol)
-    if loss_name == "exp":
-        beta, gnorm, capped = _fit_exp(X, y)
-        return LinearBaseline(loss_name, beta[:-1], float(beta[-1]), gnorm, gnorm <= 1e-9 and not capped)
-    if loss_name == "l1":
-        beta, gnorm, converged = _fit_l1(X, y)
-        return LinearBaseline(loss_name, beta[:-1], float(beta[-1]), gnorm, converged)
-    raise ValueError(f"unknown baseline loss {loss_name!r}")
+    fit = {"log": _fit_logistic, "exp": _fit_exp, "l1": _fit_l1}.get(loss_name)
+    if fit is None:
+        raise ValueError(f"unknown baseline loss {loss_name!r}")
+    beta, gnorm, converged = fit(X, y)
+    return LinearBaseline(loss_name, beta[:-1], float(beta[-1]), gnorm, converged)
 
 
 # ---------------------------------------------------------------------------

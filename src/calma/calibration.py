@@ -4,9 +4,9 @@ The discretization splits [0, 1] into width-2*delta buckets ``I_j = [(2j)d,
 (2j+2)d)`` and snaps predictions to the bucket midpoints ``(2j+1)d``.
 Recalibration replaces each bucket's output by its label mean under an
 engine: the true conditional mean under an exact engine, a sample mean under
-an empirical one.  A fresh sample is measured the same way, as
-``ExpectationEngine.empirical(sampler.draw(n))``.  Empty buckets keep their
-midpoint, which preserves discreteness and bounds the perturbation.
+an empirical one.  A sampler's ``draw(n)`` is the engine of n fresh draws, so
+a fresh sample is measured the same way.  Empty buckets keep their midpoint,
+which preserves discreteness and bounds the perturbation.
 """
 
 from __future__ import annotations
@@ -64,20 +64,25 @@ class WeightFunction:
 
 
 class Sampler(Protocol):
-    def draw(self, n: int) -> Dataset: ...
+    def draw(self, n: int) -> ExpectationEngine: ...
 
 
 class DistributionSampler:
-    """Unlimited i.i.d. draws from an explicit finite distribution."""
+    """Unlimited i.i.d. draws from an explicit finite distribution.  A draw of
+    n is their empirical distribution on ``dist.points``: weight count / n and
+    label mean ones / count per point, both 0 for a point not drawn."""
 
     def __init__(self, dist: FiniteDistribution, seed: int = 0):
         self.dist = dist
         self.rng = np.random.default_rng(seed)
 
-    def draw(self, n: int) -> Dataset:
-        idx = self.rng.choice(self.dist.n, size=n, p=self.dist.mass)
-        y = (self.rng.random(n) < self.dist.bayes[idx]).astype(float)
-        return Dataset(self.dist.points[idx], y)
+    def draw(self, n: int) -> ExpectationEngine:
+        counts = self.rng.multinomial(n, self.dist.mass)
+        ones = self.rng.binomial(counts, self.dist.bayes)
+        weights = counts / n
+        ystar = np.divide(ones, counts, out=np.zeros(len(counts)), where=counts > 0)
+        weights.flags.writeable = ystar.flags.writeable = False
+        return ExpectationEngine(self.dist.points, weights, ystar)
 
 
 class DatasetSampler:
@@ -95,12 +100,12 @@ class DatasetSampler:
     def remaining(self) -> int:
         return len(self._y) - self._cursor
 
-    def draw(self, n: int) -> Dataset:
+    def draw(self, n: int) -> ExpectationEngine:
         if n > self.remaining:
             raise InsufficientSamplesError(f"need {n} rows, {self.remaining} left")
         sl = slice(self._cursor, self._cursor + n)
         self._cursor += n
-        return Dataset(self._X[sl], self._y[sl])
+        return ExpectationEngine.empirical(Dataset(self._X[sl], self._y[sl]))
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +155,14 @@ def recalibrate_with_engine(pred: Predictor, delta: float, engine: ExpectationEn
     return BucketRecalPredictor(pred, delta, values)
 
 
-def est_ece_samples_needed(delta: float, mu: float, constant: float = 8.0) -> int:
+def est_ece_samples_needed(delta: float, mu: float) -> int:
     """Fresh draws for an ECE estimate of a delta-discrete predictor within mu."""
-    return int(math.ceil(constant * math.log(1.0 / delta) ** 2 / (delta * mu**3)))
+    return int(math.ceil(8.0 * math.log(1.0 / delta) ** 2 / (delta * mu**3)))
 
 
-def recal_samples_needed(delta: float, constant: float = 8.0) -> int:
+def recal_samples_needed(delta: float) -> int:
     """Fresh draws for bucket means that recalibrate within the paper's bound."""
-    return int(math.ceil(constant * math.log(1.0 / delta) ** 2 / delta**4))
+    return int(math.ceil(8.0 * math.log(1.0 / delta) ** 2 / delta**4))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Command-line interface: data generation, training, auditing, baselines,
 the benchmark table, and the two exact counterexample checks.
 
-Exit codes: 0 on success, 2 when a result violates its acceptance threshold,
-3 on convergence failures.
+Exit codes: 0 on success, 1 on a ``click.ClickException``, 2 on a usage
+error, 3 on convergence failures, 4 when a result violates its acceptance
+threshold.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .losses import get_loss
 from .multiaccuracy import ExhaustiveWeakLearner, NonConvergenceError, mae as mae_fn
 from .training import CalmaConfig, calma
 
-EXIT_THRESHOLD = 2
+EXIT_THRESHOLD = 4
 EXIT_CONVERGENCE = 3
 
 

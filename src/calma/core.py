@@ -248,7 +248,8 @@ class ExpectationEngine:
     """Uniform access to expectations over (x, y*).
 
     ``ystar`` holds the conditional label mean per supported point: the true
-    probabilities in exact mode, the observed 0/1 labels in empirical mode.
+    probabilities in exact mode, the observed 0/1 labels of a dataset, and
+    the drawn label means of a ``DistributionSampler`` draw.
     Both cases make ``E[g(x, y)] = E[ystar * g(x,1) + (1 - ystar) * g(x,0)]``.
     """
 

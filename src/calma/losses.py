@@ -32,7 +32,6 @@ __all__ = [
     "identity_glm",
     "sigmoid_glm",
     "crelu_glm",
-    "transfer_inverse",
     "bregman",
     "truncated_decision",
     "get_loss",
@@ -55,7 +54,7 @@ class UnboundedBelowError(ValueError):
 class Loss:
     """Binary-label loss: its two action curves and its optimal decision.
 
-    ``kfn`` maps label-1 probabilities to a minimizer of ``ploss(p, .)`` over
+    ``kfn`` maps label-1 probabilities to a minimizer of ``loss(p, .)`` over
     ``action_domain``; every loss carries one, and building a ``Loss`` whose
     ``kfn`` is not callable raises ``TypeError``.
     """
@@ -72,15 +71,11 @@ class Loss:
             raise TypeError(f"loss {self.name!r} needs a callable decision kfn")
 
     def loss(self, y, t):
+        """Loss of action t at label y; at y = p in [0, 1], by linearity, the
+        expected loss under Ber(p) labels."""
         y = np.asarray(y, dtype=np.float64)
         t = np.asarray(t, dtype=np.float64)
         return y * self.at1(t) + (1.0 - y) * self.at0(t)
-
-    def ploss(self, p, t):
-        """Expected loss under Ber(p) labels, extended by linearity."""
-        p = np.asarray(p, dtype=np.float64)
-        t = np.asarray(t, dtype=np.float64)
-        return p * self.at1(t) + (1.0 - p) * self.at0(t)
 
     def partial(self, t):
         """Discrete derivative loss(1, t) - loss(0, t)."""
@@ -378,11 +373,6 @@ def glm_from_transfer(
     )
 
 
-def transfer_inverse(glm: GlmLoss, p: float):
-    """Inverse transfer evaluated at p; the optimal decision for the loss."""
-    return glm.kfn(np.asarray(p, dtype=np.float64))
-
-
 def bregman(glm: GlmLoss, vstar, v):
     """Divergence f(v*) - f(v) - (v* - v) f'(v) of the Legendre dual.
 
@@ -441,7 +431,7 @@ def truncated_decision(glm: GlmLoss, delta: float, max_bound: float = 2.0**30) -
     D = 1.0
     while True:
         kfn = make_kfn(D)
-        sub = float(np.max(glm.ploss(pgrid, kfn(pgrid)) + fvals))
+        sub = float(np.max(glm.loss(pgrid, kfn(pgrid)) + fvals))
         if sub <= delta:
             return TruncatedDecision(kfn, D, delta, sub)
         D *= 2.0

@@ -155,7 +155,7 @@ def ma_algorithm(
     while True:
         # on engine.X first, so the pipeline's slot holds those rows, not a fresh draw's
         before = engine.expect((engine.ystar - pred.values(engine.X)) ** 2)
-        measured = engine if sampler is None else ExpectationEngine.empirical(sampler.draw(batch_size))
+        measured = engine if sampler is None else sampler.draw(batch_size)
         picked = wl.query(exact_residual_access(measured, pred.values(measured.X)))
         if picked is None:
             return MAResult(pred, tuple(updates))

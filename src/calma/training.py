@@ -10,8 +10,8 @@ means, which bounds the number of rounds and total weak-learner calls.
 Every step takes its expectations under an ``ExpectationEngine``.  With no
 sampler that is the engine passed in (an exact distribution or a full
 dataset).  With a sampler each weak-learner query, calibration estimate and
-recalibration measures its own fresh draws as an empirical engine, and the
-estimate is repeated and median-aggregated against estimator failure.
+recalibration runs on the engine of its own fresh draws, ``sampler.draw(n)``,
+and the estimate is repeated and median-aggregated against estimator failure.
 """
 
 from __future__ import annotations
@@ -39,24 +39,24 @@ class IterationCapError(RuntimeError):
     """Outer loop exceeded twice its theoretical bound; preconditions are off."""
 
 
+_EST_ECE_REPEATS = 3  # median-of-k against estimator failure
+_CAP_FACTOR = 2.0  # the iteration cap over the provable bound on outer rounds
+
+
 @dataclass(frozen=True)
 class CalmaConfig:
+    """Fresh draws per weak-learner query, calibration estimate and
+    recalibration of a sampled run; ``None`` takes the paper's sample size."""
+
     ma_batch: int = 2000
-    est_ece_constant: float = 8.0
-    est_ece_repeats: int = 3  # median-of-k against estimator failure
     est_ece_samples: int | None = None
-    recal_constant: float = 8.0
     recal_samples: int | None = None
-    cap_factor: float = 2.0
 
     def __post_init__(self):
-        for name in ("ma_batch", "est_ece_repeats", "est_ece_samples", "recal_samples"):
+        for name in ("ma_batch", "est_ece_samples", "recal_samples"):
             value = getattr(self, name)
             if value is not None and not value >= 1:
                 raise ValueError(f"{name} must be at least 1")
-        for name in ("est_ece_constant", "recal_constant", "cap_factor"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -119,13 +119,13 @@ def calma(
     if alpha - delta + 1e-12 < wl.rho:
         raise ValueError("need alpha - alpha^2/32 >= rho of the weak learner")
 
-    cap = int(math.ceil(cfg.cap_factor * (1.0 + 8.0 / alpha**2)))
-    n_est = cfg.est_ece_samples or est_ece_samples_needed(delta, mu, cfg.est_ece_constant)
-    n_recal = cfg.recal_samples or recal_samples_needed(delta, cfg.recal_constant)
-    repeats = 1 if sampler is None else cfg.est_ece_repeats
+    cap = int(math.ceil(_CAP_FACTOR * (1.0 + 8.0 / alpha**2)))
+    n_est = cfg.est_ece_samples or est_ece_samples_needed(delta, mu)
+    n_recal = cfg.recal_samples or recal_samples_needed(delta)
+    repeats = 1 if sampler is None else _EST_ECE_REPEATS
 
     def measure(n: int) -> ExpectationEngine:
-        return engine if sampler is None else ExpectationEngine.empirical(sampler.draw(n))
+        return engine if sampler is None else sampler.draw(n)
 
     def potential(pred: Predictor) -> float:
         return engine.expect((engine.ystar - pred.values(engine.X)) ** 2)

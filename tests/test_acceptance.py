@@ -162,7 +162,7 @@ def test_criterion_06_recalibration_error_reduction():
         exact = recalibrate_with_engine(pred, delta, engine)
         drop_exact = distance(pstar, disc, engine, "l2") ** 2 - distance(pstar, exact, engine, "l2") ** 2
         assert drop_exact >= ece_sq - 1e-12
-        fresh = ExpectationEngine.empirical(DistributionSampler(dist, seed=seed).draw(recal_samples_needed(delta)))
+        fresh = DistributionSampler(dist, seed=seed).draw(recal_samples_needed(delta))
         hat = recalibrate_with_engine(pred, delta, fresh)
         drop_hat = distance(pstar, pred, engine, "l2") ** 2 - distance(pstar, hat, engine, "l2") ** 2
         assert drop_hat >= ece_sq - 4 * delta - 1e-12

@@ -74,7 +74,7 @@ class TestBaselines:
         # optimum can deliver, and stopped after 200 steps at a gradient of 1.1e-8
         train, _, _ = gen_gaussian_mixture(MixtureConfig(s=2, d=2, seed=17, n_cal=10, n_test=10))
         fit = fit_linear_baseline("log", train)
-        assert fit.converged and fit.grad_norm <= 1e-8
+        assert fit.converged and fit.grad_norm <= 1e-9
 
     def test_constant_only_l2_equals_label_mean(self):
         data = Dataset(np.zeros((10, 1)), [1, 1, 1, 0, 0, 1, 0, 1, 1, 0])
@@ -161,8 +161,8 @@ class TestExpKernel:
     def test_step_cap_reports_unconverged_without_raising(self, monkeypatch):
         train, _, _ = gen_gaussian_mixture(MixtureConfig(s=4, d=4, seed=1, n_cal=10, n_test=10))
         monkeypatch.setattr(bench, "_EXP_MAX_STEPS", 1)
-        beta, gnorm, capped = _fit_exp(train.X, train.y)
-        assert capped and np.all(np.isfinite(beta)) and gnorm > 1e-9
+        beta, gnorm, converged = _fit_exp(train.X, train.y)
+        assert not converged and np.all(np.isfinite(beta)) and gnorm > 1e-9
 
     def test_constant_only_design(self):
         y = np.array([1.0] * 6 + [0.0] * 4)

@@ -25,16 +25,13 @@ from calma.core import (
     FiniteDistribution,
     TablePredictor,
     bayes_predictor,
+    bucket_index,
     distance,
+    n_buckets,
 )
 from calma.multiaccuracy import mae
 
 from support import bernoulli_dataset, random_class, random_distribution, random_predictor
-
-
-def fresh_engine(sampler, n):
-    """Empirical engine over n fresh draws."""
-    return ExpectationEngine.empirical(sampler.draw(n))
 
 
 def two_level_set_instance():
@@ -211,13 +208,13 @@ class TestEstEce:
         vals = np.array([0.15, 0.35, 0.55, 0.75])  # exact bucket midpoints at delta 0.05... delta=0.05 -> mids 0.05,0.15,...
         dist = FiniteDistribution(pts, [0.25] * 4, vals)
         pred = TablePredictor(pts, vals)
-        fresh = fresh_engine(DistributionSampler(dist, seed=1), est_ece_samples_needed(0.05, 0.1))
+        fresh = DistributionSampler(dist, seed=1).draw(est_ece_samples_needed(0.05, 0.1))
         est = ece(discretize(pred, 0.05), fresh)
         assert est <= 0.1
 
     def test_half_predictor_all_ones(self):
         dist = FiniteDistribution(np.zeros((1, 1)), [1.0], [1.0])
-        fresh = fresh_engine(DistributionSampler(dist, seed=2), est_ece_samples_needed(0.1, 0.1))
+        fresh = DistributionSampler(dist, seed=2).draw(est_ece_samples_needed(0.1, 0.1))
         est = ece(discretize(ConstantPredictor(0.5), 0.1), fresh)
         assert est == pytest.approx(0.5, abs=0.1)
 
@@ -230,13 +227,13 @@ class TestEstEce:
             pred = random_predictor(rng, dist)
             disc = discretize(pred, delta)
             exact = ece(disc, engine)
-            est = ece(disc, fresh_engine(DistributionSampler(dist, seed=seed), est_ece_samples_needed(delta, mu)))
+            est = ece(disc, DistributionSampler(dist, seed=seed).draw(est_ece_samples_needed(delta, mu)))
             assert abs(est - exact) <= mu
 
     def test_insufficient_samples(self):
         data = Dataset(np.zeros((5, 1)), [0, 1, 0, 1, 1])
         with pytest.raises(InsufficientSamplesError):
-            fresh_engine(DatasetSampler(data), est_ece_samples_needed(0.1, 0.1))
+            DatasetSampler(data).draw(est_ece_samples_needed(0.1, 0.1))
 
 
 class TestRecal:
@@ -263,7 +260,7 @@ class TestRecal:
             engine = ExpectationEngine.exact(dist)
             pred = random_predictor(rng, dist)
             exact = recalibrate_with_engine(pred, delta, engine)
-            fresh = fresh_engine(DistributionSampler(dist, seed=seed), recal_samples_needed(delta))
+            fresh = DistributionSampler(dist, seed=seed).draw(recal_samples_needed(delta))
             sampled = recalibrate_with_engine(pred, delta, fresh)
             assert distance(exact, sampled, engine, "l1") <= delta
 
@@ -277,7 +274,7 @@ class TestRecal:
             pstar = bayes_predictor(dist)
             pred = random_predictor(rng, dist)
             disc = discretize(pred, delta)
-            fresh = fresh_engine(DistributionSampler(dist, seed=seed), recal_samples_needed(delta))
+            fresh = DistributionSampler(dist, seed=seed).draw(recal_samples_needed(delta))
             hat = recalibrate_with_engine(pred, delta, fresh)
             drop = distance(pstar, pred, engine, "l2") ** 2 - distance(pstar, hat, engine, "l2") ** 2
             assert drop >= ece(disc, engine) ** 2 - 4 * delta - 1e-12
@@ -321,6 +318,43 @@ class TestSamplers:
         np.testing.assert_array_equal(np.sort(together), np.arange(6))
         with pytest.raises(InsufficientSamplesError):
             s.draw(1)
+
+    def test_distribution_draw_is_its_empirical_distribution(self):
+        # the draw's law: a multinomial count per support point, a binomial label count per point
+        dist = random_distribution(np.random.default_rng(17), n_points=8)
+        for n in (5, 1000):
+            draw = DistributionSampler(dist, seed=3).draw(n)
+            again = DistributionSampler(dist, seed=3).draw(n)
+            assert draw.X is dist.points
+            assert not draw.weights.flags.writeable and not draw.ystar.flags.writeable
+            counts = draw.weights * n
+            np.testing.assert_allclose(counts, np.round(counts), rtol=0, atol=1e-9)
+            assert np.round(counts).sum() == n
+            ones = draw.ystar * counts
+            np.testing.assert_allclose(ones, np.round(ones), rtol=0, atol=1e-9)
+            assert np.all((0 <= draw.ystar) & (draw.ystar <= 1))
+            undrawn = np.round(counts) == 0
+            assert undrawn.sum() >= 8 - n  # 5 draws leave at least 3 of the 8 points undrawn
+            assert np.all(draw.weights[undrawn] == 0) and np.all(draw.ystar[undrawn] == 0)
+            assert np.array_equal(draw.weights, again.weights) and np.array_equal(draw.ystar, again.ystar)
+
+    def test_recalibrated_buckets_are_integer_ratios(self):
+        # each bucket's value is its label-1 count over its row count, within an ulp
+        rng = np.random.default_rng(18)
+        delta = 0.1
+        n = recal_samples_needed(delta)
+        for seed in range(10):
+            dist = random_distribution(rng, n_points=8)
+            pred = random_predictor(rng, dist)
+            draw = DistributionSampler(dist, seed=seed).draw(n)
+            counts = np.round(draw.weights * n)
+            ones = np.round(draw.ystar * counts)
+            idx = bucket_index(pred.values(dist.points), delta)
+            rows = np.bincount(idx, weights=counts, minlength=n_buckets(delta))
+            hits = np.bincount(idx, weights=ones, minlength=n_buckets(delta))
+            got = recalibrate_with_engine(pred, delta, draw).bucket_values
+            filled = rows > 0
+            np.testing.assert_allclose(got[filled], hits[filled] / rows[filled], rtol=0, atol=1e-15)
 
     def test_distribution_sampler_mean(self):
         rng = np.random.default_rng(16)

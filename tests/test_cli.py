@@ -180,7 +180,7 @@ def test_baseline_l1_is_solved_exactly(runner, tmp_path):
         # the L-BFGS exp fit stopped at a gradient norm of 1e-4..1e-2 and exited 3 here
         ("exp", ["--s", "4", "--d", "4", "--n-train", "3000", "--seed", "1"], 1e-9),
         # the damped Newton log fit stalled at a gradient norm of 1.1e-8 and exited 3 here;
-        # it stops at the first gradient norm within its own tolerance of 1e-8
+        # exit 0 certifies its tolerance of 1e-9, and TestBaselines pins the norm itself
         ("log", ["--s", "2", "--d", "2", "--n-train", "3000", "--seed", "17"], 1e-8),
     ],
 )
@@ -217,6 +217,13 @@ def test_counterexample_parity_exit_code(runner):
     assert res.exit_code == 0, res.output
     payload = json.loads(res.output)
     assert payload["l4_hypothesis_gap"] == pytest.approx(4 / 9, abs=1e-12)
+
+
+def test_threshold_violation_exits_4(runner):
+    # 2 stays click's usage error, as in test_malformed_coords_spec_is_a_usage_error
+    res = runner.invoke(main, ["bench", "--seeds", "1", "--tolerance", "-1"])
+    assert res.exit_code == 4, res.output
+    assert "exceeds baseline + -1.0" in res.output
 
 
 def test_bench_writes_table(runner, tmp_path):

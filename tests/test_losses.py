@@ -22,7 +22,6 @@ from calma.losses import (
     optimal_decision,
     sigmoid_glm,
     squared_loss,
-    transfer_inverse,
     truncated_decision,
 )
 
@@ -61,7 +60,7 @@ class TestDiscreteTaylor:
             for _ in range(40):
                 p, p2 = rng.uniform(0, 1, 2)
                 t = rng.uniform(*loss.action_domain)
-                lhs = loss.ploss(p, t) - loss.ploss(p2, t)
+                lhs = loss.loss(p, t) - loss.loss(p2, t)
                 rhs = (p - p2) * loss.partial(t)
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
@@ -135,8 +134,8 @@ class TestKnotDecision:
             loss = _knot_loss(xs, ys)
             ts = np.concatenate([xs, [0.0], grid])
             k = loss.decision(LEVELS)
-            best = loss.ploss(LEVELS[:, None], ts).min(axis=1)
-            assert np.all(loss.ploss(LEVELS, k) <= best + 1e-15)
+            best = loss.loss(LEVELS[:, None], ts).min(axis=1)
+            assert np.all(loss.loss(LEVELS, k) <= best + 1e-15)
 
     def test_never_worse_than_fallback(self):
         # the fallback is a grid-scan decision: the best action among 0 and a
@@ -147,8 +146,8 @@ class TestKnotDecision:
             loss = (random_bounded_loss if i % 2 else random_lipschitz_loss)(rng)
             p = np.concatenate([LEVELS, rng.uniform(0, 1, 4)])
             k = loss.decision(p)
-            k_grid = ts[np.argmin(loss.ploss(p[:, None], ts), axis=1)]
-            assert np.all(loss.ploss(p, k) <= loss.ploss(p, k_grid) + 1e-15)
+            k_grid = ts[np.argmin(loss.loss(p[:, None], ts), axis=1)]
+            assert np.all(loss.loss(p, k) <= loss.loss(p, k_grid) + 1e-15)
 
     def test_zero_level_decides_zero(self):
         loss = random_bounded_loss(np.random.default_rng(33))
@@ -176,7 +175,7 @@ class TestKnotDecision:
         loss = _knot_loss(xs, ys)
         k = loss.decision(LEVELS[1:])
         assert np.array_equal(k, np.full(len(LEVELS) - 1, xs[1]))
-        assert loss.ploss(1.0, k[-1]) == min(ys)
+        assert loss.loss(1.0, k[-1]) == min(ys)
 
     @pytest.mark.parametrize("name", ["l1", "l2", "glm:identity"])
     @pytest.mark.parametrize("bad", [np.nan, -0.2, 1.5])
@@ -240,25 +239,25 @@ class TestTransfers:
 
 class TestTransferInverse:
     def test_sigmoid_midpoint(self):
-        assert transfer_inverse(sigmoid_glm(), 0.5) == pytest.approx(0.0, abs=1e-15)
+        assert sigmoid_glm().kfn(0.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_identity(self):
-        assert transfer_inverse(identity_glm(), 0.3) == pytest.approx(0.3)
+        assert identity_glm().kfn(0.3) == pytest.approx(0.3)
 
     def test_crelu_flat_region_prefers_zero(self):
         glm = crelu_glm()
-        k0 = transfer_inverse(glm, 0.0)
+        k0 = glm.kfn(0.0)
         assert k0 == 0.0
         # grid scan: the loss at probability zero is minimized on t <= 0
         ts = np.linspace(-2, 2, 401)
-        vals = glm.ploss(0.0, ts)
-        assert glm.ploss(0.0, k0) <= np.min(vals) + 1e-12
+        vals = glm.loss(0.0, ts)
+        assert glm.loss(0.0, k0) <= np.min(vals) + 1e-12
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):
-            transfer_inverse(sigmoid_glm(), 1.0)
+            sigmoid_glm().kfn(1.0)
         with pytest.raises(OutOfRangeError):
-            transfer_inverse(crelu_glm(), 1.2)
+            crelu_glm().kfn(1.2)
 
 
 class TestFenchelYoung:
@@ -278,7 +277,7 @@ class TestFenchelYoung:
         # loss(p, t) + f(p) = D_f(p, g'(t)) on a grid
         for p in np.linspace(0.05, 0.95, 10):
             for t in np.linspace(-3, 3, 25):
-                lhs = glm.ploss(p, t) + glm.dual_f(p)
+                lhs = glm.loss(p, t) + glm.dual_f(p)
                 rhs = bregman(glm, p, float(glm.gprime(t)))
                 assert lhs == pytest.approx(rhs, abs=1e-9)
 
@@ -323,7 +322,7 @@ class TestTruncatedDecision:
         # grid re-check of the certificate
         glm = sigmoid_glm()
         ps = np.arange(0.001, 1.0, 0.001)
-        sub = glm.ploss(ps, td(ps)) + glm.dual_f(ps)
+        sub = glm.loss(ps, td(ps)) + glm.dual_f(ps)
         assert np.max(sub) <= 0.01
 
     def test_unmet_suboptimality_raises(self):
@@ -333,7 +332,7 @@ class TestTruncatedDecision:
     def test_zero_suboptimality_at_half(self):
         for glm in ALL_GLMS:
             td = truncated_decision(glm, 0.05)
-            sub = glm.ploss(0.5, float(td(0.5))) + glm.dual_f(0.5)
+            sub = glm.loss(0.5, float(td(0.5))) + glm.dual_f(0.5)
             assert abs(sub) <= 1e-12
 
 
@@ -362,7 +361,7 @@ class TestRegistry:
         assert loss.decision(0.95) == 1.0  # clamped
         k = float(loss.decision(0.6))
         ts = np.linspace(0, 1, 501)
-        assert np.all(loss.ploss(0.6, k) <= loss.ploss(0.6, ts) + 1e-12)
+        assert np.all(loss.loss(0.6, k) <= loss.loss(0.6, ts) + 1e-12)
 
     def test_squared_loss_column(self):
         sq = squared_loss()

@@ -133,7 +133,7 @@ class TestWeakLearner:
             if abs(exact_best - sigma) < sigma:  # only decide well-separated cases
                 continue
             sampler = DistributionSampler(dist, seed=seed)
-            fresh = ExpectationEngine.empirical(sampler.draw(20000))
+            fresh = sampler.draw(20000)
             access = exact_residual_access(fresh, pred.values(fresh.X))
             got = wl.query(access)
             assert (got is not None) == (exact_best >= sigma)
