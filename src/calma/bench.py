@@ -19,9 +19,11 @@ Newton steps for the logistic loss, an exact active-set Newton method for the
 exponential loss (whose kinks at zero residuals it pins and releases by their
 multipliers), and an exact linear program for the absolute loss (least
 absolute deviations through its dual, solved by HiGHS).  The exact fits report
-the subgradient norm their multipliers certify.  The practical trainer returns
-the predictor whose held-out calibration error it checked, discretized to
-bucket midpoints.
+the subgradient norm their multipliers certify.  The practical trainer
+alternates a least-squares update with a recalibration on the held-out split
+(``calma.calibration``'s isotonic fit or bucket means) and returns the
+predictor whose held-out calibration error it checked, discretized to bucket
+midpoints.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .calibration import bucket_means, discretize, ece, isotonic_fit
-from .core import AddLinearStage, BucketStage, ConstStage, Dataset, ExpectationEngine, PipelinePredictor, clip01
+from .calibration import discretize, ece, isotonic_fit, recalibrate_with_engine
+from .core import AddLinearStage, ConstantPredictor, Dataset, ExpectationEngine, PipelinePredictor, clip01
 from .losses import exp_loss, lp_loss, sigmoid_glm, squared_loss, truncated_decision
 from .multiaccuracy import NonConvergenceError
 
@@ -175,10 +177,11 @@ class LinearBaseline:
         return np.atleast_2d(np.asarray(X, dtype=np.float64)) @ self.w + self.b
 
 
-def _fit_l2(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+def _fit_l2(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Least squares, and the gradient norm ``‖X1ᵀ(X1 beta - y)‖ / n`` that rounding leaves."""
     X1 = np.column_stack([X, np.ones(len(X))])
-    coef, *_ = np.linalg.lstsq(X1, y, rcond=None)
-    return coef[:-1], float(coef[-1])
+    beta, *_ = np.linalg.lstsq(X1, y, rcond=None)
+    return beta, float(np.linalg.norm(X1.T @ (X1 @ beta - y))) / len(y), True
 
 
 def _fit_logistic(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
@@ -361,19 +364,17 @@ def fit_linear_baseline(loss_name: str, data: Dataset) -> LinearBaseline:
     Squared error uses least squares, the log column logistic regression
     (Newton), the exponential column an exact active-set Newton method, and
     the absolute error an exact solve of its linear-program dual (HiGHS).
-    The exp fit's multipliers on its zero residuals, and the l1 fit's dual
-    point, certify the reported subgradient norm; the log and exp fits have
-    converged when their (sub)gradient norm is at most 1e-9 within their step
-    caps.  A solve that returns no solution raises ``NonConvergenceError``.
+    Every fit reports the norm of its (sub)gradient at the returned
+    coefficients: the least-squares residual's correlation with the features,
+    the exp fit's multipliers on its zero residuals, and the l1 fit's dual
+    point certify theirs.  The log and exp fits have converged when that norm
+    is at most 1e-9 within their step caps.  A solve that returns no solution
+    raises ``NonConvergenceError``.
     """
-    X, y = data.X, data.y
-    if loss_name == "l2":
-        w, b = _fit_l2(X, y)
-        return LinearBaseline(loss_name, w, b, 0.0, True)
-    fit = {"log": _fit_logistic, "exp": _fit_exp, "l1": _fit_l1}.get(loss_name)
+    fit = {"l2": _fit_l2, "log": _fit_logistic, "exp": _fit_exp, "l1": _fit_l1}.get(loss_name)
     if fit is None:
         raise ValueError(f"unknown baseline loss {loss_name!r}")
-    beta, gnorm, converged = fit(X, y)
+    beta, gnorm, converged = fit(data.X, data.y)
     return LinearBaseline(loss_name, beta[:-1], float(beta[-1]), gnorm, converged)
 
 
@@ -382,13 +383,12 @@ def fit_linear_baseline(loss_name: str, data: Dataset) -> LinearBaseline:
 # ---------------------------------------------------------------------------
 
 
+_MAX_ROUNDS = 10  # rounds after which the trainer returns its last recalibrated predictor
+_BUCKET_DELTA = 0.05  # half-width of the discretization and bucket-recalibration buckets
+
+
 def train_calma_bench(
-    train: Dataset,
-    cal: Dataset,
-    alpha: float = 0.1,
-    recal_backend: str = "isotonic",
-    max_rounds: int = 10,
-    bucket_delta: float = 0.05,
+    train: Dataset, cal: Dataset, alpha: float = 0.1, recal_backend: str = "isotonic"
 ) -> tuple[PipelinePredictor, int]:
     """Alternate least-squares residual regression with recalibration.
 
@@ -399,31 +399,28 @@ def train_calma_bench(
     calibration error at most 3 alpha / 4 on the held-out split, that
     discretized predictor is returned: the one whose error was estimated.
     Otherwise the predictor is recalibrated there (isotonic step function or
-    bucket means) and the loop continues; after ``max_rounds`` rounds the last
-    recalibrated predictor is returned.
+    bucket means) and the loop continues; after ``_MAX_ROUNDS`` rounds the
+    last recalibrated predictor is returned.
     """
     if recal_backend not in ("isotonic", "bucket"):
         raise ValueError("recal_backend must be 'isotonic' or 'bucket'")
-    pred = PipelinePredictor([ConstStage(0.5)])
+    pred = PipelinePredictor.of(ConstantPredictor(0.5))
     cal_engine = ExpectationEngine.empirical(cal)
     rounds = 0
-    recals = 0
-    for _ in range(max_rounds):
-        resid = train.y - pred.values(train.X)
-        w, b = _fit_l2(train.X, resid)
+    for recals in range(_MAX_ROUNDS):
+        beta, _, _ = _fit_l2(train.X, train.y - pred.values(train.X))
+        w, b = beta[:-1], float(beta[-1])
         update_rms = math.sqrt(float(np.mean((train.X @ w + b) ** 2)))
         if update_rms > 1e-6:
             pred = pred.extended(AddLinearStage(w, b))
             rounds += 1
-        disc = discretize(pred, bucket_delta)
+        disc = discretize(pred, _BUCKET_DELTA)
         if recals >= 1 and ece(disc, cal_engine) <= 0.75 * alpha:
             return disc, rounds
-        pv_cal = pred.values(cal.X)
         if recal_backend == "isotonic":
-            pred = pred.extended(isotonic_fit(pv_cal, cal.y))
+            pred = pred.extended(isotonic_fit(pred.values(cal.X), cal.y))
         else:
-            pred = pred.extended(BucketStage(bucket_delta, bucket_means(pv_cal, cal.y, np.ones(cal.n), bucket_delta)))
-        recals += 1
+            pred = recalibrate_with_engine(pred, _BUCKET_DELTA, cal_engine)
     return pred, rounds
 
 

@@ -173,36 +173,16 @@ def recal_samples_needed(delta: float) -> int:
 def isotonic_fit(scores, labels) -> IsotonicStage:
     """Least-squares monotone fit of labels ordered by score, clipped to [0, 1].
 
-    Equal scores are pooled first; violating adjacent blocks are then merged
-    until the block means are nondecreasing.
+    Equal scores are pooled into their label mean first; scipy's
+    pool-adjacent-violators then fits those means, weighted by their counts.
     """
+    from scipy.optimize import isotonic_regression  # imported on demand to keep `import calma` light
+
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels, dtype=np.float64).ravel()
     if len(scores) == 0 or len(scores) != len(labels):
         raise ValueError("scores and labels must be nonempty and equally long")
-    order = np.argsort(scores, kind="stable")
-    xs, inv = np.unique(scores[order], return_inverse=True)
-    w = np.bincount(inv).astype(np.float64)
-    ysum = np.bincount(inv, weights=labels[order])
-    means = ysum / w
-
-    # pool adjacent violators over (mean, weight) blocks
-    blk_mean: list[float] = []
-    blk_w: list[float] = []
-    blk_end: list[int] = []  # inclusive index of the last score in the block
-    for i, (m, ww) in enumerate(zip(means.tolist(), w.tolist())):
-        blk_mean.append(m)
-        blk_w.append(ww)
-        blk_end.append(i)
-        while len(blk_mean) > 1 and blk_mean[-2] >= blk_mean[-1]:
-            m1, w1, e1 = blk_mean.pop(), blk_w.pop(), blk_end.pop()
-            blk_mean[-1] = (blk_mean[-1] * blk_w[-1] + m1 * w1) / (blk_w[-1] + w1)
-            blk_w[-1] += w1
-            blk_end[-1] = e1
-
-    fitted = np.empty(len(xs))
-    start = 0
-    for m, e in zip(blk_mean, blk_end):
-        fitted[start : e + 1] = m
-        start = e + 1
+    xs, inv = np.unique(scores, return_inverse=True)
+    counts = np.bincount(inv).astype(np.float64)
+    fitted = isotonic_regression(np.bincount(inv, weights=labels) / counts, weights=counts).x
     return IsotonicStage(xs, np.clip(fitted, 0.0, 1.0))

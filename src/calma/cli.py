@@ -53,23 +53,26 @@ def _build_class(spec: str, X: np.ndarray) -> tuple[HypothesisClass, dict]:
     by its max absolute value so members are bounded by 1."""
     if spec == "coords":
         scales = [max(float(np.max(np.abs(X[:, j]))), 1e-12) for j in range(X.shape[1])]
-        return coordinate_class(X.shape[1], scales), {"kind": "coords", "scales": scales}
-    if spec.startswith("coords:"):
+    elif spec.startswith("coords:"):
         try:
             scales = [float(v) for v in spec.split(":", 1)[1].split(",")]
         except ValueError:
             scales = []
-        if not (len(scales) == X.shape[1] and all(math.isfinite(s) and s > 0 for s in scales)):
-            raise click.UsageError(f"class spec {spec!r} needs {X.shape[1]} scales, one per data column, "
-                                   "each finite and positive")
-        return coordinate_class(len(scales), scales), {"kind": "coords", "scales": scales}
-    raise click.UsageError(f"unknown class spec {spec!r}; use 'coords' or 'coords:s0,s1,...'")
+    else:
+        raise click.UsageError(f"unknown class spec {spec!r}; use 'coords' or 'coords:s0,s1,...'")
+    class_dict = {"kind": "coords", "scales": scales}
+    return _class_from_dict(class_dict, X.shape[1], f"class spec {spec!r}"), class_dict
 
 
-def _class_from_dict(d: dict) -> HypothesisClass:
-    if d["kind"] == "coords":
-        return coordinate_class(len(d["scales"]), d["scales"])
-    raise click.UsageError(f"unknown class kind {d['kind']!r} in model file")
+def _class_from_dict(d: dict, n_columns: int, source: str = "the model file's class") -> HypothesisClass:
+    """The class a spec or model file describes, checked against data with ``n_columns`` columns."""
+    if d["kind"] != "coords":
+        raise click.UsageError(f"unknown class kind {d['kind']!r} in model file")
+    scales = d["scales"]
+    if not (len(scales) == n_columns
+            and all(isinstance(s, (int, float)) and math.isfinite(s) and s > 0 for s in scales)):
+        raise click.UsageError(f"{source} needs {n_columns} scales, one per data column, each finite and positive")
+    return coordinate_class(n_columns, scales)
 
 
 def _load_engine(path: str) -> ExpectationEngine:
@@ -140,11 +143,6 @@ def train(data_path, class_spec, alpha, seed, out_path, trace_path):
     )
 
 
-def _rebuild_predictor(model: dict) -> tuple:
-    hclass = _class_from_dict(model["class"])
-    return predictor_from_dict(model["predictor"], hclass), hclass
-
-
 @main.command()
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True))
@@ -156,8 +154,9 @@ def audit(model_path, data_path, losses, class_spec, out_path, clamp):
     """Run the indistinguishability audit of a trained model."""
     with open(model_path) as fh:
         model = json.load(fh)
-    pred, hclass = _rebuild_predictor(model)
     engine = _load_engine(data_path)
+    hclass = _class_from_dict(model["class"], engine.X.shape[1])
+    pred = predictor_from_dict(model["predictor"], hclass)
     if class_spec is not None:
         hclass, _ = _build_class(class_spec, engine.X)
     if clamp > 0:

@@ -54,7 +54,6 @@ __all__ = [
     "BucketRecalPredictor",
     "PipelinePredictor",
     "STAGES",
-    "ConstStage",
     "BaseStage",
     "AddHypStage",
     "AddLinearStage",
@@ -593,21 +592,6 @@ class _Stage:
 
 
 @dataclass(frozen=True)
-class ConstStage(_Stage):
-    """Start from the constant ``value``."""
-
-    value: float
-    op: ClassVar[str] = "const"
-
-    def __post_init__(self):
-        if not 0 <= self.value <= 1:
-            raise ValueError("const stage value must lie in [0, 1]")
-
-    def apply(self, X, p):
-        return np.full(len(X), float(self.value))
-
-
-@dataclass(frozen=True)
 class BaseStage(_Stage):
     """Start from a leaf predictor: constant, table, function or GLM."""
 
@@ -738,13 +722,12 @@ class IsotonicStage(_Stage):
         return cls(d["thresholds"], d["values"])
 
 
-STAGES = {s.op: s for s in (ConstStage, BaseStage, AddHypStage, AddLinearStage, BucketStage, IsotonicStage)}
-_START_STAGES = (ConstStage, BaseStage)
+STAGES = {s.op: s for s in (BaseStage, AddHypStage, AddLinearStage, BucketStage, IsotonicStage)}
 
 
 class PipelinePredictor(Predictor):
-    """A trained predictor as one flat stage list: a const or base stage, then
-    updates applied in order.  Trainers append stages; none holds a pipeline.
+    """A trained predictor as one flat stage list: a base stage, then updates
+    applied in order.  Trainers append stages; none holds a pipeline.
 
     One slot ``(X, k, values)`` holds the read-only output of the first ``k``
     stages on the rows ``X``.  ``values(X)`` starts from it when ``X`` is that
@@ -758,9 +741,9 @@ class PipelinePredictor(Predictor):
 
     def __init__(self, stages: Sequence):
         stages = tuple(stages)
-        if not (stages and isinstance(stages[0], _START_STAGES)
-                and all(isinstance(s, _Stage) and not isinstance(s, _START_STAGES) for s in stages[1:])):
-            raise ValueError("pipeline must be one 'const' or 'base' stage followed by update stages")
+        if not (stages and isinstance(stages[0], BaseStage)
+                and all(isinstance(s, _Stage) and not isinstance(s, BaseStage) for s in stages[1:])):
+            raise ValueError("pipeline must be one 'base' stage followed by update stages")
         self.stages = stages
         self._slot = None
 
@@ -812,7 +795,8 @@ class BucketRecalPredictor(PipelinePredictor):
 
 def predictor_from_dict(d: Mapping, hclass: HypothesisClass | None = None) -> Predictor:
     """Rebuild a serialized predictor; pipelines and GLM fits may reference class members.
-    Older nested models (``bucket_recal``, base stages holding pipelines) load flat."""
+    Older nested models (``bucket_recal``, base stages holding pipelines) load flat, and
+    an older ``const`` start stage loads as a base stage holding a constant predictor."""
     kind = d["kind"]
     if kind == "constant":
         return ConstantPredictor(float(d["value"]))
@@ -821,7 +805,9 @@ def predictor_from_dict(d: Mapping, hclass: HypothesisClass | None = None) -> Pr
     if kind == "pipeline":
         stages = []
         for s in d["stages"]:
-            if s["op"] == "base":
+            if s["op"] == "const":
+                stages.append(BaseStage(ConstantPredictor(float(s["value"]))))
+            elif s["op"] == "base":
                 stages += PipelinePredictor.of(predictor_from_dict(s["base"], hclass)).stages
             elif s["op"] in STAGES:
                 stages.append(STAGES[s["op"]].from_dict(s, hclass))

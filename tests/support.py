@@ -86,6 +86,24 @@ def bernoulli_dataset(rng: np.random.Generator, dist: FiniteDistribution, n: int
     return Dataset(dist.points[idx], y)
 
 
+def reference_isotonic(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference isotonic fit: equal scores pooled into their label mean, then a
+    pool-adjacent-violators loop over (mean, weight, scores) blocks.  Returns the
+    distinct scores and their fitted values clipped to [0, 1], which
+    ``calibration.isotonic_fit`` must match."""
+    xs, inv = np.unique(scores, return_inverse=True)
+    w = np.bincount(inv).astype(np.float64)
+    blocks: list[list] = []
+    for m, ww in zip((np.bincount(inv, weights=labels) / w).tolist(), w.tolist()):
+        blocks.append([m, ww, 1])
+        while len(blocks) > 1 and blocks[-2][0] >= blocks[-1][0]:
+            m1, w1, c1 = blocks.pop()
+            m0, w0, c0 = blocks[-1]
+            blocks[-1] = [(m0 * w0 + m1 * w1) / (w0 + w1), w0 + w1, c0 + c1]
+    fitted = np.repeat([b[0] for b in blocks], [b[2] for b in blocks])
+    return xs, np.clip(fitted, 0.0, 1.0)
+
+
 def reference_fit_l1(X: np.ndarray, y: np.ndarray, iters: int = 4000) -> tuple[np.ndarray, float]:
     """Reference l1 fit: subgradient descent with decaying steps from the
     least-squares start, keeping the best of ``iters`` iterates.  The exact
@@ -93,8 +111,7 @@ def reference_fit_l1(X: np.ndarray, y: np.ndarray, iters: int = 4000) -> tuple[n
     X1 = np.column_stack([X, np.ones(len(X))])
     n = len(y)
     scale = np.maximum(np.sqrt(np.mean(X1**2, axis=0)), 1e-9)
-    w0, b0 = _fit_l2(X, y)
-    beta = np.concatenate([w0, [b0]])
+    beta, _, _ = _fit_l2(X, y)
 
     def value(bv):
         return float(np.mean(np.abs(y - X1 @ bv)))
@@ -126,8 +143,7 @@ def reference_fit_exp(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
         return float(np.mean(e)), X1.T @ (-np.sign(r) * e) / n
 
     best = None
-    w0, b0 = _fit_l2(X, y)
-    for init in (np.concatenate([w0, [b0]]), np.zeros(X1.shape[1])):
+    for init in (_fit_l2(X, y)[0], np.zeros(X1.shape[1])):
         res = minimize(value_grad, init, jac=True, method="L-BFGS-B", options={"maxiter": 500, "ftol": 1e-14})
         if best is None or res.fun < best.fun:
             best = res

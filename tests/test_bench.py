@@ -59,9 +59,10 @@ class TestBaselines:
         X = rng.normal(size=(3000, 3))
         w_true = np.array([0.4, -0.2, 0.1])
         y = X @ w_true + 0.3  # noiseless linear scores
-        w, b = _fit_l2(X, y)
-        np.testing.assert_allclose(w, w_true, atol=1e-9)
-        assert b == pytest.approx(0.3, abs=1e-9)
+        beta, grad_norm, converged = _fit_l2(X, y)
+        np.testing.assert_allclose(beta[:-1], w_true, atol=1e-9)
+        assert beta[-1] == pytest.approx(0.3, abs=1e-9)
+        assert converged and grad_norm <= 1e-12
 
     def test_logistic_kkt(self):
         cfg = MixtureConfig(s=2, d=2, seed=5, n_test=10)
@@ -196,7 +197,7 @@ class TestTrainer:
         for i, stage in enumerate(body):
             if stage.op == "bucket":
                 pv_cal = PipelinePredictor(pred.stages[:i]).values(cal.X)
-                assert np.array_equal(stage.values, bucket_means(pv_cal, cal.y, np.ones(cal.n), stage.delta))
+                assert np.array_equal(stage.values, bucket_means(pv_cal, cal.y, np.full(cal.n, 1 / cal.n), stage.delta))
 
     def test_returns_the_predictor_it_certified(self):
         alpha = 0.1

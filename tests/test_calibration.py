@@ -31,7 +31,7 @@ from calma.core import (
 )
 from calma.multiaccuracy import mae
 
-from support import bernoulli_dataset, random_class, random_distribution, random_predictor
+from support import random_class, random_distribution, random_predictor, reference_isotonic
 
 
 def two_level_set_instance():
@@ -301,6 +301,18 @@ class TestIsotonic:
             cand = vals[np.searchsorted(cuts, scores)]
             assert err <= np.mean((cand - labels) ** 2) + 1e-12
 
+    def test_matches_the_pool_adjacent_violators_loop(self):
+        # scipy pools in another order than the loop: equal up to a few ulps
+        rng = np.random.default_rng(18)
+        for _ in range(300):
+            n = int(rng.integers(1, 200))
+            scores = np.round(rng.uniform(0, 1, n), int(rng.integers(1, 4)))  # repeated scores pool first
+            labels = (rng.random(n) < rng.uniform(0, 1, n)).astype(float)
+            fit = isotonic_fit(scores, labels)
+            xs, fitted = reference_isotonic(scores, labels)
+            assert np.array_equal(fit.thresholds, xs)
+            np.testing.assert_allclose(fit.fitted, fitted, rtol=0, atol=1e-14)
+
     def test_output_clipped(self):
         fit = isotonic_fit([0.0, 1.0], [0.0, 1.0])
         assert np.all(fit.values(np.linspace(0, 1, 11)) >= 0)
@@ -359,6 +371,5 @@ class TestSamplers:
     def test_distribution_sampler_mean(self):
         rng = np.random.default_rng(16)
         dist = random_distribution(rng, n_points=5)
-        data = bernoulli_dataset(np.random.default_rng(0), dist, 200_000)
-        engine = ExpectationEngine.exact(dist)
-        assert np.mean(data.y) == pytest.approx(engine.expect(dist.bayes), abs=0.01)
+        e = DistributionSampler(dist, seed=0).draw(200_000)
+        assert e.expect(e.ystar) == pytest.approx(ExpectationEngine.exact(dist).expect(dist.bayes), abs=0.01)

@@ -87,6 +87,18 @@ def test_malformed_coords_spec_is_a_usage_error(runner, tmp_path, three_columns,
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("scales", [[1.0, 1.0], [1.0, 1.0, 1.0, 1.0]])
+def test_model_class_must_match_the_data_columns(runner, tmp_path, three_columns, scales):
+    # too few scales audited the first columns alone; too many ended in an IndexError
+    data, model = three_columns
+    with open(model, "w") as fh:
+        json.dump({"class": {"kind": "coords", "scales": scales}, "predictor": {"kind": "constant", "value": 0.5}}, fh)
+    res = runner.invoke(main, ["audit", "--model", model, "--data", data, "--out", str(tmp_path / "r.json")])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    assert "the model file's class needs 3 scales, one per data column, each finite and positive" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_coords_spec_scales_are_stored(runner, tmp_path, three_columns):
     data, _ = three_columns
     model = str(tmp_path / "m.json")

@@ -423,9 +423,9 @@ class TestPredictors:
         rng = np.random.default_rng(20)
         dist = random_distribution(rng)
         cls = random_class(rng, dist, k=2)
-        from calma.core import AddHypStage, BucketStage, ConstStage, PipelinePredictor, predictor_from_dict
+        from calma.core import AddHypStage, BucketStage, PipelinePredictor, predictor_from_dict
 
-        pred = PipelinePredictor([ConstStage(0.5)])
+        pred = PipelinePredictor.of(ConstantPredictor(0.5))
         pred = pred.extended(AddHypStage(cls.member("h0"), 0.1))
         pred = pred.extended(BucketStage(0.1, (2 * np.arange(5) + 1.0) * 0.1))
         rebuilt = predictor_from_dict(pred.to_dict(), cls)
@@ -493,6 +493,21 @@ class TestPipelineStages:
         pipeline = PipelinePredictor.of(ConstantPredictor(0.5))
         assert PipelinePredictor.of(pipeline) is pipeline
         assert isinstance(pipeline.stages[0], BaseStage)
+
+    def test_const_start_from_older_files_loads_as_base(self):
+        # older versions started pipelines with a const stage; it loads as a base
+        # stage holding the constant, is written back in that form, and predicts
+        # what the const stage did: the constant, then the later stages
+        X = np.random.default_rng(32).normal(size=(50, 2))
+        updates = [{"op": "add_linear", "w": [0.2, -0.1], "b": 0.05},
+                   {"op": "bucket", "delta": 0.1, "buckets": [2], "values": [0.55]}]
+        pred = predictor_from_dict({"kind": "pipeline", "stages": [{"op": "const", "value": 0.4}] + updates})
+        start = {"op": "base", "base": {"kind": "constant", "value": 0.4}}
+        assert json.loads(json.dumps(pred.to_dict())) == {"kind": "pipeline", "stages": [start] + updates}
+        p = np.full(len(X), 0.4)
+        for stage in pred.stages[1:]:
+            p = stage.apply(X, p)
+        assert np.array_equal(pred.values(X), p)
 
     def test_extended_pipeline_applies_only_its_new_stage(self, monkeypatch):
         dist = random_distribution(np.random.default_rng(31), n_points=10)
