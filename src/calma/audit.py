@@ -26,9 +26,9 @@ from .core import (
     HypothesisClass,
     ConstantPredictor,
     Predictor,
+    coordinate_class,
     correlate,
     lin_combination,
-    make_class,
     value_matrix,
 )
 from .losses import GlmLoss, Loss, TruncatedDecision, bregman
@@ -184,7 +184,7 @@ def audit_family(
 # ---------------------------------------------------------------------------
 
 
-def _interp_loss(xs: np.ndarray, ys: np.ndarray, name: str, lipschitz: float | None) -> Loss:
+def _interp_loss(xs: np.ndarray, ys: np.ndarray, name: str) -> Loss:
     """loss(0, t) = 0 and loss(1, t) = interp(t; xs, ys) on knots spanning [-1, 1].
 
     loss(p, t) = p * interp(t) is piecewise linear in t, so for every p > 0
@@ -204,7 +204,6 @@ def _interp_loss(xs: np.ndarray, ys: np.ndarray, name: str, lipschitz: float | N
         at0=lambda t: np.zeros_like(np.asarray(t, dtype=np.float64)),
         at1=partial_fn,
         action_domain=(-1.0, 1.0),
-        lipschitz_bound=lipschitz,
         name=name,
         kfn=lambda p: np.where(p > 0, k_pos, 0.0),
     )
@@ -219,7 +218,7 @@ def random_bounded_loss(rng: np.random.Generator, max_knots: int = 10) -> Loss:
     k = int(rng.integers(2, max_knots + 1))
     xs = np.concatenate([[-1.0], np.sort(rng.uniform(-1, 1, size=k - 2)), [1.0]]) if k > 2 else np.array([-1.0, 1.0])
     ys = rng.uniform(-1, 1, size=len(xs))
-    return _interp_loss(xs, ys, "random_bounded", None)
+    return _interp_loss(xs, ys, "random_bounded")
 
 
 def random_lipschitz_loss(rng: np.random.Generator, knots: int = 21) -> Loss:
@@ -230,7 +229,7 @@ def random_lipschitz_loss(rng: np.random.Generator, knots: int = 21) -> Loss:
     ys[0] = rng.uniform(-1, 1)
     for i in range(1, knots):
         ys[i] = np.clip(ys[i - 1] + rng.uniform(-h, h), -1.0, 1.0)
-    return _interp_loss(xs, ys, "random_lipschitz", 1.0)
+    return _interp_loss(xs, ys, "random_lipschitz")
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +273,7 @@ def parity_distribution() -> tuple[FiniteDistribution, HypothesisClass]:
     pts = np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
     chi = np.prod(pts, axis=1)
     dist = FiniteDistribution(pts, np.full(8, 1 / 8), (1.0 + chi) / 2.0)
-    members = [
-        Hypothesis(lambda X, j=j: np.atleast_2d(X)[:, j], 1.0, f"x{j}") for j in range(3)
-    ]
-    return dist, make_class(members)
+    return dist, coordinate_class(3)
 
 
 def _l1_ball_grid(tags: Sequence[str], step: float = 0.2) -> list[dict]:
@@ -389,12 +385,19 @@ def sim_violation(p: np.ndarray) -> float:
     return max(float(np.sum(ece_terms)), cond)
 
 
-def _sim_lp(blocks: list[np.ndarray]) -> tuple[float, np.ndarray]:
+def _sim_lp(blocks: list[np.ndarray], resolution: int | None = None) -> tuple[float, np.ndarray]:
     """Minimize max(ECE, subcube bias) over monotone block values in [0, 1].
 
     ``blocks`` partitions the four points into consecutive groups that share
     one value, ordered by the single-index score.  The objective is piecewise
     linear and convex, so the exact minimum is a small linear program.
+
+    With a ``resolution`` each block value is ``k / (resolution - 1)`` for an
+    integer ``k``, and HiGHS solves the same program with integral ``k``.  The
+    minimum returned is the objective at ``np.linspace(0, 1, resolution)[k]``.
+    Every grid objective is a multiple of 1 / (8 (resolution - 1)), so below
+    100,000 grid points distinct values differ by more than HiGHS's absolute
+    gap of 1e-6 and this is the exact grid minimum.
     """
     from scipy.optimize import linprog  # imported on demand to keep `import calma` light
 
@@ -406,6 +409,9 @@ def _sim_lp(blocks: list[np.ndarray]) -> tuple[float, np.ndarray]:
 
     masses = np.array([np.mean(blk) for blk in blocks])  # mask mean = mass (uniform quarter points)
     ybar = np.array([float(np.mean(_SIM_BAYES[blk])) for blk in blocks])
+    masks = list(_SIM_SUBCUBES.values())
+    betas = np.array([[np.sum(blk & mask) / np.sum(mask) for blk in blocks] for mask in masks])
+    targets = np.array([float(np.mean(_SIM_BAYES[mask])) for mask in masks])
 
     def row():
         return np.zeros(n_var)
@@ -429,9 +435,7 @@ def _sim_lp(blocks: list[np.ndarray]) -> tuple[float, np.ndarray]:
     r[-1] = -1.0
     A.append(r)
     b.append(0.0)
-    for mask in _SIM_SUBCUBES.values():  # |E[y|c] - E[p|c]| <= t
-        beta = np.array([np.sum(blk & mask) / np.sum(mask) for blk in blocks])
-        target = float(np.mean(_SIM_BAYES[mask]))
+    for beta, target in zip(betas, targets):  # |E[y|c] - E[p|c]| <= t
         r = row()
         r[:nb] = beta
         r[-1] = -1.0
@@ -443,15 +447,24 @@ def _sim_lp(blocks: list[np.ndarray]) -> tuple[float, np.ndarray]:
         A.append(r)
         b.append(-target)
 
-    bounds = [(0.0, 1.0)] * nb + [(0.0, None)] * nb + [(0.0, None)]
-    res = linprog(c, A_ub=np.array(A), b_ub=np.array(b), bounds=bounds, method="highs")
+    A = np.array(A)
+    top, extra = 1.0, {}
+    if resolution is not None:  # w_i = k_i / top with integral k_i
+        top = resolution - 1.0
+        A[:, :nb] /= top
+        extra = {"integrality": [1] * nb + [0] * (nb + 1), "options": {"mip_rel_gap": 0.0}}
+    bounds = [(0.0, top)] * nb + [(0.0, None)] * nb + [(0.0, None)]
+    res = linprog(c, A_ub=A, b_ub=np.array(b), bounds=bounds, method="highs", **extra)
     if not res.success:
         raise RuntimeError(f"SIM search LP failed: {res.message}")
-    w = res.x[:nb]
+    w, val = res.x[:nb], float(res.fun)
+    if resolution is not None:
+        w = np.linspace(0.0, 1.0, resolution)[np.rint(w).astype(int)]
+        val = float(max(np.abs(ybar - w) @ masses, np.max(np.abs(targets - betas @ w))))
     p = np.empty(4)
     for blk, v in zip(blocks, w):
         p[blk] = v
-    return float(res.fun), p
+    return val, p
 
 
 def _score_signature(a: float, b: float) -> tuple[int, ...]:
@@ -478,68 +491,6 @@ def _bayes_unate() -> bool:
         if ok:
             return True
     return False
-
-
-def _monotone_tuples(values: np.ndarray, k: int) -> np.ndarray:
-    """Nondecreasing k-tuples of ``values`` (one per row), in the order of
-    ``itertools.combinations_with_replacement(values, k)``."""
-    m = len(values)
-    idx = np.arange(m)[:, None]
-    for _ in range(k - 1):
-        # row (..., last) is followed by its extensions last, last + 1, ..., m - 1
-        last = idx[:, -1]
-        reps = m - last
-        starts = np.repeat(np.cumsum(reps) - reps - last, reps)
-        idx = np.column_stack([np.repeat(idx, reps, axis=0), np.arange(reps.sum()) - starts])
-    return values[idx]
-
-
-def _gridded_block_min(blocks: list[np.ndarray], grid: np.ndarray, w_star: np.ndarray) -> float:
-    """Minimum violation over monotone block values restricted to the grid.
-
-    Exhaustive for up to three blocks; four blocks use a strided scan plus
-    dense refinement around the best strided point and the continuum optimum
-    (the objective is convex, so the lattice optimum sits near them).
-    """
-    nb = len(blocks)
-    masses = np.array([np.mean(blk) for blk in blocks])
-    ybar = np.array([float(np.mean(_SIM_BAYES[blk])) for blk in blocks])
-    betas, targets = [], []
-    for mask in _SIM_SUBCUBES.values():
-        betas.append(np.array([np.sum(blk & mask) / np.sum(mask) for blk in blocks]))
-        targets.append(float(np.mean(_SIM_BAYES[mask])))
-    B = np.array(betas)
-    r = np.array(targets)
-
-    def evaluate(W: np.ndarray, already_monotone: bool) -> tuple[float, np.ndarray | None]:
-        if not already_monotone and nb > 1:
-            W = W[np.all(np.diff(W, axis=1) >= 0, axis=1)]
-        if len(W) == 0:
-            return math.inf, None
-        ece_part = np.abs(ybar - W) @ masses
-        cond_part = np.max(np.abs(r[None, :] - W @ B.T), axis=1)
-        vals = np.maximum(ece_part, cond_part)
-        i = int(np.argmin(vals))
-        return float(vals[i]), W[i]
-
-    if nb <= 3:
-        return evaluate(_monotone_tuples(grid, nb), already_monotone=True)[0]
-
-    stride = max(1, len(grid) // 34)
-    best, best_w = evaluate(_monotone_tuples(grid[::stride], nb), already_monotone=True)
-
-    def window(center: float) -> np.ndarray:
-        i = int(np.argmin(np.abs(grid - center)))
-        return grid[max(0, i - 2 * stride) : i + 2 * stride + 1]
-
-    for anchor in (w_star, best_w):
-        if anchor is None:
-            continue
-        grids = np.meshgrid(*[window(v) for v in anchor], indexing="ij")
-        W = np.column_stack([g.ravel() for g in grids])
-        val, _ = evaluate(W, already_monotone=False)
-        best = min(best, val)
-    return best
 
 
 @dataclass(frozen=True)
@@ -569,9 +520,9 @@ def sim_counterexample(grid_resolution: int = 100) -> SimReport:
 
     ``min_violation`` is the exact per-order optimum (the true infimum over
     all single-index models, which this construction makes exactly 1/20);
-    ``min_violation_value_grid`` restricts the monotone map's output values
-    to a grid of ``grid_resolution`` points, the literal granularity-limited
-    search.
+    ``min_violation_value_grid`` is the exact optimum with the monotone map's
+    output values restricted to ``np.linspace(0, 1, grid_resolution)``, from
+    the same program over integer grid indices.
     """
     if grid_resolution < 50:
         raise ValueError("grid_resolution must be at least 50")
@@ -600,7 +551,6 @@ def sim_counterexample(grid_resolution: int = 100) -> SimReport:
         for bcoef in axis:
             seen.add(_score_signature(float(a), float(bcoef)))
 
-    value_grid = np.linspace(0.0, 1.0, grid_resolution)
     best = math.inf
     best_grid = math.inf
     best_p = None
@@ -621,8 +571,7 @@ def sim_counterexample(grid_resolution: int = 100) -> SimReport:
             val, p = _sim_lp(blocks)
             if val < best:
                 best, best_p = val, p
-            w_star = np.array([p[blk][0] for blk in blocks])
-            best_grid = min(best_grid, _gridded_block_min(blocks, value_grid, w_star))
+            best_grid = min(best_grid, _sim_lp(blocks, grid_resolution)[0])
 
     const_val, _ = _sim_lp([np.array([True] * 4)])
     return SimReport(

@@ -313,8 +313,6 @@ def constant_one() -> Hypothesis:
 @dataclass(frozen=True)
 class HypothesisClass:
     members: tuple
-    contains_one: bool
-    negation_closed: bool
 
     def __iter__(self):
         return iter(self.members)
@@ -358,7 +356,7 @@ def make_class(
     if close_negation:
         for m in list(out):
             add(m.neg())
-    return HypothesisClass(tuple(out), contains_one=ensure_one, negation_closed=close_negation)
+    return HypothesisClass(tuple(out))
 
 
 def coordinate_class(dim: int, scales: Sequence[float] | None = None) -> HypothesisClass:

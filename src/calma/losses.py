@@ -63,7 +63,6 @@ class Loss:
     at1: Callable[[np.ndarray], np.ndarray]
     kfn: Callable[[np.ndarray], np.ndarray]
     action_domain: tuple[float, float] = (-1.0, 1.0)
-    lipschitz_bound: float | None = None
     name: str = "loss"
 
     def __post_init__(self):
@@ -133,7 +132,7 @@ def lp_loss(p: float) -> Loss:
             b = (1.0 - q) ** ex
             return a / (a + b)
 
-    return Loss(at0, at1, action_domain=(0.0, 1.0), lipschitz_bound=1.0, name=f"l{p:g}", kfn=kfn)
+    return Loss(at0, at1, action_domain=(0.0, 1.0), name=f"l{p:g}", kfn=kfn)
 
 
 def squared_loss() -> Loss:
@@ -142,7 +141,6 @@ def squared_loss() -> Loss:
         at0=lambda t: np.asarray(t) ** 2,
         at1=lambda t: (1.0 - np.asarray(t)) ** 2,
         action_domain=(0.0, 1.0),
-        lipschitz_bound=2.0,
         name="sq",
         kfn=lambda q: np.asarray(q, dtype=np.float64),
     )
@@ -189,7 +187,6 @@ class GlmLoss(Loss):
     dual_f: Callable[[np.ndarray], np.ndarray] = None
     dual_fprime: Callable[[np.ndarray], np.ndarray] = None
     im_gprime: tuple[float, float] = (0.0, 1.0)
-    working_interval: tuple[float, float] = (-40.0, 40.0)
     transfer_name: str = "glm"
 
     def partial(self, t):
@@ -197,12 +194,11 @@ class GlmLoss(Loss):
         return -np.asarray(t, dtype=np.float64)
 
 
-def _glm_from_parts(name, gprime, g, dual_f, dual_fprime, inverse, im, work, domain, lip=None):
+def _glm_from_parts(name, gprime, g, dual_f, dual_fprime, inverse, im, domain):
     return GlmLoss(
         at0=lambda t: g(np.asarray(t, dtype=np.float64)),
         at1=lambda t: g(np.asarray(t, dtype=np.float64)) - np.asarray(t, dtype=np.float64),
         action_domain=domain,
-        lipschitz_bound=lip,
         name=f"glm:{name}",
         kfn=inverse,
         gprime=gprime,
@@ -210,7 +206,6 @@ def _glm_from_parts(name, gprime, g, dual_f, dual_fprime, inverse, im, work, dom
         dual_f=dual_f,
         dual_fprime=dual_fprime,
         im_gprime=im,
-        working_interval=work,
         transfer_name=name,
     )
 
@@ -225,9 +220,7 @@ def identity_glm() -> GlmLoss:
         dual_fprime=ident,
         inverse=ident,
         im=(-np.inf, np.inf),
-        work=(-40.0, 40.0),
         domain=(-1.0, 1.0),
-        lip=2.0,
     )
 
 
@@ -265,7 +258,6 @@ def sigmoid_glm() -> GlmLoss:
         dual_fprime=dual_fprime,
         inverse=inverse,
         im=(0.0, 1.0),
-        work=(-40.0, 40.0),
         domain=(-20.0, 20.0),
     )
 
@@ -294,9 +286,7 @@ def crelu_glm() -> GlmLoss:
         dual_fprime=ident,
         inverse=inverse,
         im=(0.0, 1.0),
-        work=(-40.0, 40.0),
         domain=(-2.0, 2.0),
-        lip=2.0,
     )
 
 
@@ -368,7 +358,6 @@ def glm_from_transfer(
         dual_fprime=inverse,
         inverse=inverse,
         im=im,
-        work=working_interval,
         domain=working_interval,
     )
 
@@ -395,11 +384,11 @@ def bregman(glm: GlmLoss, vstar, v):
 
 @dataclass(frozen=True)
 class TruncatedDecision:
-    """Bounded decision rule within ``suboptimality`` of the optimum everywhere."""
+    """The inverse transfer clamped to [-bound, bound]; ``certified`` is its
+    largest suboptimality on the probability grid, at most the requested delta."""
 
     kfn: Callable[[np.ndarray], np.ndarray]
     bound: float
-    suboptimality: float
     certified: float  # max grid suboptimality actually measured
 
     def __call__(self, p):
@@ -433,7 +422,7 @@ def truncated_decision(glm: GlmLoss, delta: float, max_bound: float = 2.0**30) -
         kfn = make_kfn(D)
         sub = float(np.max(glm.loss(pgrid, kfn(pgrid)) + fvals))
         if sub <= delta:
-            return TruncatedDecision(kfn, D, delta, sub)
+            return TruncatedDecision(kfn, D, sub)
         D *= 2.0
         if D > max_bound:
             raise UnboundedBelowError(f"no bound up to {max_bound:g} meets suboptimality {delta:g}")

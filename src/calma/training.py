@@ -76,7 +76,7 @@ class CalmaTrace:
     mu: float
     rounds: tuple[CalmaRound, ...]
     final_ece: float
-    final_mae: float | None
+    final_mae: float
 
     @property
     def outer_iterations(self) -> int:
@@ -158,6 +158,6 @@ def calma(
         raise IterationCapError(f"calma exceeded {cap} outer iterations at alpha={alpha:g}")
 
     final_ece = ece(result, engine)
-    final_mae = mae(result, wl.hclass, engine) if hasattr(wl, "hclass") else None
+    final_mae = mae(result, wl.hclass, engine)
     trace = CalmaTrace(alpha, delta, mu, tuple(rounds), final_ece, final_mae)
     return result, trace

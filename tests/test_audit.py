@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from calma.audit import (
-    _monotone_tuples,
+    _sim_lp,
     audit_family,
     decision_oi_gap,
     hypothesis_oi_gap,
@@ -351,14 +351,6 @@ class TestParityConstruction:
 
 
 class TestSimConstruction:
-    @pytest.mark.parametrize("m,k", [(1, 1), (1, 3), (2, 2), (5, 1), (7, 3), (12, 4)])
-    def test_monotone_tuples_match_itertools_order(self, m, k):
-        values = np.linspace(0.0, 1.0, m)
-        expected = np.array(list(itertools.combinations_with_replacement(values, k))).reshape(-1, k)
-        got = _monotone_tuples(values, k)
-        assert got.shape == expected.shape
-        assert np.array_equal(got, expected)
-
     def test_constant_sim_violation(self):
         assert sim_violation(np.full(4, 3 / 8)) == pytest.approx(1 / 8, abs=1e-12)
 
@@ -375,6 +367,27 @@ class TestSimConstruction:
         assert r.min_violation_value_grid > 0.05
         # the reported minimizer is a genuine predictor with that violation
         assert sim_violation(np.array(r.best_predictor)) == pytest.approx(r.min_violation, abs=1e-9)
+
+    def test_gridded_lp_is_the_exhaustive_grid_minimum(self):
+        # 21 grid points hold the continuum optimum (0.2, 0.2, 0.9, 0.2)
+        grid = np.linspace(0.0, 1.0, 21)
+        bayes = np.array([0.0, 0.5, 1.0, 0.0])
+        subcubes = [np.array(m, dtype=bool) for m in ([1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1])]
+        partitions = [
+            lab for lab in itertools.product(range(4), repeat=4) if set(lab) == set(range(max(lab) + 1))
+        ]
+        assert len(partitions) == 75  # every ordered partition of the four points into blocks
+        for labels in partitions:
+            labels = np.array(labels)
+            nb = labels.max() + 1
+            blocks = [labels == i for i in range(nb)]
+            W = np.array(list(itertools.combinations_with_replacement(grid, nb)))
+            P = W[:, labels]  # each row a nondecreasing block assignment, spread to the points
+            ece = sum(np.mean(blk) * np.abs(np.mean(bayes[blk]) - W[:, i]) for i, blk in enumerate(blocks))
+            bias = np.max([np.abs(np.mean(bayes[m]) - np.mean(P[:, m], axis=1)) for m in subcubes], axis=0)
+            val, p = _sim_lp(blocks, 21)
+            assert val == pytest.approx(float(np.min(np.maximum(ece, bias))), abs=1e-12), labels
+            assert np.all(np.isin(p, grid)), (labels, p)
 
     def test_resolution_validated(self):
         with pytest.raises(ValueError):

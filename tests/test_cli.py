@@ -231,6 +231,18 @@ def test_counterexample_parity_exit_code(runner):
     assert payload["l4_hypothesis_gap"] == pytest.approx(4 / 9, abs=1e-12)
 
 
+def test_counterexample_sim_passes_at_the_exact_optimum(runner, monkeypatch):
+    from calma import cli
+    from calma.audit import SimReport
+
+    # both violations exactly 1/20, the optimum the construction is built to have
+    report = SimReport(0.05, 0.05, (0.2, 0.2, 0.9, 0.2), 12, 0.125, 0.0, 0.0, False)
+    monkeypatch.setattr(cli, "sim_counterexample", lambda resolution: report)
+    res = runner.invoke(main, ["counterexamples", "--which", "sim"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["min_violation_value_grid"] == 0.05
+
+
 def test_threshold_violation_exits_4(runner):
     # 2 stays click's usage error, as in test_malformed_coords_spec_is_a_usage_error
     res = runner.invoke(main, ["bench", "--seeds", "1", "--tolerance", "-1"])

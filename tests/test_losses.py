@@ -112,7 +112,7 @@ class TestVectorizedDecision:
 
 
 def _knot_loss(xs, ys) -> Loss:
-    return _interp_loss(np.array(xs, dtype=float), np.array(ys, dtype=float), "knots", None)
+    return _interp_loss(np.array(xs, dtype=float), np.array(ys, dtype=float), "knots")
 
 
 def _random_knots(rng):
