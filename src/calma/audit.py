@@ -51,6 +51,10 @@ __all__ = [
     "parity_distribution",
 ]
 
+_MAX_KNOTS = 10  # most knots of a random_bounded_loss derivative
+_LIPSCHITZ_KNOTS = 21  # knots of a random_lipschitz_loss derivative
+_L1_GRID_STEP = 0.2  # weight step of the parity construction's l1-ball grid
+
 
 def hypothesis_oi_gap(pred: Predictor, loss: Loss, hyp: Hypothesis, engine: ExpectationEngine) -> float:
     """Expected loss of the hypothesis under simulated labels minus Nature's."""
@@ -209,25 +213,25 @@ def _interp_loss(xs: np.ndarray, ys: np.ndarray, name: str) -> Loss:
     )
 
 
-def random_bounded_loss(rng: np.random.Generator, max_knots: int = 10) -> Loss:
+def random_bounded_loss(rng: np.random.Generator) -> Loss:
     """Loss with a random piecewise-linear discrete derivative in [-1, 1].
 
     Realized as loss(0, t) = 0, loss(1, t) = the derivative itself, which
     spans the full family of behaviors the audits quantify over.
     """
-    k = int(rng.integers(2, max_knots + 1))
+    k = int(rng.integers(2, _MAX_KNOTS + 1))
     xs = np.concatenate([[-1.0], np.sort(rng.uniform(-1, 1, size=k - 2)), [1.0]]) if k > 2 else np.array([-1.0, 1.0])
     ys = rng.uniform(-1, 1, size=len(xs))
     return _interp_loss(xs, ys, "random_bounded")
 
 
-def random_lipschitz_loss(rng: np.random.Generator, knots: int = 21) -> Loss:
+def random_lipschitz_loss(rng: np.random.Generator) -> Loss:
     """Like random_bounded_loss but with a 1-Lipschitz derivative."""
-    xs = np.linspace(-1.0, 1.0, knots)
+    xs = np.linspace(-1.0, 1.0, _LIPSCHITZ_KNOTS)
     h = xs[1] - xs[0]
-    ys = np.empty(knots)
+    ys = np.empty(_LIPSCHITZ_KNOTS)
     ys[0] = rng.uniform(-1, 1)
-    for i in range(1, knots):
+    for i in range(1, _LIPSCHITZ_KNOTS):
         ys[i] = np.clip(ys[i - 1] + rng.uniform(-h, h), -1.0, 1.0)
     return _interp_loss(xs, ys, "random_lipschitz")
 
@@ -276,9 +280,9 @@ def parity_distribution() -> tuple[FiniteDistribution, HypothesisClass]:
     return dist, coordinate_class(3)
 
 
-def _l1_ball_grid(tags: Sequence[str], step: float = 0.2) -> list[dict]:
+def _l1_ball_grid(tags: Sequence[str]) -> list[dict]:
     """Weight vectors over the coordinate tags with sum |w| <= 1."""
-    vals = np.round(np.arange(-1.0, 1.0 + 1e-9, step), 12)
+    vals = np.round(np.arange(-1.0, 1.0 + 1e-9, _L1_GRID_STEP), 12)
     out = []
     for combo in itertools.product(vals, repeat=len(tags)):
         if sum(abs(v) for v in combo) <= 1.0 + 1e-12:

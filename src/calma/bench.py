@@ -116,7 +116,7 @@ def gen_gaussian_mixture(cfg: MixtureConfig) -> tuple[Dataset, Dataset, Dataset]
         y[: n // 2] = 1.0
         rng.shuffle(y)
         X = centers[k] + rng.standard_normal((n, cfg.d)) + np.outer(y, cfg.shift)
-        return Dataset(X, y, seed=cfg.seed)
+        return Dataset(X, y)
 
     return split(cfg.n_train), split(cfg.n_cal), split(cfg.n_test)
 

@@ -87,11 +87,11 @@ def main():
 
 
 @main.command()
-@click.option("--s", default=2, show_default=True, help="clusters per class")
-@click.option("--d", default=2, show_default=True, help="dimension")
-@click.option("--n-train", default=3000, show_default=True)
-@click.option("--n-cal", default=1000, show_default=True)
-@click.option("--n-test", default=10000, show_default=True)
+@click.option("--s", default=2, type=click.IntRange(min=1), show_default=True, help="clusters per class")
+@click.option("--d", default=2, type=click.IntRange(min=2), show_default=True, help="dimension")
+@click.option("--n-train", default=3000, type=click.IntRange(min=1), show_default=True)
+@click.option("--n-cal", default=1000, type=click.IntRange(min=1), show_default=True)
+@click.option("--n-test", default=10000, type=click.IntRange(min=1), show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out-dir", default=".", show_default=True)
 def gen(s, d, n_train, n_cal, n_test, seed, out_dir):
@@ -111,7 +111,7 @@ def gen(s, d, n_train, n_cal, n_test, seed, out_dir):
 @main.command()
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True))
 @click.option("--class", "class_spec", default="coords", show_default=True)
-@click.option("--alpha", default=0.1, show_default=True)
+@click.option("--alpha", default=0.1, type=click.FloatRange(0, 1, min_open=True), show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", "out_path", default="model.json", show_default=True)
 @click.option("--trace", "trace_path", default="trace.json", show_default=True, help="training trace file")
@@ -149,7 +149,8 @@ def train(data_path, class_spec, alpha, seed, out_path, trace_path):
 @click.option("--losses", default="l1,l2,l4", show_default=True)
 @click.option("--class", "class_spec", default=None, help="audit class override; defaults to the model's")
 @click.option("--out", "out_path", default="report.json", show_default=True)
-@click.option("--clamp", default=1e-9, show_default=True, help="keep glm decisions finite")
+@click.option("--clamp", default=1e-9, type=click.FloatRange(0, 0.5, max_open=True), show_default=True,
+              help="keep glm decisions finite")
 def audit(model_path, data_path, losses, class_spec, out_path, clamp):
     """Run the indistinguishability audit of a trained model."""
     with open(model_path) as fh:
@@ -202,10 +203,10 @@ def baseline(loss_name, data_path, test_path):
 
 
 @main.command()
-@click.option("--s", default=2, show_default=True)
-@click.option("--d", default=2, show_default=True)
+@click.option("--s", default=2, type=click.IntRange(min=1), show_default=True)
+@click.option("--d", default=2, type=click.IntRange(min=2), show_default=True)
 @click.option("--alpha", default=0.1, show_default=True)
-@click.option("--seeds", default=5, show_default=True, help="number of seeds (0..n-1)")
+@click.option("--seeds", default=5, type=click.IntRange(min=1), show_default=True, help="number of seeds (0..n-1)")
 @click.option("--recal", default="isotonic", type=click.Choice(["isotonic", "bucket"]), show_default=True)
 @click.option("--tolerance", default=0.05, show_default=True)
 @click.option("--out", "out_path", default=None, help="table file: .json, .csv or .md")
@@ -252,7 +253,7 @@ def bench(s, d, alpha, seeds, recal, tolerance, out_path):
 
 @main.command()
 @click.option("--which", required=True, type=click.Choice(["parity", "sim"]))
-@click.option("--resolution", default=100, show_default=True, help="sim grid resolution")
+@click.option("--resolution", default=100, type=click.IntRange(min=50), show_default=True, help="sim grid resolution")
 def counterexamples(which, resolution):
     """Run an exact counterexample construction and check its thresholds."""
     if which == "parity":

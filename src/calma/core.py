@@ -31,6 +31,8 @@ from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .losses import GlmLoss, get_loss
+
 __all__ = [
     "BudgetExceededError",
     "NonFiniteRangeError",
@@ -51,6 +53,7 @@ __all__ = [
     "ConstantPredictor",
     "FunctionPredictor",
     "TablePredictor",
+    "GlmLinearPredictor",
     "BucketRecalPredictor",
     "PipelinePredictor",
     "STAGES",
@@ -174,11 +177,10 @@ class FiniteDistribution:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Labeled sample with binary labels; ``seed`` records provenance."""
+    """Labeled sample with binary labels."""
 
     X: np.ndarray
     y: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=np.float64))
@@ -300,10 +302,14 @@ class Hypothesis:
         out = np.asarray(self.fn(np.atleast_2d(np.asarray(X, dtype=np.float64))), dtype=np.float64)
         return out.ravel()
 
-    def neg(self) -> "Hypothesis":
-        tag = self.tag[1:] if self.tag.startswith("-") else "-" + self.tag
+    def map(self, f: Callable[[np.ndarray], np.ndarray], range_bound: float, tag: str) -> "Hypothesis":
+        """The member x -> f(h(x)), ``f`` elementwise with |f| <= ``range_bound`` on
+        this member's values.  Negations and derived-class members are maps."""
         fn = self.fn
-        return Hypothesis(lambda X: -np.asarray(fn(X), dtype=np.float64), self.range_bound, tag)
+        return Hypothesis(lambda X: f(np.asarray(fn(X), dtype=np.float64)), range_bound, tag)
+
+    def neg(self) -> "Hypothesis":
+        return self.map(np.negative, self.range_bound, self.tag[1:] if self.tag.startswith("-") else "-" + self.tag)
 
 
 def constant_one() -> Hypothesis:
@@ -387,6 +393,12 @@ def lin_combination(cls: HypothesisClass, weights: Mapping[str, float], budget: 
     return Hypothesis(fn, budget * cls.max_bound, tag)
 
 
+def _derived_class(cls: HypothesisClass, derive: Callable[[Hypothesis], Iterable[Hypothesis]]) -> HypothesisClass:
+    """``make_class`` over ``derive(m)`` for each member ``m`` of ``cls``, in order,
+    except negations: the closure adds the negations of what their base derives."""
+    return make_class(h for m in cls.members if not m.tag.startswith("-") for h in derive(m))
+
+
 def level_class(cls: HypothesisClass, points: np.ndarray, cap: int = 64) -> HypothesisClass:
     """Indicator basis for all bounded post-processings of each member.
 
@@ -395,25 +407,15 @@ def level_class(cls: HypothesisClass, points: np.ndarray, cap: int = 64) -> Hypo
     sum_v f(v) * 1{c(x) = v} over the observed values, so multiaccuracy over
     this basis controls the multiaccuracy error of every post-processing.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    members = []
-    for m in cls.members:
-        if m.tag.startswith("-"):
-            continue  # negations are re-added by closure below
+
+    def levels(m: Hypothesis) -> list[Hypothesis]:
         vals = np.unique(m.values(points))
         if len(vals) > cap:
-            raise NonFiniteRangeError(
-                f"{m.tag} takes {len(vals)} distinct values on the support (cap {cap})"
-            )
-        for v in vals:
-            members.append(
-                Hypothesis(
-                    lambda X, m=m, v=v: (np.abs(m.values(X) - v) <= 1e-12).astype(float),
-                    1.0,
-                    f"lev({m.tag}={v:.12g})",
-                )
-            )
-    return make_class(members)
+            raise NonFiniteRangeError(f"{m.tag} takes {len(vals)} distinct values on the support (cap {cap})")
+        return [m.map(lambda u, v=v: (np.abs(u - v) <= 1e-12).astype(float), 1.0, f"lev({m.tag}={v:.12g})")
+                for v in vals]
+
+    return _derived_class(cls, levels)
 
 
 def interval_class(cls: HypothesisClass, delta: float) -> HypothesisClass:
@@ -428,45 +430,25 @@ def interval_class(cls: HypothesisClass, delta: float) -> HypothesisClass:
         if m.range_bound > 1 + 1e-9:
             raise ValueError("interval_class requires members bounded in [-1, 1]")
     m_cells = int(math.ceil(2.0 / delta - 1e-9))
+    cells = [f"[{lo:.6g},{min(lo + delta, 1.0):.6g})" for lo in (-1.0 + j * delta for j in range(m_cells))]
 
     def cell_of(values: np.ndarray) -> np.ndarray:
         idx = np.floor((values + 1.0) / delta).astype(int)
         return np.clip(idx, 0, m_cells - 1)
 
-    members = []
-    for h in cls.members:
-        if h.tag.startswith("-"):
-            continue
-        for j in range(m_cells):
-            lo = -1.0 + j * delta
-            hi = min(lo + delta, 1.0)
-            members.append(
-                Hypothesis(
-                    lambda X, h=h, j=j: (cell_of(h.values(X)) == j).astype(float),
-                    1.0,
-                    f"int({h.tag},[{lo:.6g},{hi:.6g}))",
-                )
-            )
-    return make_class(members)
+    return _derived_class(cls, lambda h: [
+        h.map(lambda u, j=j: (cell_of(u) == j).astype(float), 1.0, f"int({h.tag},{cell})")
+        for j, cell in enumerate(cells)
+    ])
 
 
 def power_class(cls: HypothesisClass, d: int) -> HypothesisClass:
     """Coordinate powers c(x)^j for j = 1..d with range bounds B^j."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    members = []
-    for h in cls.members:
-        if h.tag.startswith("-"):
-            continue
-        for j in range(1, d + 1):
-            members.append(
-                Hypothesis(
-                    lambda X, h=h, j=j: h.values(X) ** j,
-                    h.range_bound**j,
-                    f"pow({h.tag},{j})",
-                )
-            )
-    return make_class(members)
+    return _derived_class(cls, lambda h: [
+        h.map(lambda u, j=j: u**j, h.range_bound**j, f"pow({h.tag},{j})") for j in range(1, d + 1)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +463,6 @@ class Predictor:
 
     def values(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        return self.values(X)
 
     def to_dict(self) -> dict:
         raise NotImplementedError(f"{self.kind} predictor is not serializable")
@@ -552,6 +531,25 @@ class TablePredictor(Predictor):
 
     def to_dict(self):
         return {"kind": self.kind, "points": self._points.tolist(), "values": self._values.tolist()}
+
+
+@dataclass(frozen=True)
+class GlmLinearPredictor(Predictor):
+    """The transfer ``glm.gprime`` of the score sum_tag weights[tag] * h_tag(x)
+    over members of ``hclass``, clipped into [0, 1]: the predictor
+    ``l1_glm_fit`` returns.  Serialized by transfer name and member weights."""
+
+    glm: GlmLoss
+    hclass: HypothesisClass
+    weights: dict
+    kind = "glm_linear"
+
+    def values(self, X):
+        score = lin_combination(self.hclass, self.weights, math.inf)  # a fit's weights carry no l1 budget
+        return clip01(np.asarray(self.glm.gprime(score.values(X)), dtype=np.float64))
+
+    def to_dict(self):
+        return {"kind": self.kind, "transfer": self.glm.transfer_name, "weights": dict(self.weights)}
 
 
 def bayes_predictor(dist: FiniteDistribution) -> TablePredictor:
@@ -817,8 +815,6 @@ def predictor_from_dict(d: Mapping, hclass: HypothesisClass | None = None) -> Pr
     if kind == "glm_linear":
         if hclass is None:
             raise ValueError("hypothesis class required to rebuild a glm_linear predictor")
-        from .losses import get_loss  # multiaccuracy imports core: import on demand
-        from .multiaccuracy import GlmLinearPredictor
         return GlmLinearPredictor(get_loss(f"glm:{d['transfer']}"), hclass, dict(d["weights"]))
     raise ValueError(f"cannot rebuild predictor kind {kind!r}")
 

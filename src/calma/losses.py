@@ -38,6 +38,10 @@ __all__ = [
     "REGISTRY_NAMES",
 ]
 
+_PARTIAL_SUP_POINTS = 513  # grid on which partial_sup samples the discrete derivative
+_TRANSFER_CHECK_POINTS = 512  # grid on which glm_from_transfer checks that the transfer is monotone
+
+
 class MonotonicityError(ValueError):
     """Transfer function decreases somewhere on the sampled grid."""
 
@@ -87,10 +91,10 @@ class Loss:
         return optimal_decision(self, p)
 
 
-def partial_sup(loss: Loss, grid_points: int = 513) -> float:
+def partial_sup(loss: Loss) -> float:
     """sup |discrete derivative| over the action domain (sampled grid)."""
     lo, hi = loss.action_domain
-    return float(np.max(np.abs(loss.partial(np.linspace(lo, hi, grid_points)))))
+    return float(np.max(np.abs(loss.partial(np.linspace(lo, hi, _PARTIAL_SUP_POINTS)))))
 
 
 def optimal_decision(loss: Loss, p):
@@ -294,7 +298,6 @@ def glm_from_transfer(
     gprime: Callable[[np.ndarray], np.ndarray],
     name: str = "custom",
     working_interval: tuple[float, float] = (-8.0, 8.0),
-    check_points: int = 512,
 ) -> GlmLoss:
     """Build the matching loss of an arbitrary monotone transfer.
 
@@ -305,7 +308,7 @@ def glm_from_transfer(
     from scipy.integrate import quad  # imported on demand to keep `import calma` light
 
     lo, hi = working_interval
-    grid = np.linspace(lo, hi, check_points)
+    grid = np.linspace(lo, hi, _TRANSFER_CHECK_POINTS)
     gv = np.asarray(gprime(grid), dtype=np.float64)
     if np.any(np.diff(gv) < -1e-12):
         raise MonotonicityError(f"transfer {name!r} decreases on the sampled grid")

@@ -20,11 +20,11 @@ from .core import (
     AddHypStage,
     Dataset,
     ExpectationEngine,
+    GlmLinearPredictor,
     Hypothesis,
     HypothesisClass,
     PipelinePredictor,
     Predictor,
-    clip01,
     correlate,
     value_matrix,
 )
@@ -40,10 +40,12 @@ __all__ = [
     "MAResult",
     "MAUpdate",
     "ma_algorithm",
-    "GlmLinearPredictor",
+    "GlmLinearPredictor",  # defined in core beside the other predictors; l1_glm_fit returns it
     "L1GlmFit",
     "l1_glm_fit",
 ]
+
+_WL_TIE_TOL = 1e-12  # the weak learner accepts at sigma - this, so exact-arithmetic ties round up
 
 
 class NonTerminationError(RuntimeError):
@@ -96,7 +98,6 @@ class ExhaustiveWeakLearner:
     hclass: HypothesisClass
     rho: float
     sigma: float
-    tol: float = 1e-12  # accept at sigma - tol so exact-arithmetic ties round up
 
     def __post_init__(self):
         if not 0 < self.sigma <= self.rho:
@@ -105,7 +106,7 @@ class ExhaustiveWeakLearner:
     def query(self, access: ResidualAccess) -> tuple[Hypothesis, float] | None:
         corr = correlate(access.engine.weights, access.z, access.engine.member_matrix(self.hclass))
         best = int(np.argmax(corr))
-        if corr[best] >= self.sigma - self.tol:
+        if corr[best] >= self.sigma - _WL_TIE_TOL:
             return self.hclass.members[best], float(corr[best])
         return None
 
@@ -170,26 +171,6 @@ def ma_algorithm(
 # ---------------------------------------------------------------------------
 # L1-regularized GLM fitting
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GlmLinearPredictor(Predictor):
-    """Transfer applied to a weighted combination of class members."""
-
-    glm: GlmLoss
-    hclass: HypothesisClass
-    weights: dict
-    kind = "glm_linear"
-
-    def score(self, X: np.ndarray) -> np.ndarray:
-        members = [self.hclass.member(tag) for tag in self.weights]
-        return value_matrix(members, np.atleast_2d(X)) @ np.array(list(self.weights.values()))
-
-    def values(self, X):
-        return clip01(np.asarray(self.glm.gprime(self.score(X)), dtype=np.float64))
-
-    def to_dict(self):
-        return {"kind": self.kind, "transfer": self.glm.transfer_name, "weights": dict(self.weights)}
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,30 @@ def test_model_class_must_match_the_data_columns(runner, tmp_path, three_columns
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["bench", "--seeds", "0"], "--seeds"),
+        (["bench", "--d", "1"], "--d"),
+        (["counterexamples", "--which", "sim", "--resolution", "10"], "--resolution"),
+        (["counterexamples", "--which", "parity", "--resolution", "10"], "--resolution"),
+        (["train", "--data", "{data}", "--alpha", "0"], "--alpha"),
+        (["train", "--data", "{data}", "--alpha", "1.5"], "--alpha"),
+        (["audit", "--model", "{model}", "--data", "{data}", "--clamp", "0.7"], "--clamp"),
+        (["gen", "--d", "1"], "--d"),
+        (["gen", "--n-train", "0"], "--n-train"),
+    ],
+)
+def test_out_of_range_option_is_a_usage_error(runner, tmp_path, three_columns, args, option):
+    # each of these ended in a traceback with exit 1, or (--clamp 0.7) audited a constant prediction
+    data, model = three_columns
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        res = runner.invoke(main, [a.format(data=data, model=model) for a in args])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    assert f"Invalid value for '{option}'" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_coords_spec_scales_are_stored(runner, tmp_path, three_columns):
     data, _ = three_columns
     model = str(tmp_path / "m.json")

@@ -302,6 +302,52 @@ class TestPowerClass:
             assert abs(gap) <= B * m + 1e-12
 
 
+class TestDerivedClassesPinned:
+    """Model files name an add_hyp member by tag and the weak learner breaks
+    ties by member order, so both are pinned for each derived class."""
+
+    @pytest.mark.parametrize(
+        "build, tags, bounds",
+        [
+            (
+                lambda: interval_class(coordinate_class(1), 1.0),
+                ["int(x0,[-1,0))", "int(x0,[0,1))", "int(1,[-1,0))", "int(1,[0,1))", "1",
+                 "-int(x0,[-1,0))", "-int(x0,[0,1))", "-int(1,[-1,0))", "-int(1,[0,1))", "-1"],
+                [1.0] * 10,
+            ),
+            (
+                lambda: power_class(make_class([Hypothesis(lambda X: 2.0 * X[:, 0], 2.0, "h")]), 2),
+                ["pow(h,1)", "pow(h,2)", "pow(1,1)", "pow(1,2)", "1",
+                 "-pow(h,1)", "-pow(h,2)", "-pow(1,1)", "-pow(1,2)", "-1"],
+                [2.0, 4.0, 1.0, 1.0, 1.0, 2.0, 4.0, 1.0, 1.0, 1.0],
+            ),
+            (
+                lambda: level_class(coordinate_class(1), np.array([[0.5], [-1.0], [0.0], [0.5]])),
+                ["lev(x0=-1)", "lev(x0=0)", "lev(x0=0.5)", "lev(1=1)", "1",
+                 "-lev(x0=-1)", "-lev(x0=0)", "-lev(x0=0.5)", "-lev(1=1)", "-1"],
+                [1.0] * 10,
+            ),
+        ],
+        ids=["interval", "power", "level"],
+    )
+    def test_tags_order_and_bounds(self, build, tags, bounds):
+        cls = build()
+        assert cls.tags() == tags
+        assert [m.range_bound for m in cls.members] == bounds
+
+    def test_interval_class_matrix_is_the_one_hot_of_the_scaled_coordinates(self):
+        # the class the sample benchmark trains on: 10 scaled coordinates and the constant, 8 cells each
+        train, _, _ = gen_gaussian_mixture(MixtureConfig(s=4, d=10, n_train=10_000, n_cal=1, n_test=1, seed=1))
+        X = train.X
+        scales = [max(float(np.max(np.abs(X[:, j]))), 1e-12) for j in range(X.shape[1])]
+        cls = interval_class(coordinate_class(10, scales), 0.25)
+        Z = np.column_stack([X / np.array(scales), np.ones(len(X))])
+        cells = np.clip(np.floor((Z + 1.0) / 0.25), 0, 7)
+        one_hot = (cells[:, :, None] == np.arange(8)).reshape(len(X), -1).astype(float)
+        base = np.column_stack([one_hot, np.ones(len(X))])
+        assert np.array_equal(value_matrix(cls, X), np.column_stack([base, -base]))
+
+
 class TestClip:
     def test_constants(self):
         X = np.zeros((1, 1))
