@@ -405,70 +405,41 @@ def _sim_lp(blocks: list[np.ndarray], resolution: int | None = None) -> tuple[fl
     """
     from scipy.optimize import linprog  # imported on demand to keep `import calma` light
 
-    nb = len(blocks)
-    n_var = 2 * nb + 1  # w blocks, e slack per block, t
-    c = np.zeros(n_var)
+    nb = len(blocks)  # variables: a value w and a deviation slack e per block, then t
+    c = np.zeros(2 * nb + 1)
     c[-1] = 1.0
-    A, b = [], []
+    B = np.array(blocks, dtype=np.float64)  # block indicators over the point order
+    S = np.array(list(_SIM_SUBCUBES.values()), dtype=np.float64)
+    masses = B.mean(1)  # each point has mass 1/4
+    ybar = B @ _SIM_BAYES / B.sum(1)
+    betas = S @ B.T / S.sum(1)[:, None]  # share of each subcube's mass in each block
+    targets = S @ _SIM_BAYES / S.sum(1)
+    I = np.eye(nb)
+    dev_sign = np.tile([-1.0, 1.0], nb)[:, None]  # e_i >= ybar_i - w_i, then e_i >= w_i - ybar_i
+    bias_sign = np.tile([1.0, -1.0], len(S))[:, None]  # t >= +-(E[p|c] - E[y|c])
+    A = np.vstack([
+        np.hstack([I[:-1] - I[1:], np.zeros((nb - 1, nb + 1))]),  # ordering w_i <= w_{i+1}
+        np.hstack([dev_sign * np.repeat(I, 2, 0), -np.repeat(I, 2, 0), np.zeros((2 * nb, 1))]),
+        np.concatenate([np.zeros(nb), masses, [-1.0]]),  # sum_i mass_i e_i <= t
+        np.hstack([bias_sign * np.repeat(betas, 2, 0), np.zeros((2 * len(S), nb)), -np.ones((2 * len(S), 1))]),
+    ])
+    b = np.concatenate([np.zeros(nb - 1), dev_sign[:, 0] * np.repeat(ybar, 2), [0.0],
+                        bias_sign[:, 0] * np.repeat(targets, 2)])
 
-    masses = np.array([np.mean(blk) for blk in blocks])  # mask mean = mass (uniform quarter points)
-    ybar = np.array([float(np.mean(_SIM_BAYES[blk])) for blk in blocks])
-    masks = list(_SIM_SUBCUBES.values())
-    betas = np.array([[np.sum(blk & mask) / np.sum(mask) for blk in blocks] for mask in masks])
-    targets = np.array([float(np.mean(_SIM_BAYES[mask])) for mask in masks])
-
-    def row():
-        return np.zeros(n_var)
-
-    for i in range(nb - 1):  # ordering w_i <= w_{i+1}
-        r = row()
-        r[i], r[i + 1] = 1.0, -1.0
-        A.append(r)
-        b.append(0.0)
-    for i in range(nb):  # e_i >= |ybar_i - w_i|
-        r = row()
-        r[i], r[nb + i] = -1.0, -1.0
-        A.append(r)
-        b.append(-ybar[i])
-        r = row()
-        r[i], r[nb + i] = 1.0, -1.0
-        A.append(r)
-        b.append(ybar[i])
-    r = row()  # sum_i mass_i e_i <= t
-    r[nb : 2 * nb] = masses
-    r[-1] = -1.0
-    A.append(r)
-    b.append(0.0)
-    for beta, target in zip(betas, targets):  # |E[y|c] - E[p|c]| <= t
-        r = row()
-        r[:nb] = beta
-        r[-1] = -1.0
-        A.append(r)
-        b.append(target)
-        r = row()
-        r[:nb] = -beta
-        r[-1] = -1.0
-        A.append(r)
-        b.append(-target)
-
-    A = np.array(A)
     top, extra = 1.0, {}
     if resolution is not None:  # w_i = k_i / top with integral k_i
         top = resolution - 1.0
         A[:, :nb] /= top
         extra = {"integrality": [1] * nb + [0] * (nb + 1), "options": {"mip_rel_gap": 0.0}}
     bounds = [(0.0, top)] * nb + [(0.0, None)] * nb + [(0.0, None)]
-    res = linprog(c, A_ub=A, b_ub=np.array(b), bounds=bounds, method="highs", **extra)
+    res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs", **extra)
     if not res.success:
         raise RuntimeError(f"SIM search LP failed: {res.message}")
     w, val = res.x[:nb], float(res.fun)
     if resolution is not None:
         w = np.linspace(0.0, 1.0, resolution)[np.rint(w).astype(int)]
         val = float(max(np.abs(ybar - w) @ masses, np.max(np.abs(targets - betas @ w))))
-    p = np.empty(4)
-    for blk, v in zip(blocks, w):
-        p[blk] = v
-    return val, p
+    return val, w @ B
 
 
 def _score_signature(a: float, b: float) -> tuple[int, ...]:

@@ -92,7 +92,7 @@ def main():
 @click.option("--n-train", default=3000, type=click.IntRange(min=1), show_default=True)
 @click.option("--n-cal", default=1000, type=click.IntRange(min=1), show_default=True)
 @click.option("--n-test", default=10000, type=click.IntRange(min=1), show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, type=click.IntRange(min=0), show_default=True)
 @click.option("--out-dir", default=".", show_default=True)
 def gen(s, d, n_train, n_cal, n_test, seed, out_dir):
     """Emit train/cal/test CSV splits of the Gaussian-mixture benchmark."""
@@ -112,7 +112,7 @@ def gen(s, d, n_train, n_cal, n_test, seed, out_dir):
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True))
 @click.option("--class", "class_spec", default="coords", show_default=True)
 @click.option("--alpha", default=0.1, type=click.FloatRange(0, 1, min_open=True), show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, type=click.IntRange(min=0), show_default=True)
 @click.option("--out", "out_path", default="model.json", show_default=True)
 @click.option("--trace", "trace_path", default="trace.json", show_default=True, help="training trace file")
 def train(data_path, class_spec, alpha, seed, out_path, trace_path):
@@ -205,7 +205,7 @@ def baseline(loss_name, data_path, test_path):
 @main.command()
 @click.option("--s", default=2, type=click.IntRange(min=1), show_default=True)
 @click.option("--d", default=2, type=click.IntRange(min=2), show_default=True)
-@click.option("--alpha", default=0.1, show_default=True)
+@click.option("--alpha", default=0.1, type=click.FloatRange(0, 1, min_open=True), show_default=True)
 @click.option("--seeds", default=5, type=click.IntRange(min=1), show_default=True, help="number of seeds (0..n-1)")
 @click.option("--recal", default="isotonic", type=click.Choice(["isotonic", "bucket"]), show_default=True)
 @click.option("--tolerance", default=0.05, show_default=True)

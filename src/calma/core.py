@@ -78,6 +78,7 @@ __all__ = [
 
 _MASS_TOL = 1e-12
 _CSV_BLOCK = 128  # rows per write in save_dataset
+_LEVEL_CAP = 64  # distinct values a level_class member may take on the support
 
 
 class BudgetExceededError(ValueError):
@@ -340,13 +341,9 @@ class HypothesisClass:
         return max(m.range_bound for m in self.members)
 
 
-def make_class(
-    members: Iterable[Hypothesis],
-    *,
-    ensure_one: bool = True,
-    close_negation: bool = True,
-) -> HypothesisClass:
-    """Build a class, optionally adding the constant 1 and all negations."""
+def make_class(members: Iterable[Hypothesis]) -> HypothesisClass:
+    """Build a class from ``members``, the constant 1 and every negation, which
+    the multiaccuracy guarantee needs; ``HypothesisClass`` takes members as given."""
     out: list[Hypothesis] = []
     seen: set[str] = set()
 
@@ -357,11 +354,9 @@ def make_class(
 
     for m in members:
         add(m)
-    if ensure_one:
-        add(constant_one())
-    if close_negation:
-        for m in list(out):
-            add(m.neg())
+    add(constant_one())
+    for m in list(out):
+        add(m.neg())
     return HypothesisClass(tuple(out))
 
 
@@ -399,19 +394,20 @@ def _derived_class(cls: HypothesisClass, derive: Callable[[Hypothesis], Iterable
     return make_class(h for m in cls.members if not m.tag.startswith("-") for h in derive(m))
 
 
-def level_class(cls: HypothesisClass, points: np.ndarray, cap: int = 64) -> HypothesisClass:
+def level_class(cls: HypothesisClass, points: np.ndarray) -> HypothesisClass:
     """Indicator basis for all bounded post-processings of each member.
 
-    Members must be discrete-valued on the supported points: at most ``cap``
-    distinct values each.  Any f with |f| <= 1 composed with c expands as
-    sum_v f(v) * 1{c(x) = v} over the observed values, so multiaccuracy over
-    this basis controls the multiaccuracy error of every post-processing.
+    Members must be discrete-valued on the supported points: at most 64
+    (``_LEVEL_CAP``) distinct values each.  Any f with |f| <= 1 composed with
+    c expands as sum_v f(v) * 1{c(x) = v} over the observed values, so
+    multiaccuracy over this basis controls the multiaccuracy error of every
+    post-processing.
     """
 
     def levels(m: Hypothesis) -> list[Hypothesis]:
         vals = np.unique(m.values(points))
-        if len(vals) > cap:
-            raise NonFiniteRangeError(f"{m.tag} takes {len(vals)} distinct values on the support (cap {cap})")
+        if len(vals) > _LEVEL_CAP:
+            raise NonFiniteRangeError(f"{m.tag} takes {len(vals)} distinct values on the support (cap {_LEVEL_CAP})")
         return [m.map(lambda u, v=v: (np.abs(u - v) <= 1e-12).astype(float), 1.0, f"lev({m.tag}={v:.12g})")
                 for v in vals]
 

@@ -181,15 +181,15 @@ def exp_loss() -> Loss:
 class GlmLoss(Loss):
     """Matching loss g(t) - y t of a monotone transfer g'.
 
-    ``dual_f`` / ``dual_fprime`` are the convex conjugate of ``g`` and its
-    derivative, defined on the image of the transfer; ``im_gprime`` is that
-    image over the working interval.  The discrete derivative is always -t.
+    ``dual_f`` is the convex conjugate of ``g``, defined on the image of the
+    transfer; its derivative is the inverse transfer, which is ``kfn``.
+    ``im_gprime`` is that image over the working interval.  The discrete
+    derivative is always -t.
     """
 
     gprime: Callable[[np.ndarray], np.ndarray] = None
     g: Callable[[np.ndarray], np.ndarray] = None
     dual_f: Callable[[np.ndarray], np.ndarray] = None
-    dual_fprime: Callable[[np.ndarray], np.ndarray] = None
     im_gprime: tuple[float, float] = (0.0, 1.0)
     transfer_name: str = "glm"
 
@@ -198,7 +198,7 @@ class GlmLoss(Loss):
         return -np.asarray(t, dtype=np.float64)
 
 
-def _glm_from_parts(name, gprime, g, dual_f, dual_fprime, inverse, im, domain):
+def _glm_from_parts(name, gprime, g, dual_f, inverse, im, domain):
     return GlmLoss(
         at0=lambda t: g(np.asarray(t, dtype=np.float64)),
         at1=lambda t: g(np.asarray(t, dtype=np.float64)) - np.asarray(t, dtype=np.float64),
@@ -208,7 +208,6 @@ def _glm_from_parts(name, gprime, g, dual_f, dual_fprime, inverse, im, domain):
         gprime=gprime,
         g=g,
         dual_f=dual_f,
-        dual_fprime=dual_fprime,
         im_gprime=im,
         transfer_name=name,
     )
@@ -221,7 +220,6 @@ def identity_glm() -> GlmLoss:
         gprime=ident,
         g=lambda t: np.asarray(t) ** 2 / 2.0,
         dual_f=lambda v: np.asarray(v) ** 2 / 2.0,
-        dual_fprime=ident,
         inverse=ident,
         im=(-np.inf, np.inf),
         domain=(-1.0, 1.0),
@@ -243,23 +241,19 @@ def sigmoid_glm() -> GlmLoss:
 
         return expit(np.asarray(t, dtype=np.float64))
 
-    def dual_fprime(v):
+    def inverse(v):
         from scipy.special import logit
 
-        return logit(np.asarray(v, dtype=np.float64))
-
-    def inverse(v):
         v = np.asarray(v, dtype=np.float64)
         if np.any(v <= 0) or np.any(v >= 1):
             raise OutOfRangeError("sigmoid transfer only attains values in (0, 1)")
-        return dual_fprime(v)
+        return logit(v)
 
     return _glm_from_parts(
         "sigmoid",
         gprime=gprime,
         g=softplus,  # integral of the sigmoid up to the ln 2 offset at 0
         dual_f=_entropy,
-        dual_fprime=dual_fprime,
         inverse=inverse,
         im=(0.0, 1.0),
         domain=(-20.0, 20.0),
@@ -274,8 +268,6 @@ def crelu_glm() -> GlmLoss:
         t = np.asarray(t, dtype=np.float64)
         return np.where(t <= 0, 0.0, np.where(t <= 1, t**2 / 2.0, t - 0.5))
 
-    ident = lambda v: np.asarray(v, dtype=np.float64)
-
     def inverse(v):
         v = np.asarray(v, dtype=np.float64)
         if np.any(v < 0) or np.any(v > 1):
@@ -287,7 +279,6 @@ def crelu_glm() -> GlmLoss:
         gprime=gprime,
         g=g,
         dual_f=lambda v: np.asarray(v) ** 2 / 2.0,
-        dual_fprime=ident,
         inverse=inverse,
         im=(0.0, 1.0),
         domain=(-2.0, 2.0),
@@ -358,7 +349,6 @@ def glm_from_transfer(
         gprime=gprime,
         g=g,
         dual_f=dual_f,
-        dual_fprime=inverse,
         inverse=inverse,
         im=im,
         domain=working_interval,
@@ -366,7 +356,8 @@ def glm_from_transfer(
 
 
 def bregman(glm: GlmLoss, vstar, v):
-    """Divergence f(v*) - f(v) - (v* - v) f'(v) of the Legendre dual.
+    """Divergence f(v*) - f(v) - (v* - v) f'(v) of the Legendre dual, whose
+    derivative f' is the inverse transfer ``glm.kfn``.
 
     Nonnegative, zero iff v* = v for strictly increasing transfers, and at
     least lambda (v* - v)^2 / 2 when the dual is lambda-strongly convex.
@@ -382,7 +373,7 @@ def bregman(glm: GlmLoss, vstar, v):
 
         v = np.clip(v, 1e-300, 1.0 - 1e-16)
         return xlogy(vstar, vstar / v) + xlogy(1.0 - vstar, (1.0 - vstar) / (1.0 - v))
-    return glm.dual_f(vstar) - glm.dual_f(v) - (vstar - v) * glm.dual_fprime(v)
+    return glm.dual_f(vstar) - glm.dual_f(v) - (vstar - v) * glm.kfn(v)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _WL_TIE_TOL = 1e-12  # the weak learner accepts at sigma - this, so exact-arithmetic ties round up
+_ISTA_MAX_ITERS = 100_000  # l1_glm_fit raises NonConvergenceError past this many steps
 
 
 class NonTerminationError(RuntimeError):
@@ -137,7 +138,6 @@ def ma_algorithm(
     engine: ExpectationEngine,
     sampler: Sampler | None = None,
     batch_size: int = 2000,
-    max_iters: int | None = None,
 ) -> MAResult:
     """Boost p0 until the weak learner declines; returns a multiaccurate
     predictor.
@@ -150,7 +150,7 @@ def ma_algorithm(
     if alpha + 1e-12 < wl.rho:
         raise ValueError("ma_algorithm requires alpha >= rho of the weak learner")
     sigma = wl.sigma
-    cap = max_iters if max_iters is not None else int(math.ceil(4.0 / sigma**2))
+    cap = int(math.ceil(4.0 / sigma**2))
     pred = PipelinePredictor.of(p0)
     updates: list[MAUpdate] = []
     while True:
@@ -192,7 +192,6 @@ def l1_glm_fit(
     alpha: float,
     data: Dataset,
     tol: float = 1e-6,
-    max_iters: int = 100_000,
 ) -> L1GlmFit:
     """Minimize the empirical matching loss plus alpha * ||w||_1 by proximal
     gradient descent (ISTA with backtracking).
@@ -232,9 +231,9 @@ def l1_glm_fit(
     grad = smooth_grad(w)
     it = 0
     while kkt_residual(grad, w) > tol:
-        if it >= max_iters:
+        if it >= _ISTA_MAX_ITERS:
             raise NonConvergenceError(
-                f"ISTA did not reach tolerance {tol:g} within {max_iters} iterations "
+                f"ISTA did not reach tolerance {tol:g} within {_ISTA_MAX_ITERS} iterations "
                 f"(kkt residual {kkt_residual(grad, w):.3g})"
             )
         f_w = smooth_value(w)

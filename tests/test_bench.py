@@ -49,8 +49,6 @@ class TestGenerator:
             MixtureConfig(s=0)
         with pytest.raises(ValueError):
             MixtureConfig(d=1)
-        with pytest.raises(ValueError):
-            MixtureConfig(shift=np.array([1.0, 1.0]))
 
 
 class TestBaselines:

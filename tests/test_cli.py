@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import calma
-from calma.bench import MixtureConfig, run_benchmark
+from calma.bench import MixtureConfig, aggregate_results, run_benchmark
 from calma.cli import main
 from calma.core import Dataset, coordinate_class, predictor_from_dict, save_dataset
 
@@ -111,6 +111,10 @@ def test_model_class_must_match_the_data_columns(runner, tmp_path, three_columns
         (["audit", "--model", "{model}", "--data", "{data}", "--clamp", "0.7"], "--clamp"),
         (["gen", "--d", "1"], "--d"),
         (["gen", "--n-train", "0"], "--n-train"),
+        (["gen", "--seed", "-1"], "--seed"),
+        (["train", "--data", "{data}", "--seed", "-1"], "--seed"),
+        (["bench", "--alpha", "0"], "--alpha"),
+        (["bench", "--alpha", "1.5"], "--alpha"),
     ],
 )
 def test_out_of_range_option_is_a_usage_error(runner, tmp_path, three_columns, args, option):
@@ -294,6 +298,17 @@ def test_bench_writes_markdown_table(runner, tmp_path):
         text = fh.read()
     # one seed: every mean is that seed's value, so the table is the cell's own
     assert text == run_benchmark(MixtureConfig(s=2, d=2, seed=0)).to_markdown() + "\n"
+
+
+def test_bench_writes_csv_table(runner, tmp_path):
+    table = str(tmp_path / "t.csv")
+    res = runner.invoke(main, ["bench", "--s", "2", "--d", "2", "--seeds", "1", "--out", table])
+    assert res.exit_code == 0, res.output
+    with open(table) as fh:
+        text = fh.read()
+    agg = aggregate_results([run_benchmark(MixtureConfig(s=2, d=2, seed=0))])
+    rows = [name + "," + ",".join(f"{agg[name][c]['mean']:.5f}" for c in ("l2", "l1", "exp", "log")) for name in agg]
+    assert text == "\n".join(["algorithm,l2,l1,exp,log", *rows]) + "\n"
 
 
 def test_import_leaves_scipy_optimize_and_integrate_unloaded():

@@ -23,6 +23,7 @@ from calma.core import (
     ExpectationEngine,
     FiniteDistribution,
     Hypothesis,
+    HypothesisClass,
     IsotonicStage,
     NonFiniteRangeError,
     PipelinePredictor,
@@ -226,11 +227,11 @@ class TestLevelClass:
 
     def test_cap_enforced(self):
         rng = np.random.default_rng(10)
-        dist = random_distribution(rng, n_points=12)
+        dist = random_distribution(rng, n_points=65)  # one more distinct value than the cap of 64
         member = table_hypothesis(dist.points, rng.uniform(-1, 1, dist.n), "wide")
         cls = make_class([member])
         with pytest.raises(NonFiniteRangeError):
-            level_class(cls, dist.points, cap=4)
+            level_class(cls, dist.points)
 
 
 class TestIntervalClass:
@@ -240,14 +241,14 @@ class TestIntervalClass:
         members = [
             table_hypothesis(dist.points, rng.uniform(-1, 1, dist.n), f"h{i}") for i in range(2)
         ]
-        raw = make_class(members, ensure_one=False, close_negation=False)
+        raw = HypothesisClass(tuple(members))
         cls = interval_class(raw, 1.0)
         positive = [m for m in cls.members if m.tag.startswith("int(")]
         assert len(positive) == 4  # 2 members x 2 intervals, before negation closure
 
     def test_membership_single_cell(self):
         const = Hypothesis(lambda X: np.full(len(np.atleast_2d(X)), 0.3), 1.0, "c")
-        cls = interval_class(make_class([const], ensure_one=False, close_negation=False), 0.5)
+        cls = interval_class(HypothesisClass((const,)), 0.5)
         X = np.zeros((1, 1))
         fired = [m.tag for m in cls.members if m.tag.startswith("int(") and m.values(X)[0] == 1.0]
         assert fired == ["int(c,[0,0.5))"]
@@ -279,7 +280,7 @@ class TestPowerClass:
 
     def test_powers_arithmetic(self):
         const = Hypothesis(lambda X: np.full(len(np.atleast_2d(X)), -0.5), 1.0, "c")
-        cls = power_class(make_class([const], ensure_one=False, close_negation=False), 3)
+        cls = power_class(HypothesisClass((const,)), 3)
         X = np.zeros((1, 1))
         got = [cls.member(f"pow(c,{j})").values(X)[0] for j in (1, 2, 3)]
         np.testing.assert_allclose(got, [-0.5, 0.25, -0.125])

@@ -193,13 +193,13 @@ class TestTransfers:
         glm = identity_glm()
         assert glm.g(2.0) == pytest.approx(2.0)
         assert glm.dual_f(0.3) == pytest.approx(0.045)
-        assert glm.dual_fprime(0.3) == pytest.approx(0.3)
+        assert glm.kfn(0.3) == pytest.approx(0.3)
 
     def test_sigmoid_dual_value_via_conjugacy(self):
         # f(v) = v f'(v) - g(f'(v)); at one half the score is zero
         glm = sigmoid_glm()
         v = 0.5
-        fp = glm.dual_fprime(v)
+        fp = glm.kfn(v)
         assert fp == pytest.approx(0.0, abs=1e-15)
         assert v * fp - glm.g(fp) == pytest.approx(-math.log(2), abs=1e-12)
         assert glm.dual_f(v) == pytest.approx(-math.log(2), abs=1e-12)
@@ -225,7 +225,7 @@ class TestTransfers:
         for t in (-1.5, -0.2, 0.7, 2.0):
             assert glm.g(t) == pytest.approx(t**4 / 4, abs=1e-9)
         for v in (0.1, 0.5, 0.9):
-            assert glm.dual_fprime(v) == pytest.approx(v ** (1 / 3), abs=1e-9)
+            assert glm.kfn(v) == pytest.approx(v ** (1 / 3), abs=1e-9)
             assert glm.dual_f(v) == pytest.approx(0.75 * v ** (4 / 3), abs=1e-8)
         # matrices of actions, as the audits pass them, keep their shape
         T = np.array([[-1.5, 0.7], [2.0, -0.2]])

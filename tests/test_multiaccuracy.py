@@ -12,6 +12,7 @@ from calma.core import (
     ExpectationEngine,
     FiniteDistribution,
     Hypothesis,
+    HypothesisClass,
     bayes_predictor,
     make_class,
     predictor_from_dict,
@@ -63,7 +64,7 @@ class TestMemberMatrix:
             return np.atleast_2d(X)[:, 0] * j
 
         members = [Hypothesis(lambda X, j=j: scaled_first_coordinate(X, j), 1.0, f"c{j}") for j in range(3)]
-        cls = make_class(members, ensure_one=False, close_negation=False)
+        cls = HypothesisClass(tuple(members))
         other = random_class(rng, dist, 2)
         M = engine.member_matrix(cls)
         assert not M.flags.writeable
@@ -193,9 +194,14 @@ class TestMaAlgorithm:
 
     def test_iteration_cap_raises(self):
         dist, engine, cls = single_point_instance()
-        wl = ExhaustiveWeakLearner(cls, rho=0.1, sigma=0.1)
-        with pytest.raises(NonTerminationError):
-            ma_algorithm(ConstantPredictor(0.0), 0.1, wl, engine, max_iters=2)
+
+        class NeverDeclines(ExhaustiveWeakLearner):
+            def query(self, residual):
+                return cls.member("1"), self.sigma
+
+        wl = NeverDeclines(cls, rho=0.1, sigma=0.1)
+        with pytest.raises(NonTerminationError, match="within 400 updates"):
+            ma_algorithm(ConstantPredictor(0.0), 0.1, wl, engine)
 
 
 class TestL1GlmFit:
