@@ -14,7 +14,6 @@ from .core import (
     Predictor,
     TablePredictor,
     bayes_predictor,
-    clip,
     coordinate_class,
     distance,
     interval_class,
@@ -42,7 +41,6 @@ from .losses import (
 from .calibration import (
     DatasetSampler,
     DistributionSampler,
-    WeightFunction,
     discretize,
     ece,
     isotonic_fit,

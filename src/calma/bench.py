@@ -437,9 +437,6 @@ class BenchResult:
     rows: dict
     iterations: int
 
-    def to_markdown(self) -> str:
-        return markdown_table(self.rows, lambda v: f"{v:.3f}")
-
 
 def markdown_table(rows: Mapping[str, Mapping], cell: Callable[[object], str]) -> str:
     """Markdown table with one line per algorithm and one column per loss;

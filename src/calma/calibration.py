@@ -12,8 +12,7 @@ which preserves discreteness and bounds the perturbation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Protocol
 
 import numpy as np
 
@@ -28,12 +27,10 @@ from .core import (
     bucket_midpoints,
     correlate,
     n_buckets,
-    value_matrix,
 )
 
 __all__ = [
     "InsufficientSamplesError",
-    "WeightFunction",
     "Sampler",
     "DistributionSampler",
     "DatasetSampler",
@@ -49,18 +46,6 @@ __all__ = [
 
 class InsufficientSamplesError(RuntimeError):
     """Sampler cannot supply the number of rows an estimator needs."""
-
-
-@dataclass(frozen=True)
-class WeightFunction:
-    """Weight on predicted values, with a declared sup-norm bound."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    sup_bound: float
-    tag: str = "w"
-
-    def values(self, v: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(v, dtype=np.float64)), dtype=np.float64)
 
 
 class Sampler(Protocol):
@@ -120,10 +105,11 @@ def ece(pred: Predictor, engine: ExpectationEngine) -> float:
     return float(np.sum(np.abs(np.bincount(level, weights=engine.weights * (engine.ystar - pv)))))
 
 
-def weighted_ce(pred: Predictor, weights: list[WeightFunction], engine: ExpectationEngine) -> float:
-    """max_w |E[w(p(x)) (y* - p(x))]| over the supplied weight family."""
+def weighted_ce(pred: Predictor, weights: Iterable[Callable], engine: ExpectationEngine) -> float:
+    """max_w |E[w(p(x)) (y* - p(x))]| over ``weights``, plain functions that map
+    the array of predictions to an equally long array of weights; 0 for none."""
     pv = pred.values(engine.X)
-    corr = correlate(engine.weights, engine.ystar - pv, value_matrix(weights, pv))
+    corr = [correlate(engine.weights, engine.ystar - pv, w(pv)) for w in weights]
     return float(np.max(np.abs(corr), initial=0.0))
 
 

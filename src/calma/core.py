@@ -64,7 +64,6 @@ __all__ = [
     "IsotonicStage",
     "predictor_from_dict",
     "bayes_predictor",
-    "clip",
     "clip01",
     "distance",
     "n_buckets",
@@ -159,10 +158,6 @@ class FiniteDistribution:
     @property
     def n(self) -> int:
         return len(self.mass)
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
     def to_dict(self) -> dict:
         return {
@@ -327,9 +322,6 @@ class HypothesisClass:
     def __len__(self):
         return len(self.members)
 
-    def tags(self) -> list[str]:
-        return [m.tag for m in self.members]
-
     def member(self, tag: str) -> Hypothesis:
         for m in self.members:
             if m.tag == tag:
@@ -482,6 +474,9 @@ class ConstantPredictor(Predictor):
 
 @dataclass(frozen=True)
 class FunctionPredictor(Predictor):
+    """A real-valued function of the rows, clipped into [0, 1].  Clipping never
+    increases the squared distance to any [0, 1]-valued target."""
+
     fn: Callable[[np.ndarray], np.ndarray]
     name: str = "function"
     kind = "function"
@@ -813,13 +808,6 @@ def predictor_from_dict(d: Mapping, hclass: HypothesisClass | None = None) -> Pr
             raise ValueError("hypothesis class required to rebuild a glm_linear predictor")
         return GlmLinearPredictor(get_loss(f"glm:{d['transfer']}"), hclass, dict(d["weights"]))
     raise ValueError(f"cannot rebuild predictor kind {kind!r}")
-
-
-def clip(score: Hypothesis | Callable[[np.ndarray], np.ndarray]) -> Predictor:
-    """Truncate a real-valued score into [0, 1]; never increases the squared
-    distance to any [0, 1]-valued target."""
-    fn = score.values if isinstance(score, Hypothesis) else score
-    return FunctionPredictor(fn, name=f"clip({getattr(score, 'tag', 'score')})")  # its values are clipped
 
 
 def distance(p1: Predictor, p2: Predictor, engine: ExpectationEngine, norm: str = "l2") -> float:

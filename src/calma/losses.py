@@ -40,6 +40,7 @@ __all__ = [
 
 _PARTIAL_SUP_POINTS = 513  # grid on which partial_sup samples the discrete derivative
 _TRANSFER_CHECK_POINTS = 512  # grid on which glm_from_transfer checks that the transfer is monotone
+_MAX_TRUNCATION = 2.0**30  # truncated_decision raises past this clamp bound
 
 
 class MonotonicityError(ValueError):
@@ -294,7 +295,8 @@ def glm_from_transfer(
 
     The integral is computed by adaptive quadrature (tolerance 1e-10) when no
     closed form is known, and the Legendre dual through the inverse transfer:
-    f(v) = v t* - g(t*) and f'(v) = t* where g'(t*) = v.
+    f(v) = v t* - g(t*) and f'(v) = t* where g'(t*) = v.  The inverse bisects
+    a whole array at once on the working interval, to 1e-12 or 200 steps.
     """
     from scipy.integrate import quad  # imported on demand to keep `import calma` light
 
@@ -315,29 +317,24 @@ def glm_from_transfer(
 
     def g(t):
         t = np.asarray(t, dtype=np.float64)
-        if t.ndim == 0:
-            return np.float64(g_scalar(float(t)))
         return np.array([g_scalar(float(s)) for s in t.ravel()]).reshape(t.shape)
-
-    def inv_scalar(v: float) -> float:
-        if not im[0] - 1e-12 <= v <= im[1] + 1e-12:
-            raise OutOfRangeError(f"{v} outside the transfer image {im}")
-        a, b = lo, hi
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if float(np.asarray(gprime(mid))) < v:
-                a = mid
-            else:
-                b = mid
-            if b - a <= 1e-12:
-                break
-        return 0.5 * (a + b)
 
     def inverse(v):
         v = np.asarray(v, dtype=np.float64)
-        if v.ndim == 0:
-            return np.float64(inv_scalar(float(v)))
-        return np.array([inv_scalar(float(x)) for x in v.ravel()]).reshape(v.shape)
+        inside = (v >= im[0] - 1e-12) & (v <= im[1] + 1e-12)
+        if not np.all(inside):
+            raise OutOfRangeError(f"{v[~inside].flat[0]} outside the transfer image {im}")
+        a, b = np.full(v.shape, lo), np.full(v.shape, hi)
+        active = np.ones(v.shape, dtype=bool)
+        for _ in range(200):  # a bracket whose ulp exceeds 1e-12 never closes
+            mid = 0.5 * (a + b)
+            below = np.asarray(gprime(mid)) < v
+            a = np.where(active & below, mid, a)
+            b = np.where(active & ~below, mid, b)
+            active &= b - a > 1e-12
+            if not active.any():
+                break
+        return 0.5 * (a + b)
 
     def dual_f(v):
         v = np.asarray(v, dtype=np.float64)
@@ -389,9 +386,10 @@ class TruncatedDecision:
         return self.kfn(np.asarray(p, dtype=np.float64))
 
 
-def truncated_decision(glm: GlmLoss, delta: float, max_bound: float = 2.0**30) -> TruncatedDecision:
+def truncated_decision(glm: GlmLoss, delta: float) -> TruncatedDecision:
     """Clamp the inverse transfer to [-D, D], doubling D from 1 until a grid
-    check certifies suboptimality at most delta.
+    check certifies suboptimality at most delta; raises UnboundedBelowError
+    once D would pass 2^30.
 
     Optimal values come from the dual: min_t loss(p, t) = -f(p), so the
     suboptimality at p is loss(p, k(p)) + f(p) exactly.
@@ -418,33 +416,30 @@ def truncated_decision(glm: GlmLoss, delta: float, max_bound: float = 2.0**30) -
         if sub <= delta:
             return TruncatedDecision(kfn, D, sub)
         D *= 2.0
-        if D > max_bound:
-            raise UnboundedBelowError(f"no bound up to {max_bound:g} meets suboptimality {delta:g}")
+        if D > _MAX_TRUNCATION:
+            raise UnboundedBelowError(f"no bound up to {_MAX_TRUNCATION:g} meets suboptimality {delta:g}")
 
 
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
-REGISTRY_NAMES = ("l1", "l2", "l4", "lp:<p>", "glm:identity", "glm:sigmoid", "glm:crelu", "exp")
+_REGISTRY = {
+    "l1": lambda: lp_loss(1),
+    "l2": lambda: lp_loss(2),
+    "l4": lambda: lp_loss(4),
+    "glm:identity": identity_glm,
+    "glm:sigmoid": sigmoid_glm,
+    "glm:crelu": crelu_glm,
+    "exp": exp_loss,
+}
+REGISTRY_NAMES = (*_REGISTRY, "lp:<p>")
 
 
 def get_loss(name: str) -> Loss:
-    """Look up a loss by its registry name."""
-    if name == "l1":
-        return lp_loss(1)
-    if name == "l2":
-        return lp_loss(2)
-    if name == "l4":
-        return lp_loss(4)
+    """Look up a loss by its registry name; ``lp:<p>`` is the l_p loss for any p."""
     if name.startswith("lp:"):
         return lp_loss(float(name.split(":", 1)[1]))
-    if name == "glm:identity":
-        return identity_glm()
-    if name == "glm:sigmoid":
-        return sigmoid_glm()
-    if name == "glm:crelu":
-        return crelu_glm()
-    if name == "exp":
-        return exp_loss()
+    if name in _REGISTRY:
+        return _REGISTRY[name]()
     raise ValueError(f"unknown loss {name!r}; known: {', '.join(REGISTRY_NAMES)}")

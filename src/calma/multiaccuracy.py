@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -57,13 +56,9 @@ class NonConvergenceError(RuntimeError):
     """Optimizer failed to reach its tolerance within the iteration budget."""
 
 
-def mae(pred: Predictor, hypotheses: HypothesisClass | Iterable[Hypothesis], engine: ExpectationEngine) -> float:
+def mae(pred: Predictor, hclass: HypothesisClass, engine: ExpectationEngine) -> float:
     """Largest absolute correlation of any member with the residual y* - p."""
-    if isinstance(hypotheses, HypothesisClass):
-        G = engine.member_matrix(hypotheses)
-    else:
-        G = value_matrix(hypotheses, engine.X)
-    corr = correlate(engine.weights, engine.ystar - pred.values(engine.X), G)
+    corr = correlate(engine.weights, engine.ystar - pred.values(engine.X), engine.member_matrix(hclass))
     return float(np.max(np.abs(corr), initial=0.0))
 
 
@@ -153,9 +148,9 @@ def ma_algorithm(
     cap = int(math.ceil(4.0 / sigma**2))
     pred = PipelinePredictor.of(p0)
     updates: list[MAUpdate] = []
+    # on engine.X first, so the pipeline's slot holds those rows, not a fresh draw's
+    before = engine.expect((engine.ystar - pred.values(engine.X)) ** 2)
     while True:
-        # on engine.X first, so the pipeline's slot holds those rows, not a fresh draw's
-        before = engine.expect((engine.ystar - pred.values(engine.X)) ** 2)
         measured = engine if sampler is None else sampler.draw(batch_size)
         picked = wl.query(exact_residual_access(measured, pred.values(measured.X)))
         if picked is None:
@@ -166,6 +161,7 @@ def ma_algorithm(
         pred = pred.extended(AddHypStage(c, sigma))
         after = engine.expect((engine.ystar - pred.values(engine.X)) ** 2)
         updates.append(MAUpdate(c.tag, corr, before, after))
+        before = after
 
 
 # ---------------------------------------------------------------------------

@@ -132,9 +132,9 @@ def calma(
 
     rounds: list[CalmaRound] = []
     q = p0
+    pot_before = potential(q)
     result = None
     for _ in range(cap):
-        pot_before = potential(q)
         ma = ma_algorithm(q, alpha - delta, wl, engine, sampler=sampler, batch_size=cfg.ma_batch)
         p_t = ma.predictor
         p_disc = discretize(p_t, delta)
@@ -151,6 +151,7 @@ def calma(
                 potential_after=potential(q),
             )
         )
+        pot_before = rounds[-1].potential_after
         if not recalibrate:
             result = q
             break

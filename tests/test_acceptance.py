@@ -1,7 +1,6 @@
 """Acceptance suite: every criterion at its stated tolerance, one summary
 line per criterion."""
 
-import math
 import time
 
 import numpy as np
@@ -20,7 +19,6 @@ from calma.audit import (
 from calma.bench import BENCH_COLUMNS, MixtureConfig, aggregate_results, run_benchmark
 from calma.calibration import (
     DistributionSampler,
-    WeightFunction,
     discretize,
     ece,
     recal_samples_needed,
@@ -101,7 +99,7 @@ def test_criterion_03_characterizations():
         ]
         hyp_bound = mae(pred, derived, engine)
         worst_hyp = max(abs(hypothesis_oi_gap(pred, loss, c, engine)) for c in cls.members)
-        w = WeightFunction(lambda v, l=loss: l.partial(l.decision(v)), math.inf, "dk")
+        w = lambda v, l=loss: l.partial(l.decision(v))
         ce_bound = weighted_ce(pred, [w], engine)
         if worst_hyp > hyp_bound + 1e-12 or abs(decision_oi_gap(pred, loss, engine)) > ce_bound + 1e-12:
             violations += 1
@@ -208,7 +206,7 @@ def test_criterion_08_pythagorean_identity_and_bound():
         alpha = 0.15
         rho = alpha - alpha**2 / 32
         pred, _ = calma(random_predictor(rng, dist), alpha, ExhaustiveWeakLearner(cls, rho, rho), engine)
-        w = WeightFunction(lambda v: -glm.kfn(np.clip(v, 1e-9, 1 - 1e-9)), math.inf, "-logit")
+        w = lambda v: -glm.kfn(np.clip(v, 1e-9, 1 - 1e-9))
         a1 = weighted_ce(pred, [w], engine)
         a2 = mae(pred, cls, engine)
         for _ in range(20):

@@ -3,7 +3,6 @@ geometry identity, and the two exact counterexample constructions."""
 
 import collections
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from calma.audit import (
     sim_counterexample,
     sim_violation,
 )
-from calma.calibration import WeightFunction, ece, weighted_ce
+from calma.calibration import ece, weighted_ce
 from calma.core import (
     ExpectationEngine,
     Hypothesis,
@@ -117,7 +116,7 @@ class TestCharacterizations:
         for _ in range(500):
             dist, engine, cls, pred = random_audit_instance(rng)
             loss = get_loss(SAFE_REGISTRY[int(rng.integers(len(SAFE_REGISTRY)))])
-            w = WeightFunction(lambda v, l=loss: l.partial(l.decision(v)), math.inf, "dk")
+            w = lambda v, l=loss: l.partial(l.decision(v))
             bound = weighted_ce(pred, [w], engine)
             assert abs(decision_oi_gap(pred, loss, engine)) <= bound + 1e-12
 

@@ -11,6 +11,7 @@ from calma.bench import (
     column_value_for_score,
     fit_linear_baseline,
     gen_gaussian_mixture,
+    markdown_table,
     run_benchmark,
     train_calma_bench,
 )
@@ -236,7 +237,7 @@ class TestHarness:
     def test_markdown_table(self):
         cfg = MixtureConfig(s=2, d=2, seed=2, n_train=400, n_cal=200, n_test=400)
         r = run_benchmark(cfg, alpha=0.1)
-        md = r.to_markdown()
+        md = markdown_table(r.rows, lambda v: f"{v:.3f}")
         assert md.count("|") > 10
         assert "calma" in md
 

@@ -9,7 +9,6 @@ from calma.calibration import (
     DatasetSampler,
     DistributionSampler,
     InsufficientSamplesError,
-    WeightFunction,
     discretize,
     ece,
     est_ece_samples_needed,
@@ -70,7 +69,7 @@ class TestWeightedCe:
         rng = np.random.default_rng(1)
         dist = random_distribution(rng)
         engine = ExpectationEngine.exact(dist)
-        w = WeightFunction(lambda v: np.zeros_like(v), 0.0, "0")
+        w = lambda v: np.zeros_like(v)
         assert weighted_ce(random_predictor(rng, dist), [w], engine) == 0.0
 
     def test_perfectly_calibrated_kills_every_weight(self):
@@ -78,7 +77,7 @@ class TestWeightedCe:
         dist = random_distribution(rng)
         engine = ExpectationEngine.exact(dist)
         pred = bayes_predictor(dist)  # exactly the conditional means
-        ws = [WeightFunction(lambda v, a=a: np.sin(a * v), 1.0, f"w{a}") for a in (1.0, 3.0, 7.0)]
+        ws = [lambda v, a=a: np.sin(a * v) for a in (1.0, 3.0, 7.0)]
         assert weighted_ce(pred, ws, engine) <= 1e-12
 
     def test_bounded_by_sup_norm_times_ece(self):
@@ -89,7 +88,7 @@ class TestWeightedCe:
             pred = random_predictor(rng, dist)
             bound = rng.uniform(0.5, 3.0)
             table = {v: rng.uniform(-bound, bound) for v in np.unique(pred.values(dist.points))}
-            w = WeightFunction(lambda v, t=table: np.array([t[x] for x in v]), bound, "tbl")
+            w = lambda v, t=table: np.array([t[x] for x in v])
             assert weighted_ce(pred, [w], engine) <= bound * ece(pred, engine) + 1e-12
 
     def test_sign_weight_recovers_ece(self):
@@ -103,7 +102,7 @@ class TestWeightedCe:
             for v in np.unique(pv):
                 sel = pv == v
                 signs[v] = math.copysign(1.0, math.fsum((dist.mass[sel] * (dist.bayes[sel] - v)).tolist()))
-            w = WeightFunction(lambda x, s=signs: np.array([s[v] for v in x]), 1.0, "sign")
+            w = lambda x, s=signs: np.array([s[v] for v in x])
             assert weighted_ce(pred, [w], engine) == pytest.approx(ece(pred, engine), abs=1e-12)
 
 

@@ -1,15 +1,17 @@
 """The alternating boosting/recalibration trainer and its accounting."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from calma.bench import MixtureConfig, gen_gaussian_mixture
+from calma.bench import MixtureConfig, gen_gaussian_mixture, train_calma_bench
 from calma.calibration import DistributionSampler, discretize, ece
 from calma.core import (
     ConstantPredictor,
     ExpectationEngine,
+    FiniteDistribution,
     TablePredictor,
     bayes_predictor,
     coordinate_class,
@@ -199,3 +201,40 @@ def test_trained_model_file_lists_only_moved_buckets():
     assert np.array_equal(rebuilt.values(train.X), pred.values(train.X))
     buckets = [s for s in pred.stages if s.op == "bucket"]
     assert buckets and all(len(s.values) == 17_778 for s in buckets)
+
+
+def _bench_trained(backend):
+    train, cal, test = gen_gaussian_mixture(MixtureConfig(s=2, d=2, n_train=1000, n_cal=500, n_test=100, seed=0))
+    pred, _ = train_calma_bench(train, cal, 0.1, backend)
+    return pred, None, test.X
+
+
+def _exact_trained_from_table():
+    # the exact benchmark's start: a random table on a 6 x 6 grid, trained at alpha = 0.1
+    rng = np.random.default_rng(0)
+    axis = np.linspace(-1.0, 1.0, 6)
+    points = np.array([(a, b) for a in axis for b in axis])
+    mass = rng.uniform(0.2, 1.0, len(points))
+    mass /= mass.sum()
+    mass[-1] = 1.0 - math.fsum(mass[:-1].tolist())
+    bayes = 1.0 / (1.0 + np.exp(-(points @ rng.normal(0.0, 2.0, 2) + rng.normal())))
+    engine = ExpectationEngine.exact(FiniteDistribution(points, mass, bayes))
+    hclass = interval_class(coordinate_class(2), 0.5)
+    pred, _ = calma(TablePredictor(points, rng.uniform(0.0, 1.0, len(points))), 0.1, make_wl(hclass, 0.1), engine)
+    return pred, hclass, points
+
+
+@pytest.mark.parametrize(
+    "trainer, ops",
+    [
+        (lambda: _bench_trained("isotonic"), {"add_linear", "isotonic", "bucket"}),
+        (lambda: _bench_trained("bucket"), {"add_linear", "bucket"}),
+        (_exact_trained_from_table, {"add_hyp", "bucket"}),
+    ],
+    ids=["bench-isotonic", "bench-bucket", "calma-from-table"],
+)
+def test_trained_predictor_round_trips_through_json(trainer, ops):
+    pred, hclass, X = trainer()
+    assert {s.op for s in pred.stages[1:]} == ops
+    rebuilt = predictor_from_dict(json.loads(json.dumps(pred.to_dict())), hclass)
+    assert np.array_equal(rebuilt.values(X), pred.values(X))

@@ -10,9 +10,17 @@ import pytest
 from click.testing import CliRunner
 
 import calma
-from calma.bench import MixtureConfig, aggregate_results, run_benchmark
+from calma.bench import MixtureConfig, aggregate_results, markdown_table, run_benchmark
 from calma.cli import main
-from calma.core import Dataset, coordinate_class, predictor_from_dict, save_dataset
+from calma.core import (
+    Dataset,
+    FiniteDistribution,
+    coordinate_class,
+    load_dataset,
+    predictor_from_dict,
+    save_dataset,
+    save_distribution,
+)
 
 
 @pytest.fixture()
@@ -58,6 +66,19 @@ def test_gen_train_audit_roundtrip(runner, tmp_path):
         rep = json.load(fh)
     assert rep["max_decomposition_residual"] <= 1e-9
     assert len(rep["pairs"]) > 0
+
+    # the same rows as a JSON distribution of mass 1/n each: its exact engine equals the CSV's empirical one
+    test = load_dataset(os.path.join(out, "test.csv"))
+    dist = os.path.join(out, "test.json")
+    save_distribution(FiniteDistribution(test.X, np.full(test.n, 1.0 / test.n), test.y), dist)
+    exact_report = os.path.join(out, "exact_report.json")
+    res = runner.invoke(
+        main,
+        ["audit", "--model", model, "--data", dist, "--losses", "l1,l2,l4,glm:sigmoid", "--out", exact_report],
+    )
+    assert res.exit_code == 0, res.output
+    with open(report, "rb") as fh, open(exact_report, "rb") as fx:
+        assert fh.read() == fx.read()
 
 
 @pytest.fixture()
@@ -297,7 +318,8 @@ def test_bench_writes_markdown_table(runner, tmp_path):
     with open(table) as fh:
         text = fh.read()
     # one seed: every mean is that seed's value, so the table is the cell's own
-    assert text == run_benchmark(MixtureConfig(s=2, d=2, seed=0)).to_markdown() + "\n"
+    rows = run_benchmark(MixtureConfig(s=2, d=2, seed=0)).rows
+    assert text == markdown_table(rows, lambda v: f"{v:.3f}") + "\n"
 
 
 def test_bench_writes_csv_table(runner, tmp_path):

@@ -22,6 +22,7 @@ from calma.core import (
     Dataset,
     ExpectationEngine,
     FiniteDistribution,
+    FunctionPredictor,
     Hypothesis,
     HypothesisClass,
     IsotonicStage,
@@ -31,7 +32,6 @@ from calma.core import (
     bayes_predictor,
     bucket_index,
     bucket_midpoints,
-    clip,
     coordinate_class,
     correlate,
     distance,
@@ -333,7 +333,7 @@ class TestDerivedClassesPinned:
     )
     def test_tags_order_and_bounds(self, build, tags, bounds):
         cls = build()
-        assert cls.tags() == tags
+        assert [m.tag for m in cls.members] == tags
         assert [m.range_bound for m in cls.members] == bounds
 
     def test_interval_class_matrix_is_the_one_hot_of_the_scaled_coordinates(self):
@@ -352,8 +352,8 @@ class TestDerivedClassesPinned:
 class TestClip:
     def test_constants(self):
         X = np.zeros((1, 1))
-        assert clip(lambda X: np.full(len(X), 1.7)).values(X)[0] == 1.0
-        assert clip(lambda X: np.full(len(X), -0.2)).values(X)[0] == 0.0
+        assert FunctionPredictor(lambda X: np.full(len(X), 1.7)).values(X)[0] == 1.0
+        assert FunctionPredictor(lambda X: np.full(len(X), -0.2)).values(X)[0] == 0.0
 
     def test_never_increases_squared_distance(self):
         rng = np.random.default_rng(14)
@@ -362,7 +362,7 @@ class TestClip:
             engine = ExpectationEngine.exact(dist)
             hv = rng.uniform(-1.5, 2.5, dist.n)
             h = table_hypothesis(dist.points, hv, "h", bound=2.5)
-            clipped = clip(h).values(dist.points)
+            clipped = FunctionPredictor(h.values).values(dist.points)
             before = engine.expect((dist.bayes - hv) ** 2)
             after = engine.expect((dist.bayes - clipped) ** 2)
             assert after <= before + 1e-12
@@ -418,7 +418,7 @@ class TestNegationClosure:
         rng = np.random.default_rng(19)
         dist = random_distribution(rng)
         cls = random_class(rng, dist, k=3)
-        tags = set(cls.tags())
+        tags = {m.tag for m in cls.members}
         assert "1" in tags
         for m in cls.members:
             neg_tag = m.tag[1:] if m.tag.startswith("-") else "-" + m.tag

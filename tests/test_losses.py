@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from calma import losses
 from calma.audit import _interp_loss, random_bounded_loss, random_lipschitz_loss
 from calma.losses import (
     Loss,
@@ -325,9 +326,10 @@ class TestTruncatedDecision:
         sub = glm.loss(ps, td(ps)) + glm.dual_f(ps)
         assert np.max(sub) <= 0.01
 
-    def test_unmet_suboptimality_raises(self):
+    def test_unmet_suboptimality_raises(self, monkeypatch):
+        monkeypatch.setattr(losses, "_MAX_TRUNCATION", 8.0)
         with pytest.raises(UnboundedBelowError):
-            truncated_decision(sigmoid_glm(), 1e-12, max_bound=8.0)
+            truncated_decision(sigmoid_glm(), 1e-12)
 
     def test_zero_suboptimality_at_half(self):
         for glm in ALL_GLMS:
