@@ -15,11 +15,12 @@ optimal decision to its predictions; the log-loss decision is truncated so
 extreme predictions stay finite.
 
 Each column's linear optimum is fitted on the training split: least squares,
-Newton steps for the logistic loss, an exact active-set Newton method for the
-exponential loss (whose kinks at zero residuals it pins and releases by their
-multipliers), and an exact linear program for the absolute loss (least
-absolute deviations through its dual, solved by HiGHS).  The exact fits report
-the subgradient norm their multipliers certify.  The practical trainer
+Newton steps for the logistic loss, and one exact active-set walk for the
+exponential and absolute losses, which pins the points whose residual is 0 and
+releases them by their multipliers.  Its steps are Newton steps for the
+exponential loss; for least absolute deviations it walks the vertices where k
+residuals are 0 (Barrodale and Roberts).  The exact fits report the
+subgradient norm their multipliers certify.  The practical trainer
 alternates a least-squares update with a recalibration on the held-out split
 (``calma.calibration``'s isotonic fit or bucket means) and returns the
 predictor whose held-out calibration error it checked, discretized to bucket
@@ -38,7 +39,6 @@ import numpy as np
 from .calibration import discretize, ece, isotonic_fit, recalibrate_with_engine
 from .core import AddLinearStage, ConstantPredictor, Dataset, ExpectationEngine, PipelinePredictor, clip01
 from .losses import exp_loss, lp_loss, sigmoid_glm, squared_loss, truncated_decision
-from .multiaccuracy import NonConvergenceError
 
 __all__ = [
     "CenterPlacementError",
@@ -212,8 +212,9 @@ def _fit_logistic(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool
     return beta, gnorm, gnorm <= _BASELINE_TOL
 
 
-_ON_KINK = 1e-12  # a residual this small sits on its kink of exp(|r|)
-_EXP_MAX_STEPS = 300  # passes of the active-set loop before the exp fit reports converged=False
+_ON_KINK = 1e-12  # a residual this small sits on its kink of |r| and exp(|r|)
+_L1_MAX_STEPS = 300  # passes of the active-set loop before the l1 fit reports converged=False
+_EXP_MAX_STEPS = 300  # the same for the exp fit
 
 
 def _exp_line_search(r: np.ndarray, q: np.ndarray) -> tuple[float, int]:
@@ -290,18 +291,33 @@ def _exp_line_search(r: np.ndarray, q: np.ndarray) -> tuple[float, int]:
     return float(x), -1
 
 
-def _fit_exp(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """Exact minimizer of mean exp(|y - X1 beta|) by active-set Newton.
+def _l1_line_search(r: np.ndarray, q: np.ndarray) -> tuple[float, int]:
+    """Exact minimizer a >= 0 of sum(|r - a q|), and the index of the point
+    whose kink r_i / q_i it is.
+
+    The slope is constant between kinks and rises by 2 |q_i| at each kink
+    ahead, so the minimizer is the first kink where it turns nonnegative: a
+    weighted median of the kinks.  A residual of exactly 0 has left its kink
+    already, in the direction -q_i.
+    """
+    ahead = np.flatnonzero(r * q > 0)
+    ahead = ahead[np.argsort(r[ahead] / q[ahead])]
+    slope = 2.0 * np.cumsum(np.abs(q[ahead])) - float(np.dot(np.where(r == 0.0, -np.sign(q), np.sign(r)), q))
+    i = ahead[min(int(np.searchsorted(slope, 0.0)), len(ahead) - 1)]
+    return float(r[i] / q[i]), int(i)
+
+
+def _kink_walk(X: np.ndarray, y: np.ndarray, l1: bool) -> tuple[np.ndarray, float, bool]:
+    """The active-set walk behind ``_fit_l1`` (``l1``) and ``_fit_exp``.
 
     From the least-squares start, points whose residual is 0 stay pinned
-    there; each step is a Newton step on the other points' smooth part,
-    restricted to keep the pinned residuals at 0, followed by an exact line
-    search that pins a point when it stops on its kink.  When no Newton step
-    is left, the pinned points' multipliers sigma balance the free gradient;
-    the one with |sigma| > 1 largest is released toward sign(sigma).  Returns
-    the coefficients, the norm of the subgradient that sigma (clipped to
+    there.  Each step keeps the pinned residuals at 0 and ends in an exact
+    line search that pins a point when it stops on its kink.  When no step is
+    left, the pinned points' multipliers sigma balance the free gradient; the
+    one with |sigma| > 1 largest is released toward sign(sigma).  Returns the
+    coefficients, the norm of the subgradient that sigma (clipped to
     [-1, 1]) certifies, and whether it reaches ``_BASELINE_TOL`` within
-    ``_EXP_MAX_STEPS``.
+    ``_L1_MAX_STEPS`` or ``_EXP_MAX_STEPS`` passes.
     """
     X1t = np.vstack([X.T, np.ones(len(X))])  # rows are the coordinates and the intercept
     k, n = X1t.shape
@@ -311,25 +327,34 @@ def _fit_exp(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
     moveless = _null_space(np.linalg.qr(X1t.T, mode="r")).T if rank < k else np.empty((0, k))
     pinned = np.abs(r) <= _ON_KINK
     sign = np.where(pinned, 0.0, np.sign(r))
-    for steps in range(_EXP_MAX_STEPS + 1):
-        e = np.exp(np.abs(r))
+    max_steps = _L1_MAX_STEPS if l1 else _EXP_MAX_STEPS
+    for steps in range(max_steps + 1):
+        e = 1.0 if l1 else np.exp(np.abs(r))
         g = -(X1t @ (sign * e)) / n
-        if steps == _EXP_MAX_STEPS:
+        if steps == max_steps:
             break
-        basis = _null_space(np.vstack([X1t[:, pinned].T, moveless]))
-        H = (X1t * np.where(pinned, 0.0, e)) @ X1t.T / n
-        d = basis @ np.linalg.lstsq(basis.T @ H @ basis, -(basis.T @ g), rcond=None)[0]
+        Z = np.flatnonzero(pinned)
+        fixed = np.vstack([X1t[:, Z].T, moveless])
+        basis = _null_space(fixed)
+        if l1:
+            d = -(basis @ (basis.T @ g))
+        else:
+            H = (X1t * np.where(pinned, 0.0, e)) @ X1t.T / n
+            d = basis @ np.linalg.lstsq(basis.T @ H @ basis, -(basis.T @ g), rcond=None)[0]
         if -(g @ d) <= 1e-24:
-            sigma = np.linalg.lstsq(X1t[:, pinned], n * g, rcond=None)[0]
+            sigma = np.linalg.lstsq(X1t[:, Z], n * g, rcond=None)[0]
             if not len(sigma) or np.max(np.abs(sigma)) <= 1.0:
                 break
             j = int(np.argmax(np.abs(sigma)))
-            i = np.flatnonzero(pinned)[j]
+            i = Z[j]
             # its residual counts as exactly 0, so the line search sees it leave the kink
             pinned[i], sign[i], r[i] = False, np.sign(sigma[j]), 0.0
-            continue
+            if not (l1 and fixed.shape == (k, k) and not basis.size):
+                continue
+            # at an l1 vertex, the edge that keeps the other pinned points at 0 moves r_i toward sign(sigma)
+            d = np.linalg.solve(fixed, -sign[i] * np.eye(k)[j])
         live = np.flatnonzero(~pinned)
-        alpha, at = _exp_line_search(r[live], (d @ X1t)[live])
+        alpha, at = (_l1_line_search if l1 else _exp_line_search)(r[live], (d @ X1t)[live])
         beta = beta + alpha * d
         r = y - beta @ X1t
         pinned |= np.abs(r) <= _ON_KINK
@@ -339,37 +364,41 @@ def _fit_exp(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
     u = sign * e
     u[pinned] = np.clip(np.linalg.lstsq(X1t[:, pinned], n * g, rcond=None)[0], -1.0, 1.0)
     gnorm = float(np.linalg.norm(X1t @ u)) / n
-    return beta, gnorm, gnorm <= _BASELINE_TOL and steps < _EXP_MAX_STEPS
+    return beta, gnorm, gnorm <= _BASELINE_TOL and steps < max_steps
+
+
+def _fit_exp(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Exact minimizer of mean exp(|y - X1 beta|) by active-set Newton: each
+    step of ``_kink_walk`` is a Newton step on the free points' smooth part."""
+    return _kink_walk(X, y, l1=False)
 
 
 def _fit_l1(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """Least absolute deviations, solved exactly through its linear-program dual.
+    """Least absolute deviations, solved exactly by Barrodale and Roberts'
+    vertex walk (SIAM J. Numer. Anal. 10, 1973).
 
-    The dual is max yᵀu subject to X1ᵀu = 0 and -1 <= u <= 1.  HiGHS solves
-    it; the coefficients are the negated marginals of its equality rows, and
-    ``‖X1ᵀu‖ / n`` is the norm of the subgradient that u certifies.
+    Each step of ``_kink_walk`` is the free points' steepest descent.  Once
+    k residuals are 0 the walk is at a vertex; a release then moves along the
+    edge that keeps the other k - 1 pinned, and the line search stops at a
+    weighted median of the kinks.  At the optimum the multipliers sigma lie
+    in [-1, 1], and with u = sign(r) on the other points ``‖X1ᵀu‖ / n`` is
+    the norm of the subgradient they certify.
     """
-    from scipy.optimize import linprog  # imported on demand to keep `import calma` light
-
-    X1 = np.column_stack([X, np.ones(len(X))])
-    res = linprog(-y, A_eq=X1.T, b_eq=np.zeros(X1.shape[1]), bounds=(-1.0, 1.0), options={"presolve": False})
-    if res.x is None or res.eqlin.marginals is None:
-        raise NonConvergenceError(f"l1 baseline: the LP solver returned no solution ({res.message})")
-    return -res.eqlin.marginals, float(np.linalg.norm(X1.T @ res.x)) / len(y), res.status == 0
+    return _kink_walk(X, y, l1=True)
 
 
 def fit_linear_baseline(loss_name: str, data: Dataset) -> LinearBaseline:
     """Fit the per-loss optimal linear score on the dataset.
 
     Squared error uses least squares, the log column logistic regression
-    (Newton), the exponential column an exact active-set Newton method, and
-    the absolute error an exact solve of its linear-program dual (HiGHS).
-    Every fit reports the norm of its (sub)gradient at the returned
-    coefficients: the least-squares residual's correlation with the features,
-    the exp fit's multipliers on its zero residuals, and the l1 fit's dual
-    point certify theirs.  The log and exp fits have converged when that norm
-    is at most 1e-9 within their step caps.  A solve that returns no solution
-    raises ``NonConvergenceError``.
+    (Newton), and the exponential and absolute-error columns one exact
+    active-set walk over the kinks at zero residuals: Newton steps for exp,
+    Barrodale and Roberts' vertex walk for l1.  Every fit reports the norm of
+    its (sub)gradient at the returned coefficients: the least-squares
+    residual's correlation with the features, and for the exp and l1 fits the
+    multipliers on their zero residuals, clipped to [-1, 1], certify theirs.
+    The log, exp and l1 fits have converged when that norm is at most 1e-9
+    within their step caps.
     """
     fit = {"l2": _fit_l2, "log": _fit_logistic, "exp": _fit_exp, "l1": _fit_l1}.get(loss_name)
     if fit is None:

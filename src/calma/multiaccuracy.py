@@ -119,6 +119,7 @@ class MAUpdate:
 class MAResult:
     predictor: Predictor
     updates: tuple[MAUpdate, ...]
+    potential_before: float  # E[(y* - p0)^2] under the engine
 
     @property
     def wl_calls(self) -> int:
@@ -149,12 +150,12 @@ def ma_algorithm(
     pred = PipelinePredictor.of(p0)
     updates: list[MAUpdate] = []
     # on engine.X first, so the pipeline's slot holds those rows, not a fresh draw's
-    before = engine.expect((engine.ystar - pred.values(engine.X)) ** 2)
+    start = before = engine.expect((engine.ystar - pred.values(engine.X)) ** 2)
     while True:
         measured = engine if sampler is None else sampler.draw(batch_size)
         picked = wl.query(exact_residual_access(measured, pred.values(measured.X)))
         if picked is None:
-            return MAResult(pred, tuple(updates))
+            return MAResult(pred, tuple(updates), start)
         if len(updates) >= cap:
             raise NonTerminationError(f"no convergence within {cap} updates (sigma={sigma:g})")
         c, corr = picked

@@ -127,12 +127,8 @@ def calma(
     def measure(n: int) -> ExpectationEngine:
         return engine if sampler is None else sampler.draw(n)
 
-    def potential(pred: Predictor) -> float:
-        return engine.expect((engine.ystar - pred.values(engine.X)) ** 2)
-
-    rounds: list[CalmaRound] = []
+    rows: list[tuple] = []
     q = p0
-    pot_before = potential(q)
     result = None
     for _ in range(cap):
         ma = ma_algorithm(q, alpha - delta, wl, engine, sampler=sampler, batch_size=cfg.ma_batch)
@@ -141,24 +137,17 @@ def calma(
         estimate = float(np.median([ece(p_disc, measure(n_est)) for _ in range(repeats)]))
         recalibrate = estimate > 0.75 * alpha
         q = recalibrate_with_engine(p_t, delta, measure(n_recal)) if recalibrate else p_disc
-        rounds.append(
-            CalmaRound(
-                wl_updates=len(ma.updates),
-                wl_calls=ma.wl_calls,
-                est_ece=estimate,
-                recalibrated=recalibrate,
-                potential_before=pot_before,
-                potential_after=potential(q),
-            )
-        )
-        pot_before = rounds[-1].potential_after
+        rows.append((len(ma.updates), ma.wl_calls, estimate, recalibrate, ma.potential_before))
         if not recalibrate:
             result = q
             break
     if result is None:
         raise IterationCapError(f"calma exceeded {cap} outer iterations at alpha={alpha:g}")
 
+    # a round ends at the potential the next round's ma_algorithm starts from
+    after = [row[-1] for row in rows[1:]] + [engine.expect((engine.ystar - result.values(engine.X)) ** 2)]
+    rounds = tuple(CalmaRound(*row, potential_after) for row, potential_after in zip(rows, after))
     final_ece = ece(result, engine)
     final_mae = mae(result, wl.hclass, engine)
-    trace = CalmaTrace(alpha, delta, mu, tuple(rounds), final_ece, final_mae)
+    trace = CalmaTrace(alpha, delta, mu, rounds, final_ece, final_mae)
     return result, trace

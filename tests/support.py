@@ -107,7 +107,7 @@ def reference_isotonic(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarr
 def reference_fit_l1(X: np.ndarray, y: np.ndarray, iters: int = 4000) -> tuple[np.ndarray, float]:
     """Reference l1 fit: subgradient descent with decaying steps from the
     least-squares start, keeping the best of ``iters`` iterates.  The exact
-    LP fit of ``bench._fit_l1`` must never score worse than it."""
+    vertex walk of ``bench._fit_l1`` must never score worse than it."""
     X1 = np.column_stack([X, np.ones(len(X))])
     n = len(y)
     scale = np.maximum(np.sqrt(np.mean(X1**2, axis=0)), 1e-9)
@@ -125,6 +125,19 @@ def reference_fit_l1(X: np.ndarray, y: np.ndarray, iters: int = 4000) -> tuple[n
             best_beta, best_val = beta.copy(), v
     g = X1.T @ (-np.sign(y - X1 @ best_beta)) / n
     return best_beta, float(np.linalg.norm(g))
+
+
+def reference_fit_l1_lp(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Reference l1 fit: HiGHS on the least-absolute-deviations dual, max yᵀu
+    subject to X1ᵀu = 0 and -1 <= u <= 1.  The coefficients are the negated
+    marginals of its equality rows, and ``‖X1ᵀu‖ / n`` is the norm of the
+    subgradient that u certifies.  The vertex walk of ``bench._fit_l1`` must
+    reach the same train objective."""
+    from scipy.optimize import linprog
+
+    X1 = np.column_stack([X, np.ones(len(X))])
+    res = linprog(-y, A_eq=X1.T, b_eq=np.zeros(X1.shape[1]), bounds=(-1.0, 1.0), options={"presolve": False})
+    return -res.eqlin.marginals, float(np.linalg.norm(X1.T @ res.x)) / len(y), res.status == 0
 
 
 def reference_fit_exp(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:

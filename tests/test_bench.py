@@ -15,11 +15,11 @@ from calma.bench import (
     run_benchmark,
     train_calma_bench,
 )
-from calma.bench import _fit_exp, _fit_l2
+from calma.bench import _fit_exp, _fit_l1, _fit_l2
 from calma.calibration import bucket_means, bucket_midpoints, ece
 from calma.core import BucketRecalPredictor, Dataset, ExpectationEngine, PipelinePredictor
 
-from support import reference_fit_exp, reference_fit_l1
+from support import reference_fit_exp, reference_fit_l1, reference_fit_l1_lp
 
 
 class TestGenerator:
@@ -99,8 +99,8 @@ _KKT_CELLS = [(s, d, seed, 3000) for s, d in ((2, 2), (4, 4), (4, 10)) for seed 
 
 class TestL1Kernel:
     """``_fit_l1`` solves least absolute deviations exactly; its optimality is
-    checked here with an independent KKT certificate, not with the solver's
-    own dual."""
+    checked here with an independent KKT certificate, not with the walk's own
+    multipliers, and against HiGHS on the linear-program dual."""
 
     @pytest.mark.parametrize("s,d,seed,n_train", _KKT_CELLS)
     def test_kkt_certificate(self, s, d, seed, n_train):
@@ -126,6 +126,40 @@ class TestL1Kernel:
             assert column_value_for_score("l1", fit.score(train.X), train.y) <= column_value_for_score(
                 "l1", ref_score, train.y
             )
+
+    @staticmethod
+    def objective(X, y, beta):
+        return column_value_for_score("l1", X @ beta[:-1] + beta[-1], y)
+
+    @pytest.mark.parametrize("s,d,seed,n_train", _KKT_CELLS)
+    def test_train_objective_matches_the_lp(self, s, d, seed, n_train):
+        train, _, _ = gen_gaussian_mixture(MixtureConfig(s=s, d=d, seed=seed, n_train=n_train, n_cal=10, n_test=10))
+        beta, _, _ = _fit_l1(train.X, train.y)
+        lp_beta, _, lp_converged = reference_fit_l1_lp(train.X, train.y)
+        walk, lp = self.objective(train.X, train.y, beta), self.objective(train.X, train.y, lp_beta)
+        assert lp_converged and abs(walk - lp) <= 1e-12 * lp
+
+    def test_step_cap_reports_unconverged_without_raising(self, monkeypatch):
+        train, _, _ = gen_gaussian_mixture(MixtureConfig(s=4, d=4, seed=1, n_cal=10, n_test=10))
+        monkeypatch.setattr(bench, "_L1_MAX_STEPS", 1)
+        beta, gnorm, converged = _fit_l1(train.X, train.y)
+        assert not converged and np.all(np.isfinite(beta)) and gnorm > 1e-9
+
+    def test_constant_only_design(self):
+        y = np.array([1.0] * 6 + [0.0] * 4)
+        fit = fit_linear_baseline("l1", Dataset(np.zeros((10, 1)), y))
+        # the label median minimizes the mean absolute error
+        assert fit.converged and fit.grad_norm <= 1e-12
+        assert fit.score(np.zeros((1, 1)))[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_duplicated_column(self):
+        train, _, _ = gen_gaussian_mixture(MixtureConfig(s=2, d=2, seed=3, n_cal=10, n_test=10))
+        X = np.column_stack([train.X, train.X[:, 0]])
+        beta, gnorm, converged = _fit_l1(X, train.y)
+        assert converged and gnorm <= 1e-12
+        lp_beta, _, _ = reference_fit_l1_lp(train.X, train.y)
+        walk, lp = self.objective(X, train.y, beta), self.objective(train.X, train.y, lp_beta)
+        assert abs(walk - lp) <= 1e-12 * lp
 
 
 class TestExpKernel:

@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import calma
+from calma import bench
 from calma.bench import MixtureConfig, aggregate_results, markdown_table, run_benchmark
 from calma.cli import main
 from calma.core import (
@@ -255,20 +256,14 @@ def test_baseline_exp_and_log_certify(runner, tmp_path, loss, gen, tol):
 
 @pytest.mark.parametrize("x", [None, "solved"])
 def test_baseline_l1_solver_failure_exit_code(runner, tmp_path, monkeypatch, x):
-    import scipy.optimize
-
-    solve = scipy.optimize.linprog
-
-    def failed(*args, **kwargs):
-        res = solve(*args, **kwargs)
-        res.status, res.message = 4, "numerical difficulties"
-        if x is None:
-            res.x, res.eqlin.marginals = None, None
-        return res
-
     out = str(tmp_path)
     runner.invoke(main, ["gen", "--n-train", "200", "--n-cal", "50", "--n-test", "50", "--out-dir", out])
-    monkeypatch.setattr(scipy.optimize, "linprog", failed)
+    if x is None:
+        # a walk cut off by its step cap reports converged=False
+        monkeypatch.setattr(bench, "_L1_MAX_STEPS", 1)
+    else:
+        # a walk that ends but whose certificate misses the tolerance does too
+        monkeypatch.setattr(bench, "_BASELINE_TOL", -1.0)
     res = runner.invoke(main, ["baseline", "--loss", "l1", "--data", os.path.join(out, "train.csv")])
     assert res.exit_code == 3, res.output
 

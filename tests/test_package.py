@@ -1,7 +1,11 @@
-"""Public names: the package imports and every module's ``__all__`` resolves."""
+"""Public names: the package imports and every module's ``__all__`` resolves;
+results do not depend on the BLAS thread count."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -20,3 +24,41 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"calma.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+# hashes the l1 and exp baselines of one 3,000-row table cell and one exact-mode
+# calma() run on a 6x6 grid
+_HASH_RUNS = """
+import hashlib, json, math
+import numpy as np
+from calma import bench, core, multiaccuracy, training
+h = hashlib.sha256()
+train, _, _ = bench.gen_gaussian_mixture(bench.MixtureConfig(s=4, d=10, seed=1, n_cal=10, n_test=10))
+for loss in ("l1", "exp"):
+    fit = bench.fit_linear_baseline(loss, train)
+    h.update(np.append(fit.w, [fit.b, fit.grad_norm]).tobytes())
+rng = np.random.default_rng(1)
+axis = np.linspace(-1.0, 1.0, 6)
+points = np.array([(a, b) for a in axis for b in axis])
+mass = rng.uniform(0.2, 1.0, len(points))
+mass /= mass.sum()
+mass[-1] = 1.0 - math.fsum(mass[:-1].tolist())
+bayes = 1.0 / (1.0 + np.exp(-(points @ rng.normal(0.0, 2.0, 2) + rng.normal())))
+engine = core.ExpectationEngine.exact(core.FiniteDistribution(points, mass, bayes))
+rho = 0.1 - 0.1**2 / 32
+wl = multiaccuracy.ExhaustiveWeakLearner(core.interval_class(core.coordinate_class(2), 0.5), rho=rho, sigma=rho)
+pred, trace = training.calma(core.TablePredictor(points, rng.uniform(0.0, 1.0, len(points))), 0.1, wl, engine)
+h.update(pred.values(points).tobytes())
+h.update(json.dumps(trace.to_dict()).encode())
+print(h.hexdigest())
+"""
+
+
+def test_results_do_not_depend_on_the_blas_thread_count():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(calma.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", _HASH_RUNS], env=env, capture_output=True, text=True, check=True)
+        digests.append(run.stdout)
+    assert digests[0] == digests[1] and len(digests[0].strip()) == 64
