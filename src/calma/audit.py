@@ -151,9 +151,12 @@ class OIGapReport:
 def audit_family(
     pred: Predictor,
     losses: Sequence[Loss],
-    hypotheses: Iterable[Hypothesis],
+    hypotheses: HypothesisClass | Iterable[Hypothesis],
     engine: ExpectationEngine,
 ) -> OIGapReport:
+    """Every (loss, hypothesis) pair's gaps.  A ``HypothesisClass`` reads the
+    engine's cached member matrix, so a later ``mae`` over it reuses it; any
+    other iterable of hypotheses is evaluated through ``value_matrix``."""
     from warnings import warn
 
     from .losses import partial_sup
@@ -161,7 +164,10 @@ def audit_family(
     hyps = list(hypotheses)
     pv = pred.values(engine.X)
     resid = pv - engine.ystar
-    members = value_matrix(hyps, engine.X)
+    if isinstance(hypotheses, HypothesisClass):
+        members = engine.member_matrix(hypotheses)
+    else:
+        members = value_matrix(hyps, engine.X)
     rows, warned = [], []
     for loss in losses:
         if not isinstance(loss, GlmLoss):

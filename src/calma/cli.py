@@ -41,7 +41,7 @@ from .core import (
     save_dataset,
 )
 from .losses import get_loss
-from .multiaccuracy import ExhaustiveWeakLearner, NonConvergenceError, mae as mae_fn
+from .multiaccuracy import ExhaustiveWeakLearner, mae as mae_fn
 from .training import CalmaConfig, calma
 
 EXIT_THRESHOLD = 4
@@ -155,6 +155,8 @@ def audit(model_path, data_path, losses, class_spec, out_path, clamp):
     """Run the indistinguishability audit of a trained model."""
     with open(model_path) as fh:
         model = json.load(fh)
+    if "class" not in model:
+        raise click.UsageError("the model file has no 'class' key; calma train writes the hypothesis class there")
     engine = _load_engine(data_path)
     hclass = _class_from_dict(model["class"], engine.X.shape[1])
     pred = predictor_from_dict(model["predictor"], hclass)
@@ -164,7 +166,7 @@ def audit(model_path, data_path, losses, class_spec, out_path, clamp):
         base = pred
         pred = FunctionPredictor(lambda X: np.clip(base.values(X), clamp, 1.0 - clamp), name="clamped")
     loss_objs = [get_loss(name.strip()) for name in losses.split(",") if name.strip()]
-    report = audit_family(pred, loss_objs, hclass.members, engine)
+    report = audit_family(pred, loss_objs, hclass, engine)
     payload = report.to_dict()
     payload["ece"] = ece_fn(pred, engine)
     payload["mae"] = mae_fn(pred, hclass, engine)
@@ -182,11 +184,7 @@ def audit(model_path, data_path, losses, class_spec, out_path, clamp):
 def baseline(loss_name, data_path, test_path):
     """Fit the per-loss linear baseline; print train (and test) loss."""
     data = load_dataset(data_path)
-    try:
-        fit = fit_linear_baseline(loss_name, data)
-    except NonConvergenceError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_CONVERGENCE)
+    fit = fit_linear_baseline(loss_name, data)
     out = {
         "loss": loss_name,
         "weights": fit.w.tolist(),
@@ -218,7 +216,7 @@ def bench(s, d, alpha, seeds, recal, tolerance, out_path):
             run_benchmark(MixtureConfig(s=s, d=d, seed=seed), alpha=alpha, recal_backend=recal)
             for seed in range(seeds)
         ]
-    except (CenterPlacementError, NonConvergenceError) as exc:
+    except CenterPlacementError as exc:
         click.echo(str(exc), err=True)
         sys.exit(EXIT_CONVERGENCE)
     agg = aggregate_results(results)

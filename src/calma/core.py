@@ -112,12 +112,24 @@ def correlate(weights: np.ndarray, resid: np.ndarray, G: np.ndarray):
 
 
 def value_matrix(fns: Iterable, arg: np.ndarray) -> np.ndarray:
-    """n x k matrix whose column j is ``fns[j].values(arg)``."""
+    """C-contiguous n x k matrix whose column j is ``fns[j].values(arg)``.  A
+    class from ``make_class`` or a class constructor writes it in one pass
+    through its builder, bit for bit the same; other members are evaluated one
+    at a time."""
+    X = np.atleast_2d(np.asarray(arg, dtype=np.float64))
+    fill = fns._fill if isinstance(fns, HypothesisClass) else None
     fns = list(fns)
-    out = np.empty((len(arg), len(fns)))
-    for j, f in enumerate(fns):
-        out[:, j] = f.values(arg)
+    out = np.empty((len(X), len(fns)))
+    if fill is None:
+        _fill_each(fns, X, out)
+    else:
+        fill(X, out)
     return out
+
+
+def _fill_each(fns: Sequence, X: np.ndarray, out: np.ndarray) -> None:
+    for j, f in enumerate(fns):
+        out[:, j] = f.values(X)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +278,10 @@ class ExpectationEngine:
         return cls(data.X, w, data.y)
 
     def member_matrix(self, hclass: "HypothesisClass") -> np.ndarray:
-        """Read-only n x |C| matrix of every member of ``hclass`` on ``X``,
-        built on the first call for that class and reused after."""
+        """Read-only, C-contiguous n x |C| matrix of every member of ``hclass``
+        on ``X``, built by ``value_matrix`` (in one pass for a class from
+        ``make_class`` or a class constructor) on the first call for that
+        class and reused after."""
         hit = self._members.get(id(hclass))
         if hit is None:
             matrix = value_matrix(hclass, self.X)
@@ -314,7 +328,13 @@ def constant_one() -> Hypothesis:
 
 @dataclass(frozen=True)
 class HypothesisClass:
+    """Members in a fixed order.  A class from ``make_class`` or a class
+    constructor also carries the builder ``_fill(X, out)`` that ``value_matrix``
+    calls: it writes every member's values on ``X`` into ``out`` at once and is
+    composed as the classes compose."""
+
     members: tuple
+    _fill: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __iter__(self):
         return iter(self.members)
@@ -336,20 +356,42 @@ class HypothesisClass:
 def make_class(members: Iterable[Hypothesis]) -> HypothesisClass:
     """Build a class from ``members``, the constant 1 and every negation, which
     the multiaccuracy guarantee needs; ``HypothesisClass`` takes members as given."""
+    members = list(members)
+    return _closed_class(members, lambda X, out: _fill_each(members, X, out))
+
+
+def _closed_class(lead: list[Hypothesis], fill_lead: Callable) -> HypothesisClass:
+    """``make_class(lead)``, whose builder has ``fill_lead(X, out)`` write the
+    columns of ``lead``, sets the constant column and negates the leading block
+    into the trailing one.  A member whose tag is taken is dropped; the index
+    plan that follows the drops is fixed here, once."""
     out: list[Hypothesis] = []
     seen: set[str] = set()
 
-    def add(h: Hypothesis) -> None:
-        if h.tag not in seen:
-            seen.add(h.tag)
-            out.append(h)
+    def add(h: Hypothesis) -> bool:
+        if h.tag in seen:
+            return False
+        seen.add(h.tag)
+        out.append(h)
+        return True
 
-    for m in members:
-        add(m)
-    add(constant_one())
-    for m in list(out):
-        add(m.neg())
-    return HypothesisClass(tuple(out))
+    k = len(lead)
+    keep = [i for i, h in enumerate([*lead, constant_one()]) if add(h)]
+    negated = [i for i, m in enumerate(list(out)) if add(m.neg())]
+    a, in_place = len(keep), keep == list(range(k + 1))
+    to_negate = slice(0, len(negated)) if negated == list(range(len(negated))) else negated
+
+    def fill(X: np.ndarray, M: np.ndarray) -> None:
+        T = M[:, : k + 1] if in_place else np.empty((len(X), k + 1))
+        fill_lead(X, T[:, :k])
+        T[:, k] = 1.0
+        if not in_place:
+            M[:, :a] = T[:, keep]
+        np.negative(M[:, to_negate], out=M[:, a:])
+
+    hclass = HypothesisClass(tuple(out))
+    object.__setattr__(hclass, "_fill", fill)
+    return hclass
 
 
 def coordinate_class(dim: int, scales: Sequence[float] | None = None) -> HypothesisClass:
@@ -362,7 +404,8 @@ def coordinate_class(dim: int, scales: Sequence[float] | None = None) -> Hypothe
         if s <= 0:
             raise ValueError("scales must be positive")
         members.append(Hypothesis(lambda X, j=j, s=s: np.atleast_2d(X)[:, j] / s, 1.0, f"x{j}"))
-    return make_class(members)
+    divisors = np.array([float(s) for s in scales[:dim]])
+    return _closed_class(members, lambda X, out: np.divide(X[:, :dim], divisors, out=out))
 
 
 def lin_combination(cls: HypothesisClass, weights: Mapping[str, float], budget: float) -> Hypothesis:
@@ -380,10 +423,18 @@ def lin_combination(cls: HypothesisClass, weights: Mapping[str, float], budget: 
     return Hypothesis(fn, budget * cls.max_bound, tag)
 
 
-def _derived_class(cls: HypothesisClass, derive: Callable[[Hypothesis], Iterable[Hypothesis]]) -> HypothesisClass:
+def _derived_class(
+    cls: HypothesisClass,
+    derive: Callable[[Hypothesis], Iterable[Hypothesis]],
+    fill: Callable[[np.ndarray, np.ndarray], None],
+) -> HypothesisClass:
     """``make_class`` over ``derive(m)`` for each member ``m`` of ``cls``, in order,
-    except negations: the closure adds the negations of what their base derives."""
-    return make_class(h for m in cls.members if not m.tag.startswith("-") for h in derive(m))
+    except negations: the closure adds the negations of what their base derives.
+    ``fill(B, out)`` writes the derived columns from the block ``B`` of those
+    base members' values, so the whole class is built from one base matrix."""
+    base = [j for j, m in enumerate(cls.members) if not m.tag.startswith("-")]
+    lead = [h for j in base for h in derive(cls.members[j])]
+    return _closed_class(lead, lambda X, out: fill(value_matrix(cls, X)[:, base], out))
 
 
 def level_class(cls: HypothesisClass, points: np.ndarray) -> HypothesisClass:
@@ -395,15 +446,23 @@ def level_class(cls: HypothesisClass, points: np.ndarray) -> HypothesisClass:
     multiaccuracy over this basis controls the multiaccuracy error of every
     post-processing.
     """
+    value_lists = []
 
     def levels(m: Hypothesis) -> list[Hypothesis]:
         vals = np.unique(m.values(points))
         if len(vals) > _LEVEL_CAP:
             raise NonFiniteRangeError(f"{m.tag} takes {len(vals)} distinct values on the support (cap {_LEVEL_CAP})")
+        value_lists.append(vals)
         return [m.map(lambda u, v=v: (np.abs(u - v) <= 1e-12).astype(float), 1.0, f"lev({m.tag}={v:.12g})")
                 for v in vals]
 
-    return _derived_class(cls, levels)
+    def fill(B: np.ndarray, out: np.ndarray) -> None:
+        end = 0
+        for j, vals in enumerate(value_lists):
+            start, end = end, end + len(vals)
+            out[:, start:end] = np.abs(B[:, j, None] - vals) <= 1e-12
+
+    return _derived_class(cls, levels, fill)
 
 
 def interval_class(cls: HypothesisClass, delta: float) -> HypothesisClass:
@@ -424,19 +483,31 @@ def interval_class(cls: HypothesisClass, delta: float) -> HypothesisClass:
         idx = np.floor((values + 1.0) / delta).astype(int)
         return np.clip(idx, 0, m_cells - 1)
 
+    def fill(B: np.ndarray, out: np.ndarray) -> None:
+        # out's rows are contiguous runs of m_cells indicators per base member: a one-hot scatter
+        one_hot = out.reshape(len(B), B.shape[1], m_cells)
+        one_hot[...] = 0.0
+        np.put_along_axis(one_hot, cell_of(B)[:, :, None], 1.0, axis=2)
+
     return _derived_class(cls, lambda h: [
         h.map(lambda u, j=j: (cell_of(u) == j).astype(float), 1.0, f"int({h.tag},{cell})")
         for j, cell in enumerate(cells)
-    ])
+    ], fill)
 
 
 def power_class(cls: HypothesisClass, d: int) -> HypothesisClass:
     """Coordinate powers c(x)^j for j = 1..d with range bounds B^j."""
     if d < 1:
         raise ValueError("d must be >= 1")
+
+    def fill(B: np.ndarray, out: np.ndarray) -> None:
+        powers = out.reshape(len(B), B.shape[1], d)
+        for j in range(1, d + 1):
+            powers[:, :, j - 1] = B**j
+
     return _derived_class(cls, lambda h: [
         h.map(lambda u, j=j: u**j, h.range_bound**j, f"pow({h.tag},{j})") for j in range(1, d + 1)
-    ])
+    ], fill)
 
 
 # ---------------------------------------------------------------------------

@@ -204,7 +204,7 @@ def l1_glm_fit(
         raise ValueError("alpha must be nonnegative")
     X, y, n = data.X, data.y, data.n
     members = list(hclass.members)
-    M = value_matrix(members, X)
+    M = value_matrix(hclass, X)
     w = np.zeros(len(members))
 
     def smooth_value(wv: np.ndarray) -> float:

@@ -29,6 +29,7 @@ from calma.core import (
     Hypothesis,
     Predictor,
     bayes_predictor,
+    coordinate_class,
     interval_class,
     lin_combination,
 )
@@ -288,6 +289,15 @@ class TestAuditFamily:
         assert d["warnings"] == list(report.warnings)
         assert set(d) == {"pairs", "max_abs_hypothesis_gap", "max_abs_decision_gap", "max_abs_loss_gap",
                           "max_decomposition_residual", "warnings"}
+
+    def test_class_reads_the_engines_member_matrix(self):
+        rng = np.random.default_rng(17)
+        dist, engine, _, pred = random_audit_instance(rng)
+        cls = interval_class(coordinate_class(dist.points.shape[1]), 0.5)
+        losses = [get_loss("l1"), get_loss("l2"), random_bounded_loss(rng)]
+        by_class = audit_family(pred, losses, cls, engine)
+        assert engine._members[id(cls)][1] is engine.member_matrix(cls)  # cached for a later mae
+        assert by_class == audit_family(pred, losses, cls.members, ExpectationEngine.exact(dist))
 
     def test_predictions_and_decisions_computed_once(self, monkeypatch):
         rng = np.random.default_rng(16)

@@ -18,6 +18,7 @@ from calma.core import (
     distance,
     interval_class,
     predictor_from_dict,
+    value_matrix,
 )
 from calma.multiaccuracy import ExhaustiveWeakLearner, mae
 from calma import training
@@ -174,6 +175,31 @@ class TestSampledMode:
         assert ece(pred, engine) <= alpha + 0.1
         assert mae(pred, cls, engine) <= alpha + 0.1
         assert trace.outer_iterations >= 1
+
+    def test_one_pass_member_matrix_leaves_a_sampled_run_unchanged(self, monkeypatch):
+        # each weak-learner query builds the matrix of a fresh draw
+        axis = np.linspace(-1.0, 1.0, 6)
+        points = np.array([(a, b) for a in axis for b in axis])
+        rng = np.random.default_rng(8)
+        mass = rng.uniform(0.2, 1.0, len(points))
+        mass /= mass.sum()
+        mass[-1] = 1.0 - math.fsum(mass[:-1].tolist())
+        dist = FiniteDistribution(points, mass, 1.0 / (1.0 + np.exp(-(points @ rng.normal(0.0, 2.0, 2)))))
+        cls = interval_class(coordinate_class(2), 0.5)
+        cfg = CalmaConfig(est_ece_samples=20_000, recal_samples=20_000, ma_batch=3_000)
+
+        def run():
+            sampler = DistributionSampler(dist, seed=3)
+            pred, trace = calma(ConstantPredictor(0.1), 0.05, make_wl(cls, 0.05), ExpectationEngine.exact(dist),
+                                sampler=sampler, config=cfg)
+            return pred.values(points), trace
+
+        one_pass, trace = run()
+        monkeypatch.setattr(ExpectationEngine, "member_matrix", lambda self, hclass: value_matrix(hclass.members, self.X))
+        per_member, per_member_trace = run()
+        assert trace.total_wl_calls > 10
+        assert one_pass.tobytes() == per_member.tobytes()
+        assert json.dumps(trace.to_dict()) == json.dumps(per_member_trace.to_dict())
 
     def test_trace_serializes(self):
         rng = np.random.default_rng(4)

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import calma
-from calma import bench
+from calma import audit, bench, core
 from calma.bench import MixtureConfig, aggregate_results, markdown_table, run_benchmark
 from calma.cli import main
 from calma.core import (
@@ -119,6 +119,28 @@ def test_model_class_must_match_the_data_columns(runner, tmp_path, three_columns
     assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
     assert "the model file's class needs 3 scales, one per data column, each finite and positive" in res.output
     assert "Traceback" not in res.output
+
+
+def test_model_without_a_class_is_a_usage_error(runner, tmp_path, three_columns):
+    # a KeyError traceback and exit 1 before the key was checked
+    data, model = three_columns
+    with open(model, "w") as fh:
+        json.dump({"predictor": {"kind": "constant", "value": 0.5}}, fh)
+    res = runner.invoke(main, ["audit", "--model", model, "--data", data, "--out", str(tmp_path / "r.json")])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    assert "the model file has no 'class' key" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_audit_builds_the_member_matrix_once(runner, tmp_path, three_columns, monkeypatch):
+    data, model = three_columns
+    builds = []
+    value_matrix = core.value_matrix
+    for module in (core, audit):
+        monkeypatch.setattr(module, "value_matrix", lambda fns, X: builds.append(len(fns)) or value_matrix(fns, X))
+    res = runner.invoke(main, ["audit", "--model", model, "--data", data, "--out", str(tmp_path / "r.json")])
+    assert res.exit_code == 0, res.output
+    assert builds == [8]  # 3 coordinates, the constant and their negations: the gaps and mae share it
 
 
 @pytest.mark.parametrize(

@@ -349,6 +349,56 @@ class TestDerivedClassesPinned:
         assert np.array_equal(value_matrix(cls, X), np.column_stack([base, -base]))
 
 
+def _per_member(cls, X):
+    cols = [m.values(X) for m in cls.members]
+    return np.column_stack(cols) if cols else np.empty((len(X), 0))
+
+
+class TestMemberMatrix:
+    """A class's one-pass builder against its members evaluated one at a time."""
+
+    rng = np.random.default_rng(21)
+    # uniform rows past [-1, 1], then cell edges and the domain's ends
+    X = np.vstack([rng.uniform(-1.2, 1.2, (40, 3)), [[-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], [0.0, 0.5, -0.5]]])
+    grid = np.round(X * 4) / 4
+    grid[::7] += 4e-13  # values a level member takes within its 1e-12 tolerance
+    # a second "a", a "-a" and a "1": make_class keeps the first of each tag
+    tagged = [Hypothesis(lambda X: 0.5 * X[:, 0], 1.0, "a"), Hypothesis(lambda X: -X[:, 1], 1.0, "-a"),
+              Hypothesis(lambda X: X[:, 2], 1.0, "a"), Hypothesis(lambda X: X[:, 2] ** 2, 1.0, "1")]
+
+    @pytest.mark.parametrize(
+        "build, X",
+        [
+            (lambda: coordinate_class(3, [2.0, 0.5, 4.0]), X),
+            (lambda: interval_class(coordinate_class(3), 0.3), X),
+            (lambda: interval_class(coordinate_class(3, [1.2] * 3), 0.25), X[:1]),
+            (lambda: level_class(coordinate_class(3), TestMemberMatrix.grid), grid),
+            (lambda: power_class(coordinate_class(3), 3), X),
+            (lambda: interval_class(power_class(coordinate_class(3), 2), 0.5), X),
+            (lambda: power_class(interval_class(coordinate_class(3), 0.5), 2), X),
+            (lambda: level_class(interval_class(coordinate_class(3), 1.0), TestMemberMatrix.grid), grid),
+            (lambda: make_class(TestMemberMatrix.tagged), X),
+            (lambda: interval_class(make_class(TestMemberMatrix.tagged[:2]), 0.5), X),
+            (lambda: make_class([]), X),
+            (lambda: HypothesisClass(()), X),
+            (lambda: interval_class(HypothesisClass(()), 0.5), X),
+        ],
+        ids=["coordinate", "interval", "interval-1-row", "level", "power", "interval-of-power",
+             "power-of-interval", "level-of-interval", "make_class-colliding-tags", "interval-of-colliding",
+             "make_class-empty", "0-members", "interval-of-0-members"],
+    )
+    def test_bit_identical_to_the_per_member_loop(self, build, X):
+        cls = build()
+        engine = ExpectationEngine(X, np.full(len(X), 1.0 / len(X)), np.zeros(len(X)))
+        got, want = engine.member_matrix(cls), _per_member(cls, X)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous and not got.flags.writeable
+
+    def test_colliding_tags_keep_the_first_member(self):
+        cls = make_class(self.tagged)
+        assert [m.tag for m in cls.members] == ["a", "-a", "1", "-1"]
+
+
 class TestClip:
     def test_constants(self):
         X = np.zeros((1, 1))
