@@ -215,6 +215,7 @@ def _fit_logistic(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool
 _ON_KINK = 1e-12  # a residual this small sits on its kink of |r| and exp(|r|)
 _L1_MAX_STEPS = 300  # passes of the active-set loop before the l1 fit reports converged=False
 _EXP_MAX_STEPS = 300  # the same for the exp fit
+_KINK_PREFIX = 32  # kinks the l1 line search sorts first; it takes 4 times as many per retry
 
 
 def _exp_line_search(r: np.ndarray, q: np.ndarray) -> tuple[float, int]:
@@ -298,13 +299,25 @@ def _l1_line_search(r: np.ndarray, q: np.ndarray) -> tuple[float, int]:
     The slope is constant between kinks and rises by 2 |q_i| at each kink
     ahead, so the minimizer is the first kink where it turns nonnegative: a
     weighted median of the kinks.  A residual of exactly 0 has left its kink
-    already, in the direction -q_i.
+    already, in the direction -q_i.  Only a growing prefix of the nearest
+    kinks is sorted, until the slope turns within it.
     """
     ahead = np.flatnonzero(r * q > 0)
-    ahead = ahead[np.argsort(r[ahead] / q[ahead])]
-    slope = 2.0 * np.cumsum(np.abs(q[ahead])) - float(np.dot(np.where(r == 0.0, -np.sign(q), np.sign(r)), q))
-    i = ahead[min(int(np.searchsorted(slope, 0.0)), len(ahead) - 1)]
-    return float(r[i] / q[i]), int(i)
+    kinks = r[ahead] / q[ahead]
+    tilt = float(np.dot(np.where(r == 0.0, -np.sign(q), np.sign(r)), q))
+    size = _KINK_PREFIX
+    while True:
+        if size >= len(kinks):
+            order = np.argsort(kinks)
+        else:
+            nearest = np.argpartition(kinks, size - 1)[:size]
+            order = nearest[np.argsort(kinks[nearest])]
+        slope = 2.0 * np.cumsum(np.abs(q[ahead[order]])) - tilt
+        turn = int(np.searchsorted(slope, 0.0))
+        if turn < len(order) or size >= len(kinks):
+            i = ahead[order[min(turn, len(order) - 1)]]
+            return float(r[i] / q[i]), int(i)
+        size *= 4
 
 
 def _kink_walk(X: np.ndarray, y: np.ndarray, l1: bool) -> tuple[np.ndarray, float, bool]:

@@ -55,11 +55,13 @@ class Sampler(Protocol):
 class DistributionSampler:
     """Unlimited i.i.d. draws from an explicit finite distribution.  A draw of
     n is their empirical distribution on ``dist.points``: weight count / n and
-    label mean ones / count per point, both 0 for a point not drawn."""
+    label mean ones / count per point, both 0 for a point not drawn.  All
+    draws share one member cache, built once per class."""
 
     def __init__(self, dist: FiniteDistribution, seed: int = 0):
         self.dist = dist
         self.rng = np.random.default_rng(seed)
+        self._engine = ExpectationEngine.exact(dist)
 
     def draw(self, n: int) -> ExpectationEngine:
         counts = self.rng.multinomial(n, self.dist.mass)
@@ -67,7 +69,7 @@ class DistributionSampler:
         weights = counts / n
         ystar = np.divide(ones, counts, out=np.zeros(len(counts)), where=counts > 0)
         weights.flags.writeable = ystar.flags.writeable = False
-        return ExpectationEngine(self.dist.points, weights, ystar)
+        return self._engine.reweighted(weights, ystar)
 
 
 class DatasetSampler:

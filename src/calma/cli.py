@@ -66,6 +66,8 @@ def _build_class(spec: str, X: np.ndarray) -> tuple[HypothesisClass, dict]:
 
 def _class_from_dict(d: dict, n_columns: int, source: str = "the model file's class") -> HypothesisClass:
     """The class a spec or model file describes, checked against data with ``n_columns`` columns."""
+    if not (isinstance(d, dict) and "kind" in d and isinstance(d.get("scales"), list)):
+        raise click.UsageError(f"{source} must be an object with a 'kind' and a list of 'scales'")
     if d["kind"] != "coords":
         raise click.UsageError(f"unknown class kind {d['kind']!r} in model file")
     scales = d["scales"]

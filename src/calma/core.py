@@ -10,16 +10,16 @@ residual correlation ``E[(p - y*) g(x)]``.
 
 All containers are immutable after construction (arrays are marked read-only)
 and safe to share across threads; their two caches change no result.  An
-engine's member-matrix cache holds one read-only array per hypothesis class:
-racing first calls may each build it, and all of them get the one stored
-first.  A pipeline's one slot holds the output of a prefix of its stages on one
-read-only array of rows.  It is a tuple swapped in a single assignment, so
-racing evaluations each read a whole slot, old or new.  ``Predictor.values``
-may return a read-only array.  Every
+engine's member cache holds one read-only matrix or cell index per class,
+shared by the engines one sampler draws: racing first calls may each build
+it, and all of them get the one stored first.  A pipeline's one slot holds the
+output of a prefix of its stages on one read-only array of rows.  It is a
+tuple swapped in a single assignment, so racing evaluations each read a whole
+slot, old or new.  ``Predictor.values`` may return a read-only array.  Every
 expectation and residual correlation reduces through ``correlate``, a BLAS dot
-or matrix-vector product: repeated calls with the same shapes, numpy/BLAS build
-and BLAS thread count give bit-identical results, which are not exactly
-rounded.
+or matrix-vector product, or through ``np.bincount`` in row order: repeated
+calls with the same shapes, numpy/BLAS build and BLAS thread count give
+bit-identical results, which are not exactly rounded.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ __all__ = [
 _MASS_TOL = 1e-12
 _CSV_BLOCK = 128  # rows per write in save_dataset
 _LEVEL_CAP = 64  # distinct values a level_class member may take on the support
+_DENSE_MAX = 2**18  # member-matrix entries (2 MB) up to which an interval class correlates through its matrix
 
 
 class BudgetExceededError(ValueError):
@@ -260,6 +261,10 @@ class ExpectationEngine:
     probabilities in exact mode, the observed 0/1 labels of a dataset, and
     the drawn label means of a ``DistributionSampler`` draw.
     Both cases make ``E[g(x, y)] = E[ystar * g(x,1) + (1 - ystar) * g(x,0)]``.
+
+    Member correlations go through ``correlations``.  A class from
+    ``interval_class`` past ``_DENSE_MAX`` matrix entries reads its cell index,
+    one cell per row and base member; every other class, the dense matrix.
     """
 
     X: np.ndarray
@@ -277,17 +282,36 @@ class ExpectationEngine:
         w.flags.writeable = False
         return cls(data.X, w, data.y)
 
+    def reweighted(self, weights: np.ndarray, ystar: np.ndarray) -> "ExpectationEngine":
+        """An engine over the same rows that shares this one's member cache,
+        which depends on the rows alone."""
+        engine = ExpectationEngine(self.X, weights, ystar)
+        object.__setattr__(engine, "_members", self._members)
+        return engine
+
     def member_matrix(self, hclass: "HypothesisClass") -> np.ndarray:
         """Read-only, C-contiguous n x |C| matrix of every member of ``hclass``
         on ``X``, built by ``value_matrix`` (in one pass for a class from
         ``make_class`` or a class constructor) on the first call for that
         class and reused after."""
-        hit = self._members.get(id(hclass))
+        hit = self._members.get(id(hclass))  # the hit inline: weak-learner queries on small engines call this most
+        return self._cached(id(hclass), hclass, lambda X: value_matrix(hclass, X)) if hit is None else hit[1]
+
+    def correlations(self, hclass: "HypothesisClass", v: np.ndarray) -> np.ndarray:
+        """``v @ member_matrix(hclass)``, or past ``_DENSE_MAX`` entries the sums
+        of ``v`` per cell, in row order, from a class's cached cell index."""
+        cells = getattr(hclass, "_cells", None)
+        if cells is None or len(self.X) * len(hclass.members) <= _DENSE_MAX:
+            return v @ self.member_matrix(hclass)
+        return cells[1](self._cached((id(hclass), "cells"), hclass, cells[0]), v)
+
+    def _cached(self, key, hclass: "HypothesisClass", build: Callable) -> np.ndarray:
+        hit = self._members.get(key)
         if hit is None:
-            matrix = value_matrix(hclass, self.X)
-            matrix.flags.writeable = False
+            value = build(self.X)
+            value.flags.writeable = False
             # holding the class keeps its id unique; setdefault hands racing first calls one array
-            hit = self._members.setdefault(id(hclass), (hclass, matrix))
+            hit = self._members.setdefault(key, (hclass, value))
         return hit[1]
 
     def expect(self, values: np.ndarray) -> float:
@@ -331,10 +355,13 @@ class HypothesisClass:
     """Members in a fixed order.  A class from ``make_class`` or a class
     constructor also carries the builder ``_fill(X, out)`` that ``value_matrix``
     calls: it writes every member's values on ``X`` into ``out`` at once and is
-    composed as the classes compose."""
+    composed as the classes compose.  A class from ``interval_class`` also
+    carries ``_cells``: its cell index builder ``index(X)`` and ``dot(index, v)``,
+    the members' correlations with ``v``."""
 
     members: tuple
     _fill: Callable | None = field(default=None, init=False, repr=False, compare=False)
+    _cells: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __iter__(self):
         return iter(self.members)
@@ -360,11 +387,13 @@ def make_class(members: Iterable[Hypothesis]) -> HypothesisClass:
     return _closed_class(members, lambda X, out: _fill_each(members, X, out))
 
 
-def _closed_class(lead: list[Hypothesis], fill_lead: Callable) -> HypothesisClass:
+def _closed_class(lead: list[Hypothesis], fill_lead: Callable, cells: tuple | None = None) -> HypothesisClass:
     """``make_class(lead)``, whose builder has ``fill_lead(X, out)`` write the
     columns of ``lead``, sets the constant column and negates the leading block
     into the trailing one.  A member whose tag is taken is dropped; the index
-    plan that follows the drops is fixed here, once."""
+    plan that follows the drops is fixed here, once.  ``cells = (index,
+    dot_lead)``, if given, correlates through the same plan: ``dot_lead(index(X),
+    v, out)`` writes the correlations of ``lead`` with ``v``."""
     out: list[Hypothesis] = []
     seen: set[str] = set()
 
@@ -381,16 +410,23 @@ def _closed_class(lead: list[Hypothesis], fill_lead: Callable) -> HypothesisClas
     a, in_place = len(keep), keep == list(range(k + 1))
     to_negate = slice(0, len(negated)) if negated == list(range(len(negated))) else negated
 
-    def fill(X: np.ndarray, M: np.ndarray) -> None:
-        T = M[:, : k + 1] if in_place else np.empty((len(X), k + 1))
-        fill_lead(X, T[:, :k])
-        T[:, k] = 1.0
+    def assemble(M: np.ndarray, write_lead: Callable, constant) -> np.ndarray:
+        T = M[:, : k + 1] if in_place else np.empty((len(M), k + 1))
+        write_lead(T[:, :k])
+        T[:, k] = constant
         if not in_place:
             M[:, :a] = T[:, keep]
         np.negative(M[:, to_negate], out=M[:, a:])
+        return M
+
+    def dot(index: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # the constant sums v in row order, as does the cell that holds every row of a member
+        return assemble(np.empty((1, len(out))), lambda T: cells[1](index, v, T[0]), np.cumsum(v)[-1])[0]
 
     hclass = HypothesisClass(tuple(out))
-    object.__setattr__(hclass, "_fill", fill)
+    object.__setattr__(hclass, "_fill", lambda X, M: assemble(M, lambda T: fill_lead(X, T), 1.0))
+    if cells is not None:
+        object.__setattr__(hclass, "_cells", (cells[0], dot))
     return hclass
 
 
@@ -427,14 +463,20 @@ def _derived_class(
     cls: HypothesisClass,
     derive: Callable[[Hypothesis], Iterable[Hypothesis]],
     fill: Callable[[np.ndarray, np.ndarray], None],
+    cells: tuple | None = None,
 ) -> HypothesisClass:
     """``make_class`` over ``derive(m)`` for each member ``m`` of ``cls``, in order,
     except negations: the closure adds the negations of what their base derives.
     ``fill(B, out)`` writes the derived columns from the block ``B`` of those
-    base members' values, so the whole class is built from one base matrix."""
+    base members' values, so the whole class is built from one base matrix;
+    so does ``index(B)`` of ``cells = (index, dot)``, the cell index ``dot`` reads."""
     base = [j for j, m in enumerate(cls.members) if not m.tag.startswith("-")]
     lead = [h for j in base for h in derive(cls.members[j])]
-    return _closed_class(lead, lambda X, out: fill(value_matrix(cls, X)[:, base], out))
+
+    def block(X: np.ndarray) -> np.ndarray:
+        return value_matrix(cls, X)[:, base]
+
+    return _closed_class(lead, lambda X, out: fill(block(X), out), cells and (lambda X: cells[0](block(X)), cells[1]))
 
 
 def level_class(cls: HypothesisClass, points: np.ndarray) -> HypothesisClass:
@@ -489,10 +531,14 @@ def interval_class(cls: HypothesisClass, delta: float) -> HypothesisClass:
         one_hot[...] = 0.0
         np.put_along_axis(one_hot, cell_of(B)[:, :, None], 1.0, axis=2)
 
+    def dot(index: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+        for j, cells_j in enumerate(index):  # row j: the cells of base member j
+            out[j * m_cells : (j + 1) * m_cells] = np.bincount(cells_j, weights=v, minlength=m_cells)
+
     return _derived_class(cls, lambda h: [
         h.map(lambda u, j=j: (cell_of(u) == j).astype(float), 1.0, f"int({h.tag},{cell})")
         for j, cell in enumerate(cells)
-    ], fill)
+    ], fill, (lambda B: np.ascontiguousarray(cell_of(B).T), dot))
 
 
 def power_class(cls: HypothesisClass, d: int) -> HypothesisClass:

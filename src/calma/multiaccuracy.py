@@ -58,7 +58,7 @@ class NonConvergenceError(RuntimeError):
 
 def mae(pred: Predictor, hclass: HypothesisClass, engine: ExpectationEngine) -> float:
     """Largest absolute correlation of any member with the residual y* - p."""
-    corr = correlate(engine.weights, engine.ystar - pred.values(engine.X), engine.member_matrix(hclass))
+    corr = engine.correlations(hclass, engine.weights * (engine.ystar - pred.values(engine.X)))
     return float(np.max(np.abs(corr), initial=0.0))
 
 
@@ -68,7 +68,7 @@ class ResidualAccess:
 
     Under an exact engine ``z`` is f(x) = p*(x) - p(x) itself; under an
     empirical one it is the real-valued label y - p(x), whose conditional
-    mean is f(x).  Member values come from the engine's cached matrix.
+    mean is f(x).  Member correlations come from the engine's cache.
     """
 
     engine: ExpectationEngine
@@ -100,7 +100,7 @@ class ExhaustiveWeakLearner:
             raise ValueError("need 0 < sigma <= rho")
 
     def query(self, access: ResidualAccess) -> tuple[Hypothesis, float] | None:
-        corr = correlate(access.engine.weights, access.z, access.engine.member_matrix(self.hclass))
+        corr = access.engine.correlations(self.hclass, access.engine.weights * access.z)
         best = int(np.argmax(corr))
         if corr[best] >= self.sigma - _WL_TIE_TOL:
             return self.hclass.members[best], float(corr[best])

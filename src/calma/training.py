@@ -41,6 +41,7 @@ class IterationCapError(RuntimeError):
 
 _EST_ECE_REPEATS = 3  # median-of-k against estimator failure
 _CAP_FACTOR = 2.0  # the iteration cap over the provable bound on outer rounds
+_MAX_DRAW = int(np.iinfo(np.int64).max)  # numpy counts a draw's rows in int64
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,8 @@ def calma(
     estimated calibration error of the discretization exceeds 3 alpha / 4.
     The iteration cap sits at twice the provable bound 1 + 8 l2(p*, p0)^2 /
     alpha^2, so hitting it signals violated preconditions rather than a slow
-    run.
+    run.  A sampled run that needs more draws at once than int64 counts
+    raises ``ValueError`` before its first draw.
     """
     cfg = config or CalmaConfig()
     if not 0 < alpha <= 1:
@@ -122,6 +124,10 @@ def calma(
     cap = int(math.ceil(_CAP_FACTOR * (1.0 + 8.0 / alpha**2)))
     n_est = cfg.est_ece_samples or est_ece_samples_needed(delta, mu)
     n_recal = cfg.recal_samples or recal_samples_needed(delta)
+    sizes = {"weak-learner query": cfg.ma_batch, "ECE estimate": n_est, "recalibration": n_recal}
+    for what, n in sizes.items():
+        if sampler is not None and n > _MAX_DRAW:
+            raise ValueError(f"at alpha={alpha:g} a sampled {what} needs {n:.3g} draws, more than int64 holds")
     repeats = 1 if sampler is None else _EST_ECE_REPEATS
 
     def measure(n: int) -> ExpectationEngine:

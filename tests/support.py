@@ -127,6 +127,17 @@ def reference_fit_l1(X: np.ndarray, y: np.ndarray, iters: int = 4000) -> tuple[n
     return best_beta, float(np.linalg.norm(g))
 
 
+def reference_l1_line_search(r: np.ndarray, q: np.ndarray) -> tuple[float, int]:
+    """Reference l1 line search: sort every kink ahead, then take the first
+    where the slope of sum(|r - a q|) turns nonnegative.  ``bench._l1_line_search``
+    must return the same step, and the same point when no two kinks tie."""
+    ahead = np.flatnonzero(r * q > 0)
+    ahead = ahead[np.argsort(r[ahead] / q[ahead])]
+    slope = 2.0 * np.cumsum(np.abs(q[ahead])) - float(np.dot(np.where(r == 0.0, -np.sign(q), np.sign(r)), q))
+    i = ahead[min(int(np.searchsorted(slope, 0.0)), len(ahead) - 1)]
+    return float(r[i] / q[i]), int(i)
+
+
 def reference_fit_l1_lp(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
     """Reference l1 fit: HiGHS on the least-absolute-deviations dual, max yᵀu
     subject to X1ᵀu = 0 and -1 <= u <= 1.  The coefficients are the negated

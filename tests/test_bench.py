@@ -15,11 +15,11 @@ from calma.bench import (
     run_benchmark,
     train_calma_bench,
 )
-from calma.bench import _fit_exp, _fit_l1, _fit_l2
+from calma.bench import _fit_exp, _fit_l1, _fit_l2, _l1_line_search
 from calma.calibration import bucket_means, bucket_midpoints, ece
 from calma.core import BucketRecalPredictor, Dataset, ExpectationEngine, PipelinePredictor
 
-from support import reference_fit_exp, reference_fit_l1, reference_fit_l1_lp
+from support import reference_fit_exp, reference_fit_l1, reference_fit_l1_lp, reference_l1_line_search
 
 
 class TestGenerator:
@@ -138,6 +138,34 @@ class TestL1Kernel:
         lp_beta, _, lp_converged = reference_fit_l1_lp(train.X, train.y)
         walk, lp = self.objective(train.X, train.y, beta), self.objective(train.X, train.y, lp_beta)
         assert lp_converged and abs(walk - lp) <= 1e-12 * lp
+
+    @staticmethod
+    def line_search_case(rng, n, ahead_share):
+        """(r, q) with about ``ahead_share`` of the points' kinks ahead, the first
+        always: the larger the share, the later the slope turns."""
+        r = rng.normal(size=n)
+        q = np.abs(rng.normal(size=n)) * np.where(rng.random(n) < ahead_share, np.sign(r), -np.sign(r))
+        q[0] = abs(q[0]) * np.sign(r[0])
+        return r, q
+
+    def test_line_search_matches_the_full_sort(self):
+        rng = np.random.default_rng(23)
+        for n in (1, 5, 31, 32, 33, 200, 3000):
+            for ahead_share in (0.5, 0.8, 0.97, 1.0):
+                r, q = self.line_search_case(rng, n, ahead_share)
+                assert _l1_line_search(r, q) == reference_l1_line_search(r, q)
+
+    def test_line_search_with_tied_kinks_and_zero_residuals(self):
+        rng = np.random.default_rng(24)
+        for n in (6, 40, 300, 3000):
+            for ahead_share in (0.5, 0.9, 1.0):
+                r, q = self.line_search_case(rng, n, ahead_share)
+                # few distinct kinks, and some residuals exactly 0
+                r = np.sign(r) * np.ceil(np.abs(r) * 2) / 2
+                q = np.sign(q) * np.ceil(np.abs(q) * 2) / 2
+                r[1::5] = 0.0
+                alpha, i = _l1_line_search(r, q)
+                assert alpha == reference_l1_line_search(r, q)[0] and alpha == r[i] / q[i]
 
     def test_step_cap_reports_unconverged_without_raising(self, monkeypatch):
         train, _, _ = gen_gaussian_mixture(MixtureConfig(s=4, d=4, seed=1, n_cal=10, n_test=10))

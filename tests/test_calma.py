@@ -1,5 +1,6 @@
 """The alternating boosting/recalibration trainer and its accounting."""
 
+import collections
 import json
 import math
 
@@ -21,7 +22,7 @@ from calma.core import (
     value_matrix,
 )
 from calma.multiaccuracy import ExhaustiveWeakLearner, mae
-from calma import training
+from calma import core, training
 from calma.training import CalmaConfig, IterationCapError, calma
 from calma.audit import parity_distribution
 
@@ -177,7 +178,7 @@ class TestSampledMode:
         assert trace.outer_iterations >= 1
 
     def test_one_pass_member_matrix_leaves_a_sampled_run_unchanged(self, monkeypatch):
-        # each weak-learner query builds the matrix of a fresh draw
+        # the patched member_matrix below evaluates every member again on each weak-learner query
         axis = np.linspace(-1.0, 1.0, 6)
         points = np.array([(a, b) for a in axis for b in axis])
         rng = np.random.default_rng(8)
@@ -201,6 +202,50 @@ class TestSampledMode:
         assert one_pass.tobytes() == per_member.tobytes()
         assert json.dumps(trace.to_dict()) == json.dumps(per_member_trace.to_dict())
 
+    @staticmethod
+    def grid_distribution():
+        axis = np.linspace(-1.0, 1.0, 6)
+        points = np.array([(a, b) for a in axis for b in axis])
+        rng = np.random.default_rng(8)
+        mass = rng.uniform(0.2, 1.0, len(points))
+        mass /= mass.sum()
+        mass[-1] = 1.0 - math.fsum(mass[:-1].tolist())
+        return FiniteDistribution(points, mass, 1.0 / (1.0 + np.exp(-(points @ rng.normal(0.0, 2.0, 2)))))
+
+    def test_draws_of_one_sampler_build_each_class_once(self, monkeypatch):
+        # each draw was an engine of its own, so each weak-learner query built the matrix again
+        dist = self.grid_distribution()
+        intervals, coords = interval_class(coordinate_class(2), 0.5), coordinate_class(2)
+        builds = collections.Counter()
+        original = core.value_matrix
+        monkeypatch.setattr(core, "value_matrix", lambda fns, X: builds.update([id(fns)]) or original(fns, X))
+        first, second = DistributionSampler(dist, seed=1), DistributionSampler(dist, seed=2)
+        for sampler in (first, second, first):
+            for _ in range(3):
+                engine = sampler.draw(500)
+                for cls in (intervals, coords):
+                    assert np.array_equal(engine.correlations(cls, engine.weights), engine.weights @ original(cls, dist.points))
+        assert builds[id(intervals)] == builds[id(coords)] == 2  # one per class per sampler
+        builds.clear()
+        cfg = CalmaConfig(est_ece_samples=20_000, recal_samples=20_000, ma_batch=3_000)
+        _, trace = calma(ConstantPredictor(0.1), 0.05, make_wl(intervals, 0.05), ExpectationEngine.exact(dist),
+                         sampler=DistributionSampler(dist, seed=3), config=cfg)
+        assert trace.total_wl_calls > 10
+        assert builds[id(intervals)] == 2  # the sampler's draws, and the exact engine's final mae
+
+    def test_paper_sizes_past_int64_fail_before_the_first_draw(self):
+        # at alpha 0.05 the recalibration size is 1.92e19; numpy's multinomial raised OverflowError
+        dist = self.grid_distribution()
+        sampler = DistributionSampler(dist, seed=4)
+        state = sampler.rng.bit_generator.state
+        cls = interval_class(coordinate_class(2), 0.5)
+        with pytest.raises(ValueError, match=r"alpha=0\.05 a sampled recalibration needs 1\.92e\+19 draws"):
+            calma(ConstantPredictor(0.5), 0.05, make_wl(cls, 0.05), ExpectationEngine.exact(dist), sampler=sampler)
+        assert sampler.rng.bit_generator.state == state
+        # engine mode takes no draws, so the same sizes are not checked
+        _, trace = calma(ConstantPredictor(0.5), 0.05, make_wl(cls, 0.05), ExpectationEngine.exact(dist))
+        assert trace.final_mae <= 0.05
+
     def test_trace_serializes(self):
         rng = np.random.default_rng(4)
         dist = random_distribution(rng)
@@ -210,6 +255,30 @@ class TestSampledMode:
         d = trace.to_dict()
         assert d["alpha"] == 0.2
         assert len(d["rounds"]) == trace.outer_iterations
+
+
+class TestCellIndex:
+    def test_interval_class_past_the_cut_off_never_builds_its_matrix(self, monkeypatch):
+        train, _, _ = gen_gaussian_mixture(MixtureConfig(s=4, d=10, seed=1, n_train=2000, n_cal=10, n_test=10))
+        cls = interval_class(coordinate_class(train.dim, np.max(np.abs(train.X), axis=0).tolist()), 0.25)
+        assert train.n * len(cls) > core._DENSE_MAX  # 2,000 rows x 178 members
+        builds = collections.Counter()
+        original = core.value_matrix
+        monkeypatch.setattr(core, "value_matrix", lambda fns, X: builds.update([id(fns)]) or original(fns, X))
+
+        def run():
+            p0 = ConstantPredictor(float(np.mean(train.y)))
+            return calma(p0, 0.03, make_wl(cls, 0.03), ExpectationEngine.empirical(train))
+
+        pred, trace = run()
+        assert builds[id(cls)] == 0 and trace.total_wl_calls > 5
+        monkeypatch.setattr(core, "_DENSE_MAX", math.inf)
+        dense_pred, dense_trace = run()
+        assert builds[id(cls)] == 1
+        # the same members are picked: bit-identical predictions, and the mae within rounding
+        assert pred.to_dict() == dense_pred.to_dict()
+        assert pred.values(train.X).tobytes() == dense_pred.values(train.X).tobytes()
+        assert abs(trace.final_mae - dense_trace.final_mae) <= 1e-15
 
 
 def test_trained_model_file_lists_only_moved_buckets():

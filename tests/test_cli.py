@@ -132,6 +132,22 @@ def test_model_without_a_class_is_a_usage_error(runner, tmp_path, three_columns)
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize(
+    "model_class",
+    [["coords", [1.0, 1.0, 1.0]], {"scales": [1.0, 1.0, 1.0]}, {"kind": "coords"}, {"kind": "coords", "scales": 3}],
+    ids=["not-a-dict", "no-kind", "no-scales", "scales-not-a-list"],
+)
+def test_malformed_model_class_is_a_usage_error(runner, tmp_path, three_columns, model_class):
+    # each ended in a KeyError or TypeError traceback and exit 1
+    data, model = three_columns
+    with open(model, "w") as fh:
+        json.dump({"class": model_class, "predictor": {"kind": "constant", "value": 0.5}}, fh)
+    res = runner.invoke(main, ["audit", "--model", model, "--data", data, "--out", str(tmp_path / "r.json")])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    assert "the model file's class must be an object with a 'kind' and a list of 'scales'" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_audit_builds_the_member_matrix_once(runner, tmp_path, three_columns, monkeypatch):
     data, model = three_columns
     builds = []

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from calma import core
 from calma.bench import MixtureConfig, gen_gaussian_mixture
 from calma.calibration import recalibrate_with_engine
 from calma.core import (
@@ -366,33 +367,49 @@ class TestMemberMatrix:
     tagged = [Hypothesis(lambda X: 0.5 * X[:, 0], 1.0, "a"), Hypothesis(lambda X: -X[:, 1], 1.0, "-a"),
               Hypothesis(lambda X: X[:, 2], 1.0, "a"), Hypothesis(lambda X: X[:, 2] ** 2, 1.0, "1")]
 
-    @pytest.mark.parametrize(
-        "build, X",
-        [
-            (lambda: coordinate_class(3, [2.0, 0.5, 4.0]), X),
-            (lambda: interval_class(coordinate_class(3), 0.3), X),
-            (lambda: interval_class(coordinate_class(3, [1.2] * 3), 0.25), X[:1]),
-            (lambda: level_class(coordinate_class(3), TestMemberMatrix.grid), grid),
-            (lambda: power_class(coordinate_class(3), 3), X),
-            (lambda: interval_class(power_class(coordinate_class(3), 2), 0.5), X),
-            (lambda: power_class(interval_class(coordinate_class(3), 0.5), 2), X),
-            (lambda: level_class(interval_class(coordinate_class(3), 1.0), TestMemberMatrix.grid), grid),
-            (lambda: make_class(TestMemberMatrix.tagged), X),
-            (lambda: interval_class(make_class(TestMemberMatrix.tagged[:2]), 0.5), X),
-            (lambda: make_class([]), X),
-            (lambda: HypothesisClass(()), X),
-            (lambda: interval_class(HypothesisClass(()), 0.5), X),
-        ],
-        ids=["coordinate", "interval", "interval-1-row", "level", "power", "interval-of-power",
-             "power-of-interval", "level-of-interval", "make_class-colliding-tags", "interval-of-colliding",
-             "make_class-empty", "0-members", "interval-of-0-members"],
-    )
+    cases = {
+        "coordinate": (lambda: coordinate_class(3, [2.0, 0.5, 4.0]), X),
+        "interval": (lambda: interval_class(coordinate_class(3), 0.3), X),
+        "interval-1-row": (lambda: interval_class(coordinate_class(3, [1.2] * 3), 0.25), X[:1]),
+        "level": (lambda: level_class(coordinate_class(3), TestMemberMatrix.grid), grid),
+        "power": (lambda: power_class(coordinate_class(3), 3), X),
+        "interval-of-power": (lambda: interval_class(power_class(coordinate_class(3), 2), 0.5), X),
+        "power-of-interval": (lambda: power_class(interval_class(coordinate_class(3), 0.5), 2), X),
+        "level-of-interval": (lambda: level_class(interval_class(coordinate_class(3), 1.0), TestMemberMatrix.grid), grid),
+        "make_class-colliding-tags": (lambda: make_class(TestMemberMatrix.tagged), X),
+        "interval-of-colliding": (lambda: interval_class(make_class(TestMemberMatrix.tagged[:2]), 0.5), X),
+        "make_class-empty": (lambda: make_class([]), X),
+        "0-members": (lambda: HypothesisClass(()), X),
+        "interval-of-0-members": (lambda: interval_class(HypothesisClass(()), 0.5), X),
+    }
+    intervals = {k: case for k, case in cases.items() if k.startswith("interval")}
+
+    @pytest.mark.parametrize("build, X", list(cases.values()), ids=list(cases))
     def test_bit_identical_to_the_per_member_loop(self, build, X):
         cls = build()
         engine = ExpectationEngine(X, np.full(len(X), 1.0 / len(X)), np.zeros(len(X)))
         got, want = engine.member_matrix(cls), _per_member(cls, X)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert got.flags.c_contiguous and not got.flags.writeable
+
+    @pytest.mark.parametrize("build, X", list(intervals.values()), ids=list(intervals))
+    def test_correlations_through_the_cell_index_match_the_dense_path(self, build, X, monkeypatch):
+        monkeypatch.setattr(core, "_DENSE_MAX", -1)  # every engine reads the cell index
+        cls = build()
+        engine = ExpectationEngine(X, np.full(len(X), 1.0 / len(X)), np.zeros(len(X)))
+        tags = [m.tag for m in cls.members]
+        last_cell_of_1 = max((j for j, t in enumerate(tags) if t.startswith("int(1,")), default=None)
+        rng = np.random.default_rng(22)
+        for v in [rng.normal(size=len(X)) for _ in range(5)] + [rng.uniform(0.1, 1.0, len(X))]:
+            got, want = engine.correlations(cls, v), v @ _per_member(cls, X)
+            assert got.shape == want.shape and np.all(np.abs(got - want) <= 1e-15 * np.sum(np.abs(v)))
+            if last_cell_of_1 is not None:
+                # the constant and the cell that holds every row of it are one column: an exact tie
+                assert got[tags.index("1")] == got[last_cell_of_1] and tags.index("1") > last_cell_of_1
+        # positive weights: the constant ties for the maximum, and the first of the tie wins on both paths
+        first = int(np.argmax(got))
+        assert first == np.argmax(want) and got[first] == got[tags.index("1")]
+        assert list(engine._members) == [(id(cls), "cells")]  # no dense matrix was built
 
     def test_colliding_tags_keep_the_first_member(self):
         cls = make_class(self.tagged)

@@ -54,11 +54,45 @@ print(h.hexdigest())
 """
 
 
-def test_results_do_not_depend_on_the_blas_thread_count():
+# trains calma() at the benchmark's alpha over the 178-member interval class of a
+# 2,000-row mixture (past the dense cut-off, so through the cell index), audits
+# the clamped predictor on 2,000 held-out rows and hashes the predictions, the
+# model, the trace, the audit payload and the held-out mae
+_HASH_TRAIN_AUDIT = """
+import hashlib, json
+import numpy as np
+from calma import audit, bench, core, losses, multiaccuracy, training
+train, _, held = bench.gen_gaussian_mixture(bench.MixtureConfig(s=4, d=10, seed=1, n_train=2000, n_cal=10, n_test=2000))
+coords = core.coordinate_class(train.dim, np.max(np.abs(train.X), axis=0).tolist())
+rho = 0.03 - 0.03**2 / 32
+wl = multiaccuracy.ExhaustiveWeakLearner(core.interval_class(coords, 0.25), rho=rho, sigma=rho)
+pred, trace = training.calma(core.ConstantPredictor(float(np.mean(train.y))), 0.03, wl, core.ExpectationEngine.empirical(train))
+engine = core.ExpectationEngine.empirical(held)
+clamped = core.FunctionPredictor(lambda X: np.clip(pred.values(X), 1e-9, 1 - 1e-9))
+report = audit.audit_family(clamped, [losses.get_loss(n) for n in ("l1", "l2", "l4", "glm:sigmoid")], coords, engine)
+h = hashlib.sha256(pred.values(held.X).tobytes())
+for part in (pred.to_dict(), trace.to_dict(), report.to_dict(), multiaccuracy.mae(clamped, coords, engine)):
+    h.update(json.dumps(part).encode())
+print(h.hexdigest())
+"""
+
+
+def _digests_under_one_and_two_blas_threads(script: str) -> list[str]:
     src = os.path.dirname(os.path.dirname(os.path.abspath(calma.__file__)))
-    digests = []
+    runs = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-        run = subprocess.run([sys.executable, "-c", _HASH_RUNS], env=env, capture_output=True, text=True, check=True)
-        digests.append(run.stdout)
+        runs.append(subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, text=True))
+    digests = [run.communicate()[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    return digests
+
+
+def test_results_do_not_depend_on_the_blas_thread_count():
+    digests = _digests_under_one_and_two_blas_threads(_HASH_RUNS)
+    assert digests[0] == digests[1] and len(digests[0].strip()) == 64
+
+
+def test_trained_and_audited_files_do_not_depend_on_the_blas_thread_count():
+    digests = _digests_under_one_and_two_blas_threads(_HASH_TRAIN_AUDIT)
     assert digests[0] == digests[1] and len(digests[0].strip()) == 64
