@@ -31,6 +31,7 @@ from .bench import (
 from .calibration import ece as ece_fn
 from .core import (
     ConstantPredictor,
+    Dataset,
     ExpectationEngine,
     FunctionPredictor,
     HypothesisClass,
@@ -77,10 +78,18 @@ def _class_from_dict(d: dict, n_columns: int, source: str = "the model file's cl
     return coordinate_class(n_columns, scales)
 
 
+def _load_csv(path: str) -> Dataset:
+    """``load_dataset``, with a file it rejects as a usage error that names the file."""
+    try:
+        return load_dataset(path)
+    except ValueError as exc:
+        raise click.UsageError(f"cannot load {path}: {' '.join(str(exc).split())}")
+
+
 def _load_engine(path: str) -> ExpectationEngine:
     if path.endswith(".json"):
         return ExpectationEngine.exact(load_distribution(path))
-    return ExpectationEngine.empirical(load_dataset(path))
+    return ExpectationEngine.empirical(_load_csv(path))
 
 
 @click.group()
@@ -119,7 +128,7 @@ def gen(s, d, n_train, n_cal, n_test, seed, out_dir):
 @click.option("--trace", "trace_path", default="trace.json", show_default=True, help="training trace file")
 def train(data_path, class_spec, alpha, seed, out_path, trace_path):
     """Train a calibrated multiaccurate predictor on a CSV dataset."""
-    data = load_dataset(data_path)
+    data = _load_csv(data_path)
     hclass, class_dict = _build_class(class_spec, data.X)
     engine = ExpectationEngine.empirical(data)
     delta = alpha * alpha / 32.0
@@ -185,7 +194,7 @@ def audit(model_path, data_path, losses, class_spec, out_path, clamp):
 @click.option("--test", "test_path", default=None, type=click.Path(exists=True))
 def baseline(loss_name, data_path, test_path):
     """Fit the per-loss linear baseline; print train (and test) loss."""
-    data = load_dataset(data_path)
+    data = _load_csv(data_path)
     fit = fit_linear_baseline(loss_name, data)
     out = {
         "loss": loss_name,
@@ -195,7 +204,7 @@ def baseline(loss_name, data_path, test_path):
         "train_loss": column_value_for_score(loss_name, fit.score(data.X), data.y),
     }
     if test_path:
-        test = load_dataset(test_path)
+        test = _load_csv(test_path)
         out["test_loss"] = column_value_for_score(loss_name, fit.score(test.X), test.y)
     click.echo(json.dumps(out, indent=2))
     if not fit.converged:

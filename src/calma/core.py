@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
@@ -228,23 +229,74 @@ def save_dataset(data: Dataset, path: str) -> None:
     """Write the header ``f0,...,f{d-1},y`` and one line per row: ``repr`` of
     each feature, then the integer label, CRLF-terminated (the bytes
     ``csv.writer`` writes).  Rows are formatted ``_CSV_BLOCK`` at a time, so
-    the text held in memory does not grow with the number of rows."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join([f"f{j}" for j in range(data.dim)] + ["y"]) + "\r\n")
+    the text held in memory does not grow with the number of rows.
+
+    Then write the companion ``<path>.npz``, a cache that ``load_dataset``
+    reads instead of parsing the text: ``digest``, the sha256 of the CSV bytes
+    (hashed as they are written), and ``rows``, the n x (d+1) float64 array
+    that parsing those bytes yields (the label column is the written integer
+    label).  It is written to a temporary file and moved into place after the
+    CSV.  Deleting it costs only load speed."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+
+        def write(text: str) -> None:
+            block = text.encode("ascii")
+            digest.update(block)
+            fh.write(block)
+
+        write(",".join([f"f{j}" for j in range(data.dim)] + ["y"]) + "\r\n")
         for s in range(0, data.n, _CSV_BLOCK):
             rows = zip(data.X[s : s + _CSV_BLOCK].tolist(), data.y[s : s + _CSV_BLOCK].tolist())
-            fh.write("".join(f"{','.join(map(repr, x))},{int(y)}\r\n" for x, y in rows))
+            write("".join(f"{','.join(map(repr, x))},{int(y)}\r\n" for x, y in rows))
+    companion = path + ".npz"
+    tmp = f"{companion}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            labels = (data.y == 1).astype(np.float64)  # the written integer label: a -0.0 label parses to +0.0
+            np.savez(fh, digest=np.frombuffer(digest.digest(), np.uint8), rows=np.column_stack([data.X, labels]))
+        os.replace(tmp, companion)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _companion_rows(path: str) -> np.ndarray | None:
+    """The ``rows`` of ``<path>.npz`` if its ``digest`` is the sha256 of the
+    file at ``path``; ``None`` when there is no companion, or it is stale,
+    foreign or unreadable."""
+    import hashlib
+
+    try:
+        with np.load(path + ".npz", allow_pickle=False) as z:
+            with open(path, "rb") as fh:
+                if z["digest"].tobytes() != hashlib.sha256(fh.read()).digest():
+                    return None
+            rows = z["rows"]
+    except Exception:  # np.load of a damaged file raises many types (BadZipFile, KeyError, EOFError, ...)
+        return None
+    return rows if rows.dtype == np.float64 and rows.ndim == 2 else None
 
 
 def load_dataset(path: str) -> Dataset:
-    with open(path) as fh:
-        if fh.readline().rstrip("\r\n").split(",")[-1] != "y":
-            raise ValueError("expected CSV header f0,...,f{d-1},y")
-        body = fh.tell()
-        if not any(line.partition("#")[0].strip() for line in iter(fh.readline, "")):
-            raise ValueError("dataset must be nonempty")  # np.loadtxt would warn first
-        fh.seek(body)
-        arr = np.loadtxt(fh, delimiter=",", ndmin=2)
+    """Read a CSV with header ``f0,...,f{d-1},y``.  When the file has a
+    ``save_dataset`` companion ``<path>.npz`` whose digest is the sha256 of
+    the file's bytes, its ``rows`` are taken instead of parsing the text; in
+    every other case (no companion, a stale, foreign or unreadable one) the
+    text is parsed.  The result is bit for bit the same either way, the
+    ``Dataset`` checks run on both paths, and no file is written."""
+    arr = _companion_rows(path)
+    if arr is None:
+        with open(path) as fh:
+            if fh.readline().rstrip("\r\n").split(",")[-1] != "y":
+                raise ValueError("expected CSV header f0,...,f{d-1},y")
+            body = fh.tell()
+            if not any(line.partition("#")[0].strip() for line in iter(fh.readline, "")):
+                raise ValueError("dataset must be nonempty")  # np.loadtxt would warn first
+            fh.seek(body)
+            arr = np.loadtxt(fh, delimiter=",", ndmin=2)
     return Dataset(arr[:, :-1], arr[:, -1])
 
 

@@ -143,7 +143,14 @@ def reference_fit_l1_lp(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float
     subject to X1ᵀu = 0 and -1 <= u <= 1.  The coefficients are the negated
     marginals of its equality rows, and ``‖X1ᵀu‖ / n`` is the norm of the
     subgradient that u certifies.  The vertex walk of ``bench._fit_l1`` must
-    reach the same train objective."""
+    reach the same train objective.
+
+    The oracle is exact only to HiGHS's tolerances: on 2 of 7,500 scanned
+    ``table`` cells (mixture seed 1 cycle 228 at (s, d) = (4, 10), seed 2
+    cycle 72 at (4, 4)) it stops at a non-optimal vertex, 1.8e-11 and 9.2e-11
+    (relative) above the walk's train objective, where an independent KKT
+    check finds a multiplier of 5.5 and 2.6.  The tests compare with it only
+    on fixed cells, where it agrees with the walk."""
     from scipy.optimize import linprog
 
     X1 = np.column_stack([X, np.ones(len(X))])

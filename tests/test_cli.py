@@ -2,14 +2,11 @@
 
 import json
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-import calma
 from calma import audit, bench, core
 from calma.bench import MixtureConfig, aggregate_results, markdown_table, run_benchmark
 from calma.cli import main
@@ -157,6 +154,35 @@ def test_audit_builds_the_member_matrix_once(runner, tmp_path, three_columns, mo
     res = runner.invoke(main, ["audit", "--model", model, "--data", data, "--out", str(tmp_path / "r.json")])
     assert res.exit_code == 0, res.output
     assert builds == [8]  # 3 coordinates, the constant and their negations: the gaps and mae share it
+
+
+@pytest.mark.parametrize("command", ["train", "audit", "baseline", "baseline-test"])
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("f0,f1,f2,y\n0.5,1.5,2.5,1\n0.5,1.5,1\n", "the number of columns changed from 4 to 3 at row 2"),
+        ("f0,f1,f2,y\n0.5,1.5,2.5,3\n", "labels must be binary"),
+        ("f0,f1,f2,label\n0.5,1.5,2.5,1\n", "expected CSV header f0,...,f{d-1},y"),
+        ("f0,f1,f2,y\n", "dataset must be nonempty"),
+    ],
+    ids=["ragged", "label-3", "header", "no-rows"],
+)
+def test_unloadable_csv_is_a_usage_error(runner, tmp_path, three_columns, command, text, reason):
+    # each ended in a ValueError traceback and exit 1
+    data, model = three_columns
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    args = {
+        "train": ["train", "--data", str(bad), "--out", str(tmp_path / "m.json"), "--trace", ""],
+        "audit": ["audit", "--model", model, "--data", str(bad), "--out", str(tmp_path / "r.json")],
+        "baseline": ["baseline", "--loss", "l2", "--data", str(bad)],
+        "baseline-test": ["baseline", "--loss", "l2", "--data", data, "--test", str(bad)],
+    }[command]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"Error: cannot load {bad}: {reason}"), res.output
+    assert "Traceback" not in res.output
 
 
 @pytest.mark.parametrize(
@@ -364,12 +390,3 @@ def test_bench_writes_csv_table(runner, tmp_path):
     agg = aggregate_results([run_benchmark(MixtureConfig(s=2, d=2, seed=0))])
     rows = [name + "," + ",".join(f"{agg[name][c]['mean']:.5f}" for c in ("l2", "l1", "exp", "log")) for name in agg]
     assert text == "\n".join(["algorithm,l2,l1,exp,log", *rows]) + "\n"
-
-
-def test_import_leaves_scipy_optimize_and_integrate_unloaded():
-    """No scipy module at all, so neither scipy.optimize nor scipy.integrate."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(calma.__file__)))
-    code = "import sys, calma.cli; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == []

@@ -744,6 +744,69 @@ class TestIO:
         save_dataset(data, str(tmp_path / "data.csv"))
         assert (tmp_path / "data.csv").read_bytes() == ref.read_bytes()
 
+    @staticmethod
+    def _text_parse(path):
+        """What the CSV's text parses to, read from a copy that has no companion."""
+        copy = path.parent / f"text-{path.name}"
+        copy.write_bytes(path.read_bytes())
+        return load_dataset(str(copy))
+
+    @pytest.mark.parametrize("case", ["awkward", "one_column", "mixture"])
+    def test_companion_hit_matches_the_text_parse(self, tmp_path, monkeypatch, case):
+        if case == "awkward":  # the -0.0 label is written as 0, which parses to +0.0
+            X = np.array([[1e-300, -2.5e300], [0.1 + 0.2, -0.0], [np.pi, 5e-324], [-1e-300, 1e300]])
+            data = Dataset(X, [1.0, -0.0, 1.0, 0.0])
+        elif case == "one_column":
+            data = Dataset(np.array([[0.5], [-0.0], [5e-324]]), [-0.0, 1.0, 1.0])
+        else:
+            data = gen_gaussian_mixture(MixtureConfig(s=4, d=10, n_train=10_000, n_cal=10, n_test=10, seed=3))[0]
+        path = tmp_path / "data.csv"
+        save_dataset(data, str(path))
+        text = self._text_parse(path)
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("a companion hit parsed the text")
+
+        monkeypatch.setattr(np, "loadtxt", no_parse)
+        hit = load_dataset(str(path))
+        for got, want in ((hit.X, text.X), (hit.y, text.y)):
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape and got.strides == want.strides
+
+    @pytest.mark.parametrize("fault", ["edited", "foreign", "truncated", "garbage", "missing"])
+    def test_companion_miss_falls_back_to_the_text(self, tmp_path, fault):
+        rng = np.random.default_rng(23)
+        path, companion = tmp_path / "data.csv", tmp_path / "data.csv.npz"
+        save_dataset(Dataset(rng.normal(size=(50, 3)), rng.integers(0, 2, 50)), str(path))
+        if fault == "edited":  # one digit of the first row changed in place: same length, new bytes
+            raw = bytearray(path.read_bytes())
+            i = next(i for i in range(raw.index(b"\n") + 1, len(raw)) if raw[i] in b"12345678")
+            raw[i] += 1
+            path.write_bytes(bytes(raw))
+        elif fault == "foreign":  # the companion of another CSV of the same shape
+            other = tmp_path / "other.csv"
+            save_dataset(Dataset(rng.normal(size=(50, 3)), rng.integers(0, 2, 50)), str(other))
+            companion.write_bytes((tmp_path / "other.csv.npz").read_bytes())
+        elif fault == "truncated":
+            companion.write_bytes(companion.read_bytes()[: companion.stat().st_size // 2])
+        elif fault == "garbage":
+            companion.write_bytes(b"not an npz file\n" * 20)
+        else:
+            companion.unlink()
+        text = self._text_parse(path)
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        got = load_dataset(str(path))
+        assert got.X.tobytes() == text.X.tobytes() and got.y.tobytes() == text.y.tobytes()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files  # loading writes nothing
+
+    def test_save_leaves_no_temporary_file(self, tmp_path):
+        path = str(tmp_path / "data.csv")
+        for seed in (24, 25):  # the second save replaces the companion
+            rng = np.random.default_rng(seed)
+            data = Dataset(rng.normal(size=(20, 2)), rng.integers(0, 2, 20))
+            save_dataset(data, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "data.csv.npz"]
+        assert np.array_equal(load_dataset(path).X, data.X)
+
     def test_one_row_file(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("f0,f1,y\n0.5,-1.5,1\n")

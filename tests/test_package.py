@@ -26,6 +26,16 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
+def test_import_leaves_scipy_and_hashlib_unloaded():
+    """``import calma.cli`` loads no scipy module (so neither scipy.optimize nor
+    scipy.integrate) and not hashlib: both are imported where they are used."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(calma.__file__)))
+    code = "import sys, calma.cli; print(*sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'hashlib')))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
+
+
 # hashes the l1 and exp baselines of one 3,000-row table cell and one exact-mode
 # calma() run on a 6x6 grid
 _HASH_RUNS = """
