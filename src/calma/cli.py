@@ -8,6 +8,7 @@ threshold.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -78,17 +79,24 @@ def _class_from_dict(d: dict, n_columns: int, source: str = "the model file's cl
     return coordinate_class(n_columns, scales)
 
 
-def _load_csv(path: str) -> Dataset:
-    """``load_dataset``, with a file it rejects as a usage error that names the file."""
+@contextlib.contextmanager
+def _loading(path: str):
+    """Report a ``ValueError`` raised while reading ``path`` as a usage error that names the file."""
     try:
-        return load_dataset(path)
+        yield
     except ValueError as exc:
         raise click.UsageError(f"cannot load {path}: {' '.join(str(exc).split())}")
 
 
+def _load_csv(path: str) -> Dataset:
+    with _loading(path):
+        return load_dataset(path)
+
+
 def _load_engine(path: str) -> ExpectationEngine:
     if path.endswith(".json"):
-        return ExpectationEngine.exact(load_distribution(path))
+        with _loading(path):
+            return ExpectationEngine.exact(load_distribution(path))
     return ExpectationEngine.empirical(_load_csv(path))
 
 
@@ -164,13 +172,14 @@ def train(data_path, class_spec, alpha, seed, out_path, trace_path):
               help="keep glm decisions finite")
 def audit(model_path, data_path, losses, class_spec, out_path, clamp):
     """Run the indistinguishability audit of a trained model."""
-    with open(model_path) as fh:
+    with open(model_path) as fh, _loading(model_path):
         model = json.load(fh)
     if "class" not in model:
         raise click.UsageError("the model file has no 'class' key; calma train writes the hypothesis class there")
     engine = _load_engine(data_path)
     hclass = _class_from_dict(model["class"], engine.X.shape[1])
-    pred = predictor_from_dict(model["predictor"], hclass)
+    with _loading(model_path):
+        pred = predictor_from_dict(model.get("predictor"), hclass)
     if class_spec is not None:
         hclass, _ = _build_class(class_spec, engine.X)
     if clamp > 0:

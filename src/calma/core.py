@@ -115,7 +115,7 @@ def correlate(weights: np.ndarray, resid: np.ndarray, G: np.ndarray):
 
 def value_matrix(fns: Iterable, arg: np.ndarray) -> np.ndarray:
     """C-contiguous n x k matrix whose column j is ``fns[j].values(arg)``.  A
-    class from ``make_class`` or a class constructor writes it in one pass
+    class from ``coordinate_class`` or ``interval_class`` writes it in one pass
     through its builder, bit for bit the same; other members are evaluated one
     at a time."""
     X = np.atleast_2d(np.asarray(arg, dtype=np.float64))
@@ -123,15 +123,11 @@ def value_matrix(fns: Iterable, arg: np.ndarray) -> np.ndarray:
     fns = list(fns)
     out = np.empty((len(X), len(fns)))
     if fill is None:
-        _fill_each(fns, X, out)
+        for j, f in enumerate(fns):
+            out[:, j] = f.values(X)
     else:
         fill(X, out)
     return out
-
-
-def _fill_each(fns: Sequence, X: np.ndarray, out: np.ndarray) -> None:
-    for j, f in enumerate(fns):
-        out[:, j] = f.values(X)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +178,9 @@ class FiniteDistribution:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "FiniteDistribution":
-        return cls(np.asarray(d["points"]), np.asarray(d["mass"]), np.asarray(d["bayes"]))
+        if missing := [k for k in ("points", "mass", "bayes") if k not in d]:
+            raise ValueError(f"a distribution needs 'points', 'mass' and 'bayes'; missing: {', '.join(missing)}")
+        return cls(*(np.asarray(d[k]) for k in ("points", "mass", "bayes")))
 
 
 @dataclass(frozen=True)
@@ -344,8 +342,8 @@ class ExpectationEngine:
     def member_matrix(self, hclass: "HypothesisClass") -> np.ndarray:
         """Read-only, C-contiguous n x |C| matrix of every member of ``hclass``
         on ``X``, built by ``value_matrix`` (in one pass for a class from
-        ``make_class`` or a class constructor) on the first call for that
-        class and reused after."""
+        ``coordinate_class`` or ``interval_class``, member by member for any
+        other) on the first call for that class and reused after."""
         hit = self._members.get(id(hclass))  # the hit inline: weak-learner queries on small engines call this most
         return self._cached(id(hclass), hclass, lambda X: value_matrix(hclass, X)) if hit is None else hit[1]
 
@@ -404,10 +402,10 @@ def constant_one() -> Hypothesis:
 
 @dataclass(frozen=True)
 class HypothesisClass:
-    """Members in a fixed order.  A class from ``make_class`` or a class
-    constructor also carries the builder ``_fill(X, out)`` that ``value_matrix``
-    calls: it writes every member's values on ``X`` into ``out`` at once and is
-    composed as the classes compose.  A class from ``interval_class`` also
+    """Members in a fixed order.  A class from ``coordinate_class`` or
+    ``interval_class`` (without repeated tags) also carries the builder
+    ``_fill(X, out)`` that ``value_matrix`` calls: it writes every member's
+    values on ``X`` into ``out`` at once.  A class from ``interval_class`` also
     carries ``_cells``: its cell index builder ``index(X)`` and ``dot(index, v)``,
     the members' correlations with ``v``."""
 
@@ -435,48 +433,37 @@ class HypothesisClass:
 def make_class(members: Iterable[Hypothesis]) -> HypothesisClass:
     """Build a class from ``members``, the constant 1 and every negation, which
     the multiaccuracy guarantee needs; ``HypothesisClass`` takes members as given."""
-    members = list(members)
-    return _closed_class(members, lambda X, out: _fill_each(members, X, out))
+    return _closed_class(list(members))
 
 
-def _closed_class(lead: list[Hypothesis], fill_lead: Callable, cells: tuple | None = None) -> HypothesisClass:
-    """``make_class(lead)``, whose builder has ``fill_lead(X, out)`` write the
-    columns of ``lead``, sets the constant column and negates the leading block
-    into the trailing one.  A member whose tag is taken is dropped; the index
-    plan that follows the drops is fixed here, once.  ``cells = (index,
-    dot_lead)``, if given, correlates through the same plan: ``dot_lead(index(X),
-    v, out)`` writes the correlations of ``lead`` with ``v``."""
-    out: list[Hypothesis] = []
-    seen: set[str] = set()
+def _closed_class(lead: list[Hypothesis], fill_lead: Callable | None = None,
+                  cells: tuple | None = None) -> HypothesisClass:
+    """``lead``, the constant 1, then the negation of each; a member whose tag
+    is taken is dropped.  A class that drops none gets a builder from
+    ``fill_lead(X, out)``, if given, which writes the columns of ``lead``: the
+    builder sets the constant column and negates the leading block into the
+    trailing one.  ``cells = (index, dot_lead)`` correlates the same way,
+    ``dot_lead(index(X), v, out)`` writing the correlations of ``lead`` with ``v``."""
+    members: dict[str, Hypothesis] = {}
+    for h in [*lead, constant_one()]:
+        members.setdefault(h.tag, h)
+    for h in [m.neg() for m in members.values()]:
+        members.setdefault(h.tag, h)
+    hclass, k = HypothesisClass(tuple(members.values())), len(lead)
+    if fill_lead is None or len(hclass) < 2 * (k + 1):
+        return hclass
 
-    def add(h: Hypothesis) -> bool:
-        if h.tag in seen:
-            return False
-        seen.add(h.tag)
-        out.append(h)
-        return True
-
-    k = len(lead)
-    keep = [i for i, h in enumerate([*lead, constant_one()]) if add(h)]
-    negated = [i for i, m in enumerate(list(out)) if add(m.neg())]
-    a, in_place = len(keep), keep == list(range(k + 1))
-    to_negate = slice(0, len(negated)) if negated == list(range(len(negated))) else negated
-
-    def assemble(M: np.ndarray, write_lead: Callable, constant) -> np.ndarray:
-        T = M[:, : k + 1] if in_place else np.empty((len(M), k + 1))
-        write_lead(T[:, :k])
-        T[:, k] = constant
-        if not in_place:
-            M[:, :a] = T[:, keep]
-        np.negative(M[:, to_negate], out=M[:, a:])
+    def close(M: np.ndarray, write_lead: Callable, constant) -> np.ndarray:
+        write_lead(M[:, :k])
+        M[:, k] = constant
+        np.negative(M[:, : k + 1], out=M[:, k + 1 :])
         return M
 
     def dot(index: np.ndarray, v: np.ndarray) -> np.ndarray:
         # the constant sums v in row order, as does the cell that holds every row of a member
-        return assemble(np.empty((1, len(out))), lambda T: cells[1](index, v, T[0]), np.cumsum(v)[-1])[0]
+        return close(np.empty((1, len(hclass))), lambda T: cells[1](index, v, T[0]), np.cumsum(v)[-1])[0]
 
-    hclass = HypothesisClass(tuple(out))
-    object.__setattr__(hclass, "_fill", lambda X, M: assemble(M, lambda T: fill_lead(X, T), 1.0))
+    object.__setattr__(hclass, "_fill", lambda X, M: close(M, lambda T: fill_lead(X, T), 1.0))
     if cells is not None:
         object.__setattr__(hclass, "_cells", (cells[0], dot))
     return hclass
@@ -514,21 +501,22 @@ def lin_combination(cls: HypothesisClass, weights: Mapping[str, float], budget: 
 def _derived_class(
     cls: HypothesisClass,
     derive: Callable[[Hypothesis], Iterable[Hypothesis]],
-    fill: Callable[[np.ndarray, np.ndarray], None],
+    fill: Callable[[np.ndarray, np.ndarray], None] | None = None,
     cells: tuple | None = None,
 ) -> HypothesisClass:
     """``make_class`` over ``derive(m)`` for each member ``m`` of ``cls``, in order,
     except negations: the closure adds the negations of what their base derives.
-    ``fill(B, out)`` writes the derived columns from the block ``B`` of those
-    base members' values, so the whole class is built from one base matrix;
-    so does ``index(B)`` of ``cells = (index, dot)``, the cell index ``dot`` reads."""
+    ``interval_class`` gives ``fill(B, out)``, which writes the derived columns
+    from the block ``B`` of those base members' values, and ``cells = (index, dot)``,
+    whose ``index(B)`` is the cell index ``dot`` reads."""
     base = [j for j, m in enumerate(cls.members) if not m.tag.startswith("-")]
     lead = [h for j in base for h in derive(cls.members[j])]
 
     def block(X: np.ndarray) -> np.ndarray:
         return value_matrix(cls, X)[:, base]
 
-    return _closed_class(lead, lambda X, out: fill(block(X), out), cells and (lambda X: cells[0](block(X)), cells[1]))
+    return _closed_class(lead, fill and (lambda X, out: fill(block(X), out)),
+                         cells and (lambda X: cells[0](block(X)), cells[1]))
 
 
 def level_class(cls: HypothesisClass, points: np.ndarray) -> HypothesisClass:
@@ -540,23 +528,15 @@ def level_class(cls: HypothesisClass, points: np.ndarray) -> HypothesisClass:
     multiaccuracy over this basis controls the multiaccuracy error of every
     post-processing.
     """
-    value_lists = []
 
     def levels(m: Hypothesis) -> list[Hypothesis]:
         vals = np.unique(m.values(points))
         if len(vals) > _LEVEL_CAP:
             raise NonFiniteRangeError(f"{m.tag} takes {len(vals)} distinct values on the support (cap {_LEVEL_CAP})")
-        value_lists.append(vals)
         return [m.map(lambda u, v=v: (np.abs(u - v) <= 1e-12).astype(float), 1.0, f"lev({m.tag}={v:.12g})")
                 for v in vals]
 
-    def fill(B: np.ndarray, out: np.ndarray) -> None:
-        end = 0
-        for j, vals in enumerate(value_lists):
-            start, end = end, end + len(vals)
-            out[:, start:end] = np.abs(B[:, j, None] - vals) <= 1e-12
-
-    return _derived_class(cls, levels, fill)
+    return _derived_class(cls, levels)
 
 
 def interval_class(cls: HypothesisClass, delta: float) -> HypothesisClass:
@@ -597,15 +577,9 @@ def power_class(cls: HypothesisClass, d: int) -> HypothesisClass:
     """Coordinate powers c(x)^j for j = 1..d with range bounds B^j."""
     if d < 1:
         raise ValueError("d must be >= 1")
-
-    def fill(B: np.ndarray, out: np.ndarray) -> None:
-        powers = out.reshape(len(B), B.shape[1], d)
-        for j in range(1, d + 1):
-            powers[:, :, j - 1] = B**j
-
     return _derived_class(cls, lambda h: [
         h.map(lambda u, j=j: u**j, h.range_bound**j, f"pow({h.tag},{j})") for j in range(1, d + 1)
-    ], fill)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -953,12 +927,16 @@ def predictor_from_dict(d: Mapping, hclass: HypothesisClass | None = None) -> Pr
     """Rebuild a serialized predictor; pipelines and GLM fits may reference class members.
     Older nested models (``bucket_recal``, base stages holding pipelines) load flat, and
     an older ``const`` start stage loads as a base stage holding a constant predictor."""
+    if not (isinstance(d, Mapping) and "kind" in d):
+        raise ValueError("a predictor must be an object with a 'kind'")
     kind = d["kind"]
     if kind == "constant":
         return ConstantPredictor(float(d["value"]))
     if kind == "table":
         return TablePredictor(np.asarray(d["points"]), np.asarray(d["values"]))
     if kind == "pipeline":
+        if not isinstance(d.get("stages"), list):
+            raise ValueError("a pipeline predictor needs a list of 'stages'")
         stages = []
         for s in d["stages"]:
             if s["op"] == "const":

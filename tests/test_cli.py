@@ -186,6 +186,55 @@ def test_unloadable_csv_is_a_usage_error(runner, tmp_path, three_columns, comman
 
 
 @pytest.mark.parametrize(
+    "dist, reason",
+    [
+        ({"points": [[0.0, 0.0, 0.0]], "mass": [1.0]}, "a distribution needs 'points', 'mass' and 'bayes'; missing: bayes"),
+        ({"points": [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], "mass": [0.25, 0.25], "bayes": [0.5, 0.5]},
+         "masses must sum to 1 within 1e-12"),
+        ("{", "Expecting property name enclosed in double quotes"),
+    ],
+    ids=["no-bayes", "mass-0.5", "not-json"],
+)
+def test_unloadable_distribution_is_a_usage_error(runner, tmp_path, three_columns, dist, reason):
+    # no bayes ended in a KeyError traceback and exit 1, the others in a ValueError traceback
+    _, model = three_columns
+    bad = tmp_path / "bad.json"
+    bad.write_text(dist if isinstance(dist, str) else json.dumps(dist))
+    res = runner.invoke(main, ["audit", "--model", model, "--data", str(bad), "--out", str(tmp_path / "r.json")])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"Error: cannot load {bad}: {reason}"), res.output
+    assert "Traceback" not in res.output
+
+
+def _model_text(predictor):
+    return json.dumps({"class": {"kind": "coords", "scales": [1.0, 1.0, 1.0]}, "predictor": predictor})
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (_model_text({"value": 0.5}), "a predictor must be an object with a 'kind'"),
+        (_model_text(None), "a predictor must be an object with a 'kind'"),
+        (_model_text({"kind": "pipeline"}), "a pipeline predictor needs a list of 'stages'"),
+        (_model_text({"kind": "pipeline", "stages": 3}), "a pipeline predictor needs a list of 'stages'"),
+        ('{"class": ', "Expecting value"),
+    ],
+    ids=["no-kind", "null-predictor", "no-stages", "stages-not-a-list", "not-json"],
+)
+def test_unloadable_model_is_a_usage_error(runner, tmp_path, three_columns, text, reason):
+    # each ended in a KeyError, TypeError or JSONDecodeError traceback and exit 1
+    data, model = three_columns
+    with open(model, "w") as fh:
+        fh.write(text)
+    res = runner.invoke(main, ["audit", "--model", model, "--data", data, "--out", str(tmp_path / "r.json")])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"Error: cannot load {model}: {reason}"), res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize(
     "args, option",
     [
         (["bench", "--seeds", "0"], "--seeds"),

@@ -415,6 +415,27 @@ class TestMemberMatrix:
         cls = make_class(self.tagged)
         assert [m.tag for m in cls.members] == ["a", "-a", "1", "-1"]
 
+    def test_coordinate_and_interval_builders_call_no_member(self, monkeypatch):
+        # the class the sample benchmark trains on (10 scaled coordinates and the constant, 8 cells each), and a
+        # scaled coordinate class: their matrices and cell index come from the builders alone
+        X = gen_gaussian_mixture(MixtureConfig(s=4, d=10, n_train=10_000, n_cal=1, n_test=1, seed=1))[0].X
+        scales = [max(float(np.max(np.abs(X[:, j]))), 1e-12) for j in range(X.shape[1])]
+        classes = [interval_class(coordinate_class(10, scales), 0.25), coordinate_class(3, [2.0, 0.5, 4.0])]
+        want = [_per_member(cls, X) for cls in classes]
+        v = np.random.default_rng(23).normal(size=len(X))
+
+        def evaluated(h, X):
+            raise AssertionError(f"member {h.tag} evaluated")
+
+        monkeypatch.setattr(Hypothesis, "values", evaluated)
+        engine = ExpectationEngine(X, np.full(len(X), 1.0 / len(X)), np.zeros(len(X)))
+        for cls, w in zip(classes, want):
+            assert engine.member_matrix(cls).tobytes() == w.tobytes()
+        assert len(classes[0]) == 178 and len(X) * 178 > core._DENSE_MAX
+        fresh = ExpectationEngine(X, engine.weights, engine.ystar)  # no cached matrix: reads the cell index
+        assert np.all(np.abs(fresh.correlations(classes[0], v) - v @ want[0]) <= 1e-15 * np.sum(np.abs(v)))
+        assert list(fresh._members) == [(id(classes[0]), "cells")]
+
 
 class TestClip:
     def test_constants(self):
