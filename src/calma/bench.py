@@ -19,8 +19,12 @@ Newton steps for the logistic loss, and one exact active-set walk for the
 exponential and absolute losses, which pins the points whose residual is 0 and
 releases them by their multipliers.  Its steps are Newton steps for the
 exponential loss; for least absolute deviations it walks the vertices where k
-residuals are 0 (Barrodale and Roberts).  The exact fits report the
-subgradient norm their multipliers certify.  The practical trainer
+residuals are 0 (Barrodale and Roberts).  One SVD of the pinned rows per
+pinned set gives the null space the steps keep to, the multipliers and the
+vertex edges; a step that pins or releases nothing reuses it, and at an l1
+vertex, where a pivot swaps one pinned row for another, a rank-one update of
+the inverse of the k x k pinned matrix replaces it.  The exact fits report
+the subgradient norm their multipliers certify.  The practical trainer
 alternates a least-squares update with a recalibration on the held-out split
 (``calma.calibration``'s isotonic fit or bucket means) and returns the
 predictor whose held-out calibration error it checked, discretized to bucket
@@ -38,7 +42,7 @@ import numpy as np
 
 from .calibration import discretize, ece, isotonic_fit, recalibrate_with_engine
 from .core import AddLinearStage, ConstantPredictor, Dataset, ExpectationEngine, PipelinePredictor, clip01
-from .losses import exp_loss, lp_loss, sigmoid_glm, squared_loss, truncated_decision
+from .losses import _softplus, exp_loss, lp_loss, sigmoid_glm, squared_loss, truncated_decision
 
 __all__ = [
     "CenterPlacementError",
@@ -81,16 +85,19 @@ class MixtureConfig:
         return np.eye(1, self.d)[0]  # e_0 without building the d x d identity
 
 
-def _null_space(A: np.ndarray) -> np.ndarray:
-    """Columns form an orthonormal basis of {x : A x = 0}."""
+def _factor(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """From one SVD of the m x k matrix A: its pseudo-inverse (k x m), and
+    columns forming an orthonormal basis of {x : A x = 0}.  Singular values
+    at most ``max(m, k) eps`` times the largest count as 0, as in ``lstsq``."""
     if not len(A):
-        return np.eye(A.shape[1])
-    _, sv, vt = np.linalg.svd(A)
-    return vt[int(np.sum(sv > sv[0] * max(A.shape) * np.finfo(float).eps)) :].T
+        return np.empty((A.shape[1], 0)), np.eye(A.shape[1])
+    u, sv, vt = np.linalg.svd(A)
+    rank = int(np.sum(sv > sv[0] * max(A.shape) * np.finfo(float).eps))
+    return (vt[:rank].T / sv[:rank]) @ u[:, :rank].T, vt[rank:].T
 
 
 def _place_centers(cfg: MixtureConfig, rng: np.random.Generator) -> np.ndarray:
-    basis = _null_space(cfg.shift[None, :]).T  # rows span the shift's orthogonal complement
+    basis = _factor(cfg.shift[None, :])[1].T  # rows span the shift's orthogonal complement
     span = max(4.0, 2.5 * cfg.s)
     for _ in range(500):
         raw = rng.uniform(-span, span, size=(cfg.s, cfg.d - 1))
@@ -192,7 +199,7 @@ def _fit_logistic(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool
     from scipy.special import expit
 
     def value(t):
-        return float(np.mean(np.logaddexp(0.0, t) - y * t))
+        return float(np.mean(_softplus(t) - y * t))
 
     for steps in range(201):
         t = X1 @ beta
@@ -213,6 +220,9 @@ def _fit_logistic(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool
 
 
 _ON_KINK = 1e-12  # a residual this small sits on its kink of |r| and exp(|r|)
+# a vertex update whose pivot is this small, relative to its row and column, would scale the rounding
+# error of the inverse it updates by the pivot's inverse; the walk refactors instead
+_TINY_PIVOT = 1e-6
 _L1_MAX_STEPS = 300  # passes of the active-set loop before the l1 fit reports converged=False
 _EXP_MAX_STEPS = 300  # the same for the exp fit
 _KINK_PREFIX = 32  # kinks the l1 line search sorts first; it takes 4 times as many per retry
@@ -230,20 +240,38 @@ def _exp_line_search(r: np.ndarray, q: np.ndarray) -> tuple[float, int]:
     0 has left its kink already, in the direction -q_i.
     """
 
-    def right_slope(a, at=None):  # point `at` sits on its kink at a
-        t = r - a * q
-        if at is not None:
-            t[at] = 0.0
-        return -float(np.dot(np.where(t == 0.0, -np.sign(q), np.sign(t)) * q, np.exp(np.abs(t))))
-
-    ahead = np.flatnonzero(r * q > 0)
+    front = r * q > 0
+    ahead = np.flatnonzero(front)
     kinks = r[ahead] / q[ahead]
     order = np.argsort(kinks)
     ahead, kinks = ahead[order], kinks[order]
+    # The points behind (r q <= 0) come first, then those ahead by kink.  With R = |r|, W = |q|
+    # and Q = W ahead, -W behind, |r - a q| = |R - a Q|; on the j-th kink the right slope is the
+    # sum of W exp(|R - a Q|) over the first len(behind) + j + 1 points (behind, passed or on
+    # their kink) minus that sum over the rest, which have not reached theirs.
+    behind = np.flatnonzero(~front)
+    flipped = len(behind)
+    idx = np.concatenate([behind, ahead])
+    R, W = np.abs(r[idx]), np.abs(q[idx])
+    Q, W2 = W.copy(), W * W
+    Q[:flipped] *= -1.0
+    e = np.empty(len(idx))
+
+    def slope(a, plus, on=-1):
+        """(signed sum, sum) of W exp(|R - a Q|), signed + on the first ``plus`` points and - on
+        the rest; position ``on`` sits on its kink.  Leaves exp(|R - a Q|) in ``e``."""
+        np.multiply(Q, a, out=e)
+        np.subtract(R, e, out=e)
+        np.abs(e, out=e)
+        if on >= 0:
+            e[on] = 0.0
+        np.exp(e, out=e)
+        up, down = float(W[:plus] @ e[:plus]), float(W[plus:] @ e[plus:])
+        return up - down, up + down
 
     @functools.cache
     def kink_slope(j):
-        return right_slope(kinks[j], ahead[j])
+        return slope(kinks[j], flipped + j + 1, flipped + j)[0]
 
     lo, hi, width = 0, len(kinks), 1
     with np.errstate(over="ignore"):
@@ -261,7 +289,7 @@ def _exp_line_search(r: np.ndarray, q: np.ndarray) -> tuple[float, int]:
                 hi = mid
             else:
                 lo = mid + 1
-        a, da = (kinks[lo - 1], kink_slope(lo - 1)) if lo else (0.0, right_slope(0.0))
+        a, da = (kinks[lo - 1], kink_slope(lo - 1)) if lo else (0.0, slope(0.0, flipped)[0])
         b, db = np.inf, np.inf
         if lo < len(kinks):
             b, db = kinks[lo], kink_slope(lo) - 2.0 * abs(q[ahead[lo]])
@@ -276,17 +304,14 @@ def _exp_line_search(r: np.ndarray, q: np.ndarray) -> tuple[float, int]:
 
         x = 1.0 if a < 1.0 < b else inside()
         for _ in range(100):
-            t = r - x * q
-            e = np.exp(np.abs(t))
-            terms = np.sign(t) * q * e
-            d1 = -float(np.sum(terms))
-            if abs(d1) <= 1e-13 * float(np.sum(np.abs(terms))) < np.inf:  # zero up to rounding
+            d1, total = slope(x, flipped + lo)
+            if abs(d1) <= 1e-13 * total < np.inf:  # zero up to rounding
                 break
             if d1 < 0:
                 a, da = x, d1
             else:
                 b, db = x, d1
-            x = x - d1 / float(np.dot(q * q, e))
+            x = x - d1 / float(W2 @ e)
             if not a < x < b:
                 x = inside()
     return float(x), -1
@@ -331,49 +356,77 @@ def _kink_walk(X: np.ndarray, y: np.ndarray, l1: bool) -> tuple[np.ndarray, floa
     coefficients, the norm of the subgradient that sigma (clipped to
     [-1, 1]) certifies, and whether it reaches ``_BASELINE_TOL`` within
     ``_L1_MAX_STEPS`` or ``_EXP_MAX_STEPS`` passes.
+
+    The pinned rows B (stacked over the directions that move no residual)
+    are factored once per pinned set by ``_factor``: its null-space basis
+    gives the steps, and its pseudo-inverse P the multipliers sigma = n gᵀP
+    and, when B is k x k and invertible (an l1 vertex), the edge -sign P e_j
+    that releases row j.  The exp Newton system is formed in that basis, whose
+    products with every point are kept with the factor.  After a vertex
+    pivot, which replaces row j by the joining point's row a, P is updated as
+    P - P e_j (aᵀP - e_jᵀ) / (aᵀP e_j); a pivot at most ``_TINY_PIVOT``
+    times |a| |P e_j| refactors from scratch.  The certificate solves for
+    sigma afresh.
     """
     X1t = np.vstack([X.T, np.ones(len(X))])  # rows are the coordinates and the intercept
     k, n = X1t.shape
     beta, _, rank, _ = np.linalg.lstsq(X1t.T, y, rcond=None)
     r = y - beta @ X1t
     # directions that move no residual, which a rank-deficient design has
-    moveless = _null_space(np.linalg.qr(X1t.T, mode="r")).T if rank < k else np.empty((0, k))
+    moveless = _factor(np.linalg.qr(X1t.T, mode="r"))[1].T if rank < k else np.empty((0, k))
     pinned = np.abs(r) <= _ON_KINK
     sign = np.where(pinned, 0.0, np.sign(r))
     max_steps = _L1_MAX_STEPS if l1 else _EXP_MAX_STEPS
+    rows = None  # the pinned points in the order of the factor's rows; None once the pinned set changed
     for steps in range(max_steps + 1):
         e = 1.0 if l1 else np.exp(np.abs(r))
         g = -(X1t @ (sign * e)) / n
         if steps == max_steps:
             break
-        Z = np.flatnonzero(pinned)
-        fixed = np.vstack([X1t[:, Z].T, moveless])
-        basis = _null_space(fixed)
+        if rows is None:
+            rows = np.flatnonzero(pinned)
+            P, basis = _factor(np.vstack([X1t[:, rows].T, moveless]))
+            Xb = None if l1 else basis.T @ X1t  # 0 up to rounding at pinned points: no weight to mask
         if l1:
             d = -(basis @ (basis.T @ g))
         else:
-            H = (X1t * np.where(pinned, 0.0, e)) @ X1t.T / n
-            d = basis @ np.linalg.lstsq(basis.T @ H @ basis, -(basis.T @ g), rcond=None)[0]
+            d = basis @ np.linalg.lstsq((Xb * e) @ Xb.T / n, -(basis.T @ g), rcond=None)[0]
+        released = -1
         if -(g @ d) <= 1e-24:
-            sigma = np.linalg.lstsq(X1t[:, Z], n * g, rcond=None)[0]
+            sigma = (n * g) @ P[:, : len(rows)]
             if not len(sigma) or np.max(np.abs(sigma)) <= 1.0:
                 break
             j = int(np.argmax(np.abs(sigma)))
-            i = Z[j]
+            i = rows[j]
             # its residual counts as exactly 0, so the line search sees it leave the kink
             pinned[i], sign[i], r[i] = False, np.sign(sigma[j]), 0.0
-            if not (l1 and fixed.shape == (k, k) and not basis.size):
+            if not (l1 and P.shape == (k, k) and not basis.size):
+                rows = None
                 continue
             # at an l1 vertex, the edge that keeps the other pinned points at 0 moves r_i toward sign(sigma)
-            d = np.linalg.solve(fixed, -sign[i] * np.eye(k)[j])
+            released, d = j, -sign[i] * P[:, j]
         live = np.flatnonzero(~pinned)
         alpha, at = (_l1_line_search if l1 else _exp_line_search)(r[live], (d @ X1t)[live])
         beta = beta + alpha * d
         r = y - beta @ X1t
-        pinned |= np.abs(r) <= _ON_KINK
+        near = np.abs(r) <= _ON_KINK
         if at >= 0:
-            pinned[live[at]] = True
+            near[live[at]] = True
+        joined = np.flatnonzero(near & ~pinned)
+        pinned |= near
         sign = np.where(pinned, 0.0, np.sign(r))
+        if released >= 0 and len(joined) == 1:
+            # the joining point's row replaces the released one's: a rank-one update of P = B^-1
+            a, col = X1t[:, joined[0]], P[:, released]
+            pivot = a @ col
+            if abs(pivot) > _TINY_PIVOT * np.linalg.norm(a) * np.linalg.norm(col):
+                w = a @ P
+                w[released] -= 1.0
+                P = P - np.outer(col / pivot, w)
+                rows[released] = joined[0]
+                continue
+        if released >= 0 or len(joined):
+            rows = None
     u = sign * e
     u[pinned] = np.clip(np.linalg.lstsq(X1t[:, pinned], n * g, rcond=None)[0], -1.0, 1.0)
     gnorm = float(np.linalg.norm(X1t @ u)) / n

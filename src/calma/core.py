@@ -717,7 +717,8 @@ class _Stage:
         return {"op": self.op, **{f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}}
 
     @classmethod
-    def from_dict(cls, d: Mapping, hclass: HypothesisClass | None) -> "_Stage":
+    def from_dict(cls, d: Mapping, hclass: HypothesisClass | None, where: str = "") -> "_Stage":
+        """Rebuild from ``to_dict``'s output; ``where`` prefixes the fields that errors name."""
         return cls(**{k: v for k, v in d.items() if k != "op"})
 
 
@@ -758,10 +759,14 @@ class AddHypStage(_Stage):
         return {"op": self.op, "tag": self.hypothesis.tag, "coef": self.coef}
 
     @classmethod
-    def from_dict(cls, d, hclass):
+    def from_dict(cls, d, hclass, where=""):
         if hclass is None:
             raise ValueError("hypothesis class required to rebuild add_hyp stages")
-        return cls(hclass.member(d["tag"]), d["coef"])
+        try:
+            hypothesis = hclass.member(d.get("tag"))
+        except KeyError:
+            raise ValueError(f"{where}tag {d.get('tag')!r} names no member of the class") from None
+        return cls(hypothesis, _number(d, "coef", where))
 
 
 @dataclass(frozen=True)
@@ -804,7 +809,7 @@ class BucketStage(_Stage):
                 "values": self.values[moved].tolist()}
 
     @classmethod
-    def from_dict(cls, d, hclass):
+    def from_dict(cls, d, hclass, where=""):
         if "buckets" not in d:  # the dense form older versions wrote
             return cls(d["delta"], d["values"])
         delta = float(d["delta"])
@@ -848,7 +853,7 @@ class IsotonicStage(_Stage):
         return {"op": self.op, "thresholds": self.thresholds.tolist(), "values": self.fitted.tolist()}
 
     @classmethod
-    def from_dict(cls, d, hclass):
+    def from_dict(cls, d, hclass, where=""):
         return cls(d["thresholds"], d["values"])
 
 
@@ -923,33 +928,46 @@ class BucketRecalPredictor(PipelinePredictor):
         return bool(np.all(np.abs(ratio - (2 * np.round((ratio - 1) / 2) + 1)) <= 1e-9))
 
 
-def predictor_from_dict(d: Mapping, hclass: HypothesisClass | None = None) -> Predictor:
+def _number(d: Mapping, key: str, where: str) -> float:
+    """``d[key]`` as a float; a missing or non-numeric entry raises a ``ValueError`` naming ``where + key``."""
+    try:
+        return float(d[key])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"{where}{key} must be a number, not {d.get(key)!r}") from None
+
+
+def predictor_from_dict(d: Mapping, hclass: HypothesisClass | None = None, where: str = "") -> Predictor:
     """Rebuild a serialized predictor; pipelines and GLM fits may reference class members.
     Older nested models (``bucket_recal``, base stages holding pipelines) load flat, and
-    an older ``const`` start stage loads as a base stage holding a constant predictor."""
+    an older ``const`` start stage loads as a base stage holding a constant predictor.
+    A malformed field raises a ``ValueError`` naming it, as in ``stages[1].coef``,
+    after the prefix ``where`` (the place of ``d`` in a larger object)."""
     if not (isinstance(d, Mapping) and "kind" in d):
-        raise ValueError("a predictor must be an object with a 'kind'")
+        raise ValueError(f"{where[:-1] or 'a predictor'} must be an object with a 'kind'")
     kind = d["kind"]
     if kind == "constant":
-        return ConstantPredictor(float(d["value"]))
+        return ConstantPredictor(_number(d, "value", where))
     if kind == "table":
         return TablePredictor(np.asarray(d["points"]), np.asarray(d["values"]))
     if kind == "pipeline":
         if not isinstance(d.get("stages"), list):
             raise ValueError("a pipeline predictor needs a list of 'stages'")
         stages = []
-        for s in d["stages"]:
+        for pos, s in enumerate(d["stages"]):
+            at = f"{where}stages[{pos}]."
+            if not (isinstance(s, Mapping) and "op" in s):
+                raise ValueError(f"{at[:-1]} must be an object with an 'op'")
             if s["op"] == "const":
-                stages.append(BaseStage(ConstantPredictor(float(s["value"]))))
+                stages.append(BaseStage(ConstantPredictor(_number(s, "value", at))))
             elif s["op"] == "base":
-                stages += PipelinePredictor.of(predictor_from_dict(s["base"], hclass)).stages
+                stages += PipelinePredictor.of(predictor_from_dict(s.get("base"), hclass, at + "base.")).stages
             elif s["op"] in STAGES:
-                stages.append(STAGES[s["op"]].from_dict(s, hclass))
+                stages.append(STAGES[s["op"]].from_dict(s, hclass, at))
             else:
                 raise ValueError(f"unknown stage op {s['op']!r}")
         return PipelinePredictor(stages)
     if kind == "bucket_recal":
-        return BucketRecalPredictor(predictor_from_dict(d["base"], hclass), float(d["delta"]), d["bucket_values"])
+        return BucketRecalPredictor(predictor_from_dict(d["base"], hclass), _number(d, "delta", where), d["bucket_values"])
     if kind == "glm_linear":
         if hclass is None:
             raise ValueError("hypothesis class required to rebuild a glm_linear predictor")

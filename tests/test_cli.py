@@ -219,8 +219,16 @@ def _model_text(predictor):
         (_model_text({"kind": "pipeline"}), "a pipeline predictor needs a list of 'stages'"),
         (_model_text({"kind": "pipeline", "stages": 3}), "a pipeline predictor needs a list of 'stages'"),
         ('{"class": ', "Expecting value"),
+        (_model_text({"kind": "constant", "value": None}), "value must be a number, not None"),
+        (_model_text({"kind": "pipeline", "stages": [3]}), "stages[0] must be an object with an 'op'"),
+        (_model_text({"kind": "pipeline", "stages": [{"op": "const", "value": 0.5}, {"op": "add_hyp", "tag": "x0"}]}),
+         "stages[1].coef must be a number, not None"),
+        (_model_text({"kind": "pipeline", "stages": [{"op": "const", "value": 0.5},
+                                                     {"op": "add_hyp", "tag": "x9", "coef": 0.1}]}),
+         "stages[1].tag 'x9' names no member of the class"),
     ],
-    ids=["no-kind", "null-predictor", "no-stages", "stages-not-a-list", "not-json"],
+    ids=["no-kind", "null-predictor", "no-stages", "stages-not-a-list", "not-json", "null-constant",
+         "stage-not-an-object", "add-hyp-without-coef", "add-hyp-unknown-tag"],
 )
 def test_unloadable_model_is_a_usage_error(runner, tmp_path, three_columns, text, reason):
     # each ended in a KeyError, TypeError or JSONDecodeError traceback and exit 1

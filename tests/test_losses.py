@@ -215,6 +215,18 @@ class TestTransfers:
         for glm in ALL_GLMS + [glm_from_transfer(np.tanh, "tanh")]:
             assert np.array_equal(glm.partial(t), -t)
 
+    def test_softplus_within_two_ulp_of_logaddexp(self):
+        tiny = np.geomspace(1e-300, 40.0, 2000)
+        t = np.concatenate([[0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 750.0, -750.0, np.inf, -np.inf, np.nan],
+                            tiny, -tiny, np.linspace(-800.0, 800.0, 16001)])
+        with np.errstate(invalid="ignore"):
+            ref = np.logaddexp(0.0, t)
+        got = losses._softplus(t)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
+        finite = ~np.isnan(ref)
+        np.testing.assert_array_max_ulp(got[finite], ref[finite], maxulp=2)
+        assert sigmoid_glm().g is losses._softplus
+
     def test_crelu_piecewise_integral(self):
         glm = crelu_glm()
         assert glm.g(-3.0) == 0.0
