@@ -54,6 +54,7 @@ __all__ = [
 _MAX_KNOTS = 10  # most knots of a random_bounded_loss derivative
 _LIPSCHITZ_KNOTS = 21  # knots of a random_lipschitz_loss derivative
 _L1_GRID_STEP = 0.2  # weight step of the parity construction's l1-ball grid
+_BLOCK_ENTRIES = 2**15  # member-matrix entries (256 KB) per row block of audit_family's loss curves
 
 
 def hypothesis_oi_gap(pred: Predictor, loss: Loss, hyp: Hypothesis, engine: ExpectationEngine) -> float:
@@ -156,7 +157,13 @@ def audit_family(
 ) -> OIGapReport:
     """Every (loss, hypothesis) pair's gaps.  A ``HypothesisClass`` reads the
     engine's cached member matrix, so a later ``mae`` over it reuses it; any
-    other iterable of hypotheses is evaluated through ``value_matrix``."""
+    other iterable of hypotheses is evaluated through ``value_matrix``.
+
+    Each loss's derivative at the members and its excess over the derivative
+    at the decision are written into two n x |C| buffers, allocated once per
+    audit, in row blocks of about ``_BLOCK_ENTRIES`` entries that stay in
+    cache; the gaps are then correlations over the whole buffers, so they do
+    not depend on the block size."""
     from warnings import warn
 
     from .losses import partial_sup
@@ -168,6 +175,8 @@ def audit_family(
         members = engine.member_matrix(hypotheses)
     else:
         members = value_matrix(hyps, engine.X)
+    step = max(1, _BLOCK_ENTRIES // max(1, members.shape[1]))
+    at_members, excess = np.empty(members.shape), np.empty(members.shape)
     rows, warned = [], []
     for loss in losses:
         if not isinstance(loss, GlmLoss):
@@ -178,12 +187,15 @@ def audit_family(
                 warned.append(f"{loss.name}: |discrete derivative| reaches {sup:.3g} > 1 on its action domain")
                 warn(warned[-1], stacklevel=2)
         at_decision = loss.partial(loss.decision(pv))
-        at_members = loss.partial(members)
+        for lo in range(0, len(members), step):
+            block = slice(lo, lo + step)
+            at_members[block] = loss.partial(members[block])
+            np.subtract(at_members[block], at_decision[block, None], out=excess[block])
         dec = float(correlate(engine.weights, resid, at_decision))
         # the loss gap correlates the excess-loss derivative directly, so the
         # decomposition residual below is a genuine roundoff check
         hyp_gaps = correlate(engine.weights, resid, at_members)
-        loss_gaps = correlate(engine.weights, resid, at_members - at_decision[:, None])
+        loss_gaps = correlate(engine.weights, resid, excess)
         for h, hg, lg in zip(hyps, hyp_gaps.tolist(), loss_gaps.tolist()):
             rows.append((loss.name, h.tag, hg, dec, lg, lg - (hg - dec)))
     return OIGapReport(tuple(rows), tuple(warned))

@@ -719,7 +719,7 @@ class _Stage:
     @classmethod
     def from_dict(cls, d: Mapping, hclass: HypothesisClass | None, where: str = "") -> "_Stage":
         """Rebuild from ``to_dict``'s output; ``where`` prefixes the fields that errors name."""
-        return cls(**{k: v for k, v in d.items() if k != "op"})
+        return cls(**{f.name: _field(d, f.name, where) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -810,12 +810,12 @@ class BucketStage(_Stage):
 
     @classmethod
     def from_dict(cls, d, hclass, where=""):
+        delta = _number(d, "delta", where)
         if "buckets" not in d:  # the dense form older versions wrote
-            return cls(d["delta"], d["values"])
-        delta = float(d["delta"])
+            return cls(delta, _field(d, "values", where))
         if not 0 < delta <= 0.5:
             raise ValueError("need 0 < delta <= 1/2")
-        idx, moved = np.asarray(d["buckets"]), np.asarray(d["values"], dtype=np.float64)
+        idx, moved = np.asarray(d["buckets"]), np.asarray(_field(d, "values", where), dtype=np.float64)
         values = bucket_midpoints(delta)
         if not (idx.ndim == moved.ndim == 1 and len(idx) == len(moved)
                 and (idx.size == 0 or idx.dtype.kind in "iu" and np.all(np.diff(idx) > 0)
@@ -854,7 +854,7 @@ class IsotonicStage(_Stage):
 
     @classmethod
     def from_dict(cls, d, hclass, where=""):
-        return cls(d["thresholds"], d["values"])
+        return cls(_field(d, "thresholds", where), _field(d, "values", where))
 
 
 STAGES = {s.op: s for s in (BaseStage, AddHypStage, AddLinearStage, BucketStage, IsotonicStage)}
@@ -928,6 +928,13 @@ class BucketRecalPredictor(PipelinePredictor):
         return bool(np.all(np.abs(ratio - (2 * np.round((ratio - 1) / 2) + 1)) <= 1e-9))
 
 
+def _field(d: Mapping, key: str, where: str):
+    """``d[key]``; a missing entry raises a ``ValueError`` naming ``where + key``."""
+    if key not in d:
+        raise ValueError(f"{where}{key} is missing")
+    return d[key]
+
+
 def _number(d: Mapping, key: str, where: str) -> float:
     """``d[key]`` as a float; a missing or non-numeric entry raises a ``ValueError`` naming ``where + key``."""
     try:
@@ -948,7 +955,7 @@ def predictor_from_dict(d: Mapping, hclass: HypothesisClass | None = None, where
     if kind == "constant":
         return ConstantPredictor(_number(d, "value", where))
     if kind == "table":
-        return TablePredictor(np.asarray(d["points"]), np.asarray(d["values"]))
+        return TablePredictor(np.asarray(_field(d, "points", where)), np.asarray(_field(d, "values", where)))
     if kind == "pipeline":
         if not isinstance(d.get("stages"), list):
             raise ValueError("a pipeline predictor needs a list of 'stages'")
@@ -961,17 +968,19 @@ def predictor_from_dict(d: Mapping, hclass: HypothesisClass | None = None, where
                 stages.append(BaseStage(ConstantPredictor(_number(s, "value", at))))
             elif s["op"] == "base":
                 stages += PipelinePredictor.of(predictor_from_dict(s.get("base"), hclass, at + "base.")).stages
-            elif s["op"] in STAGES:
+            elif isinstance(s["op"], str) and s["op"] in STAGES:
                 stages.append(STAGES[s["op"]].from_dict(s, hclass, at))
             else:
-                raise ValueError(f"unknown stage op {s['op']!r}")
+                raise ValueError(f"{at}op {s['op']!r} names no stage")
         return PipelinePredictor(stages)
     if kind == "bucket_recal":
-        return BucketRecalPredictor(predictor_from_dict(d["base"], hclass), _number(d, "delta", where), d["bucket_values"])
+        base = predictor_from_dict(d.get("base"), hclass, where + "base.")
+        return BucketRecalPredictor(base, _number(d, "delta", where), _field(d, "bucket_values", where))
     if kind == "glm_linear":
         if hclass is None:
             raise ValueError("hypothesis class required to rebuild a glm_linear predictor")
-        return GlmLinearPredictor(get_loss(f"glm:{d['transfer']}"), hclass, dict(d["weights"]))
+        glm = get_loss(f"glm:{_field(d, 'transfer', where)}")
+        return GlmLinearPredictor(glm, hclass, dict(_field(d, "weights", where)))
     raise ValueError(f"cannot rebuild predictor kind {kind!r}")
 
 

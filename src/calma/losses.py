@@ -59,9 +59,13 @@ class UnboundedBelowError(ValueError):
 class Loss:
     """Binary-label loss: its two action curves and its optimal decision.
 
-    ``kfn`` maps label-1 probabilities to a minimizer of ``loss(p, .)`` over
-    ``action_domain``; every loss carries one, and building a ``Loss`` whose
-    ``kfn`` is not callable raises ``TypeError``.
+    ``at0`` and ``at1`` act elementwise: each entry of the output depends on
+    the same entry of the input alone, so a curve evaluated on a slice of an
+    array equals that slice of the curve on the whole array (``audit_family``
+    evaluates them in row blocks).  ``kfn`` maps label-1 probabilities to a
+    minimizer of ``loss(p, .)`` over ``action_domain``; every loss carries
+    one, and building a ``Loss`` whose ``kfn`` is not callable raises
+    ``TypeError``.
     """
 
     at0: Callable[[np.ndarray], np.ndarray]

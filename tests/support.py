@@ -16,7 +16,9 @@ from calma.core import (
     Hypothesis,
     HypothesisClass,
     TablePredictor,
+    correlate,
     make_class,
+    value_matrix,
 )
 
 
@@ -328,6 +330,29 @@ def reference_kink_walk(X: np.ndarray, y: np.ndarray, l1: bool) -> tuple[np.ndar
     u[pinned] = np.clip(np.linalg.lstsq(X1t[:, pinned], n * g, rcond=None)[0], -1.0, 1.0)
     gnorm = float(np.linalg.norm(X1t @ u)) / n
     return beta, gnorm, gnorm <= _BASELINE_TOL and steps < max_steps
+
+
+def reference_audit_rows(pred, losses, hypotheses, engine) -> tuple:
+    """``audit.audit_family``'s rows as it computed them before its row blocks:
+    each loss's derivative on the whole member matrix, then its excess over the
+    derivative at the decision as a second whole matrix."""
+    hyps = list(hypotheses)
+    pv = pred.values(engine.X)
+    resid = pv - engine.ystar
+    if isinstance(hypotheses, HypothesisClass):
+        members = engine.member_matrix(hypotheses)
+    else:
+        members = value_matrix(hyps, engine.X)
+    rows = []
+    for loss in losses:
+        at_decision = loss.partial(loss.decision(pv))
+        at_members = loss.partial(members)
+        dec = float(correlate(engine.weights, resid, at_decision))
+        hyp_gaps = correlate(engine.weights, resid, at_members)
+        loss_gaps = correlate(engine.weights, resid, at_members - at_decision[:, None])
+        for h, hg, lg in zip(hyps, hyp_gaps.tolist(), loss_gaps.tolist()):
+            rows.append((loss.name, h.tag, hg, dec, lg, lg - (hg - dec)))
+    return tuple(rows)
 
 
 def record_stage_applications(monkeypatch) -> list:

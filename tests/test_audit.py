@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from calma import audit
 from calma.audit import (
     _sim_lp,
     audit_family,
@@ -25,8 +26,11 @@ from calma.audit import (
 )
 from calma.calibration import ece, weighted_ce
 from calma.core import (
+    Dataset,
     ExpectationEngine,
+    FunctionPredictor,
     Hypothesis,
+    HypothesisClass,
     Predictor,
     bayes_predictor,
     coordinate_class,
@@ -37,7 +41,7 @@ from calma.losses import Loss, get_loss, identity_glm, sigmoid_glm, truncated_de
 from calma.multiaccuracy import ExhaustiveWeakLearner, ma_algorithm, mae
 from calma.training import calma
 
-from support import random_class, random_distribution, random_predictor
+from support import random_class, random_distribution, random_predictor, reference_audit_rows
 
 SAFE_REGISTRY = ["l1", "l2", "l4", "lp:3", "glm:identity", "glm:sigmoid", "glm:crelu", "exp"]
 
@@ -329,6 +333,71 @@ class TestAuditFamily:
             assert abs(hg - hypothesis_oi_gap(base, loss, h, engine)) <= 1e-12
             assert abs(dg - decision_oi_gap(base, loss, engine)) <= 1e-12
             assert abs(lg - loss_oi_gap(base, loss, h, engine)) <= 1e-12
+
+    @staticmethod
+    def _block_instance(engine_kind):
+        """An exact instance with real-valued table members, or 4001 sampled
+        rows over 13 coordinate members: more than one default row block."""
+        rng = np.random.default_rng(31)
+        if engine_kind == "exact":
+            _, engine, cls, pred = random_audit_instance(rng)
+        else:
+            X = rng.uniform(-1.0, 1.0, size=(4001, 6))
+            engine = ExpectationEngine.empirical(Dataset(X, (rng.random(4001) < 0.5).astype(float)))
+            cls = coordinate_class(6)
+            pred = FunctionPredictor(lambda X: 0.5 + 0.4 * np.tanh(X[:, 0] - X[:, 1]))
+            assert len(X) * len(cls) > audit._BLOCK_ENTRIES
+        losses = [get_loss(name) for name in SAFE_REGISTRY]
+        losses += [random_bounded_loss(rng), random_lipschitz_loss(rng), pm_power_loss(4, 0.5)]
+        return engine, cls, pred, losses
+
+    @pytest.mark.filterwarnings("ignore:.*on its action domain:UserWarning")
+    @pytest.mark.parametrize("block", ["one-row", "ragged", "default"])
+    @pytest.mark.parametrize("as_tuple", [False, True], ids=["class", "tuple"])
+    @pytest.mark.parametrize("engine_kind", ["exact", "empirical"])
+    def test_row_blocks_give_the_unblocked_rows(self, monkeypatch, engine_kind, as_tuple, block):
+        engine, cls, pred, losses = self._block_instance(engine_kind)
+        n, k = len(engine.X), len(cls)
+        if block == "one-row":
+            monkeypatch.setattr(audit, "_BLOCK_ENTRIES", 1)
+        elif block == "ragged":  # the smallest row count above one that leaves a short last block
+            monkeypatch.setattr(audit, "_BLOCK_ENTRIES", k * next(r for r in itertools.count(2) if n % r))
+        hypotheses = tuple(cls.members) if as_tuple else cls
+        report = audit_family(pred, losses, hypotheses, engine)
+        assert len(report.rows) == len(losses) * k
+        assert report.rows == reference_audit_rows(pred, losses, hypotheses, engine)
+
+    @pytest.mark.parametrize("engine_kind", ["exact", "empirical"])
+    def test_empty_class_or_loss_list_gives_no_rows(self, engine_kind):
+        engine, cls, pred, _ = self._block_instance(engine_kind)
+        losses = [get_loss("l2"), get_loss("glm:sigmoid")]
+        for hypotheses in (HypothesisClass(()), ()):
+            assert audit_family(pred, losses, hypotheses, engine) == audit.OIGapReport(())
+        assert audit_family(pred, [], cls, engine) == audit.OIGapReport(())
+
+    @pytest.mark.filterwarnings("ignore:.*on its action domain:UserWarning")
+    def test_peak_memory_is_two_loss_matrices(self):
+        # the two loss buffers and the row blocks' temporaries come to 2.08 member matrices
+        # here; evaluating each loss curve on the whole matrix reaches 4.0
+        import tracemalloc
+
+        import scipy.special  # noqa: F401  (the exp and sigmoid decisions import it on first use)
+
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(10_000, 10))
+        engine = ExpectationEngine.empirical(Dataset(X, (rng.random(10_000) < 0.5).astype(float)))
+        cls = interval_class(coordinate_class(10, np.max(np.abs(X), axis=0).tolist()), 0.25)
+        members = engine.member_matrix(cls)
+        assert members.shape == (10_000, 178)
+        pred = FunctionPredictor(lambda X: 0.5 + 0.4 * np.tanh(X[:, 0]))
+        losses = [get_loss(name) for name in ("l1", "l2", "l4", "exp", "glm:sigmoid")]
+        tracemalloc.start()
+        try:
+            audit_family(pred, losses, cls, engine)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * members.nbytes, peak / members.nbytes
 
 
 class TestParityConstruction:

@@ -226,9 +226,26 @@ def _model_text(predictor):
         (_model_text({"kind": "pipeline", "stages": [{"op": "const", "value": 0.5},
                                                      {"op": "add_hyp", "tag": "x9", "coef": 0.1}]}),
          "stages[1].tag 'x9' names no member of the class"),
+        (_model_text({"kind": "pipeline", "stages": [{"op": "const", "value": 0.5}, {"op": "add_linear", "b": 0.0}]}),
+         "stages[1].w is missing"),
+        (_model_text({"kind": "pipeline", "stages": [{"op": "const", "value": 0.5},
+                                                     {"op": "bucket", "buckets": [], "values": []}]}),
+         "stages[1].delta must be a number, not None"),
+        (_model_text({"kind": "pipeline", "stages": [{"op": "const", "value": 0.5},
+                                                     {"op": "isotonic", "values": [0.5]}]}),
+         "stages[1].thresholds is missing"),
+        (_model_text({"kind": "table", "values": [0.5]}), "points is missing"),
+        (_model_text({"kind": "pipeline", "stages": [{"op": "const", "value": 0.5}, {"op": ["bucket"]}]}),
+         "stages[1].op ['bucket'] names no stage"),
+        (_model_text({"kind": "bucket_recal", "delta": 0.25, "bucket_values": [0.25, 0.75]}),
+         "base must be an object with a 'kind'"),
+        (_model_text({"kind": "glm_linear", "transfer": "sigmoid"}), "weights is missing"),
+        (_model_text({"kind": "glm_linear", "weights": {"x0": 0.1}}), "transfer is missing"),
     ],
     ids=["no-kind", "null-predictor", "no-stages", "stages-not-a-list", "not-json", "null-constant",
-         "stage-not-an-object", "add-hyp-without-coef", "add-hyp-unknown-tag"],
+         "stage-not-an-object", "add-hyp-without-coef", "add-hyp-unknown-tag", "add-linear-without-w",
+         "bucket-without-delta", "isotonic-without-thresholds", "table-without-points", "op-is-a-list",
+         "bucket-recal-without-base", "glm-without-weights", "glm-without-transfer"],
 )
 def test_unloadable_model_is_a_usage_error(runner, tmp_path, three_columns, text, reason):
     # each ended in a KeyError, TypeError or JSONDecodeError traceback and exit 1
