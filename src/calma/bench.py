@@ -23,19 +23,26 @@ residuals are 0 (Barrodale and Roberts).  One SVD of the pinned rows per
 pinned set gives the null space the steps keep to, the multipliers and the
 vertex edges; a step that pins or releases nothing reuses it, and at an l1
 vertex, where a pivot swaps one pinned row for another, a rank-one update of
-the inverse of the k x k pinned matrix replaces it.  The exact fits report
-the subgradient norm their multipliers certify.  The practical trainer
-alternates a least-squares update with a recalibration on the held-out split
-(``calma.calibration``'s isotonic fit or bucket means) and returns the
-predictor whose held-out calibration error it checked, discretized to bucket
-midpoints.
+the inverse of the k x k pinned matrix replaces it.  Each line search runs
+over all n points, with a zero slope at the pinned ones, so no step gathers
+the free points.  The exact fits report the subgradient norm their
+multipliers certify.  The practical trainer alternates a least-squares update
+with a recalibration on the held-out split (``calma.calibration``'s isotonic
+fit or bucket means) and returns the predictor whose held-out calibration
+error it checked, discretized to bucket midpoints.
+
+A table cell factors its training design [X, 1] once, by one SVD with
+``lstsq``'s rank cut-off (``_Design``): the least-squares baseline, the
+starts of the l1 and exp walks (and the directions a rank-deficient design
+cannot move) and every trainer round solve through it.  Called alone,
+``fit_linear_baseline`` and ``train_calma_bench`` factor once per call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -91,7 +98,7 @@ def _factor(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     at most ``max(m, k) eps`` times the largest count as 0, as in ``lstsq``."""
     if not len(A):
         return np.empty((A.shape[1], 0)), np.eye(A.shape[1])
-    u, sv, vt = np.linalg.svd(A)
+    u, sv, vt = np.linalg.svd(A, full_matrices=len(A) <= A.shape[1])  # a tall A needs no m x m u
     rank = int(np.sum(sv > sv[0] * max(A.shape) * np.finfo(float).eps))
     return (vt[:rank].T / sv[:rank]) @ u[:, :rank].T, vt[rank:].T
 
@@ -184,11 +191,47 @@ class LinearBaseline:
         return np.atleast_2d(np.asarray(X, dtype=np.float64)) @ self.w + self.b
 
 
-def _fit_l2(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """Least squares, and the gradient norm ``‖X1ᵀ(X1 beta - y)‖ / n`` that rounding leaves."""
-    X1 = np.column_stack([X, np.ones(len(X))])
-    beta, *_ = np.linalg.lstsq(X1, y, rcond=None)
-    return beta, float(np.linalg.norm(X1.T @ (X1 @ beta - y))) / len(y), True
+class _Design:
+    """The design X1 = [X, 1] of a training split, factored once by ``_factor``.
+
+    The pseudo-inverse gives ``lstsq``'s minimum-norm least-squares solution,
+    with its rank cut-off, for any labels; the null space of X1 holds the
+    directions that move no residual, which a rank-deficient design has.
+    """
+
+    def __init__(self, X: np.ndarray):
+        self.X1t = np.vstack([X.T, np.ones(len(X))])  # rows are the coordinates and the intercept
+        self.pinv, null = _factor(self.X1t.T)
+        self.moveless = null.T
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        return self.pinv @ y
+
+
+@dataclass(frozen=True)
+class _FactoredDataset(Dataset):
+    """A training split that carries its ``_Design``: ``run_benchmark`` hands
+    one to every baseline fit and trainer round of a cell, so the cell factors
+    its training design once."""
+
+    design: _Design = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "design", _Design(self.X))
+
+
+def _design(data: Dataset) -> _Design:
+    """The factor ``data`` carries, or a new one of its design."""
+    return data.design if isinstance(data, _FactoredDataset) else _Design(data.X)
+
+
+def _fit_l2(X: np.ndarray, y: np.ndarray, design: _Design | None = None) -> tuple[np.ndarray, float, bool]:
+    """Least squares through the factored design (``X``'s unless given), and
+    the gradient norm ``‖X1ᵀ(X1 beta - y)‖ / n`` that rounding leaves."""
+    design = _Design(X) if design is None else design
+    beta = design.solve(y)
+    return beta, float(np.linalg.norm(design.X1t @ (beta @ design.X1t - y))) / len(y), True
 
 
 def _fit_logistic(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
@@ -345,7 +388,7 @@ def _l1_line_search(r: np.ndarray, q: np.ndarray) -> tuple[float, int]:
         size *= 4
 
 
-def _kink_walk(X: np.ndarray, y: np.ndarray, l1: bool) -> tuple[np.ndarray, float, bool]:
+def _kink_walk(X: np.ndarray, y: np.ndarray, l1: bool, design: _Design | None = None) -> tuple[np.ndarray, float, bool]:
     """The active-set walk behind ``_fit_l1`` (``l1``) and ``_fit_exp``.
 
     From the least-squares start, points whose residual is 0 stay pinned
@@ -357,64 +400,77 @@ def _kink_walk(X: np.ndarray, y: np.ndarray, l1: bool) -> tuple[np.ndarray, floa
     [-1, 1]) certifies, and whether it reaches ``_BASELINE_TOL`` within
     ``_L1_MAX_STEPS`` or ``_EXP_MAX_STEPS`` passes.
 
-    The pinned rows B (stacked over the directions that move no residual)
-    are factored once per pinned set by ``_factor``: its null-space basis
-    gives the steps, and its pseudo-inverse P the multipliers sigma = n gᵀP
-    and, when B is k x k and invertible (an l1 vertex), the edge -sign P e_j
-    that releases row j.  The exp Newton system is formed in that basis, whose
-    products with every point are kept with the factor.  After a vertex
-    pivot, which replaces row j by the joining point's row a, P is updated as
-    P - P e_j (aᵀP - e_jᵀ) / (aᵀP e_j); a pivot at most ``_TINY_PIVOT``
-    times |a| |P e_j| refactors from scratch.  The certificate solves for
-    sigma afresh.
+    The start and the directions that move no residual come from the factored
+    design (``X``'s unless given).  The pinned rows B (stacked over those
+    directions) are factored once per pinned set by ``_factor``: its
+    null-space basis gives the steps, and its pseudo-inverse P the
+    multipliers sigma = n gᵀP and, when B is k x k and invertible (an l1
+    vertex), the edge -sign P e_j that releases row j.  The exp Newton system
+    is formed in that basis, whose products with every point are kept with the
+    factor, and solved by ``np.linalg.solve`` (``lstsq`` if it is singular).
+    After a vertex pivot, which replaces row j by the joining point's row a,
+    P is updated as P - P e_j (aᵀP - e_jᵀ) / (aᵀP e_j); a pivot at most
+    ``_TINY_PIVOT`` times |a| |P e_j| refactors from scratch.  The pinned
+    points are kept as an index array in the order of B's rows.  The line
+    searches run over all n points, with the step's slope q = Xd set to 0 at
+    the pinned ones: a point with q = 0 is never ahead and adds nothing to a
+    slope, so the step is the one the free points alone give.  The
+    certificate solves for sigma afresh.
     """
-    X1t = np.vstack([X.T, np.ones(len(X))])  # rows are the coordinates and the intercept
+    design = _Design(X) if design is None else design
+    X1t = design.X1t
     k, n = X1t.shape
-    beta, _, rank, _ = np.linalg.lstsq(X1t.T, y, rcond=None)
+    beta = design.solve(y)
     r = y - beta @ X1t
-    # directions that move no residual, which a rank-deficient design has
-    moveless = _factor(np.linalg.qr(X1t.T, mode="r"))[1].T if rank < k else np.empty((0, k))
-    pinned = np.abs(r) <= _ON_KINK
-    sign = np.where(pinned, 0.0, np.sign(r))
+    pinned = np.flatnonzero(np.abs(r) <= _ON_KINK)  # in the order of the factor's rows
+    sign = np.sign(r)
+    sign[pinned] = 0.0
     max_steps = _L1_MAX_STEPS if l1 else _EXP_MAX_STEPS
-    rows = None  # the pinned points in the order of the factor's rows; None once the pinned set changed
+    P = None  # the pseudo-inverse of the pinned rows; None once the pinned set changed
     for steps in range(max_steps + 1):
         e = 1.0 if l1 else np.exp(np.abs(r))
         g = -(X1t @ (sign * e)) / n
         if steps == max_steps:
             break
-        if rows is None:
-            rows = np.flatnonzero(pinned)
-            P, basis = _factor(np.vstack([X1t[:, rows].T, moveless]))
+        if P is None:
+            pinned.sort()  # a new factor takes the pinned rows in index order
+            P, basis = _factor(np.vstack([X1t[:, pinned].T, design.moveless]))
             Xb = None if l1 else basis.T @ X1t  # 0 up to rounding at pinned points: no weight to mask
         if l1:
             d = -(basis @ (basis.T @ g))
         else:
-            d = basis @ np.linalg.lstsq((Xb * e) @ Xb.T / n, -(basis.T @ g), rcond=None)[0]
+            H, rhs = (Xb * e) @ Xb.T / n, -(basis.T @ g)
+            try:
+                d = basis @ np.linalg.solve(H, rhs)
+            except np.linalg.LinAlgError:
+                d = basis @ np.linalg.lstsq(H, rhs, rcond=None)[0]
         released = -1
         if -(g @ d) <= 1e-24:
-            sigma = (n * g) @ P[:, : len(rows)]
+            sigma = (n * g) @ P[:, : len(pinned)]
             if not len(sigma) or np.max(np.abs(sigma)) <= 1.0:
                 break
             j = int(np.argmax(np.abs(sigma)))
-            i = rows[j]
+            i = pinned[j]
             # its residual counts as exactly 0, so the line search sees it leave the kink
-            pinned[i], sign[i], r[i] = False, np.sign(sigma[j]), 0.0
+            sign[i], r[i] = np.sign(sigma[j]), 0.0
+            pinned = np.concatenate([pinned[:j], pinned[j + 1 :]])
             if not (l1 and P.shape == (k, k) and not basis.size):
-                rows = None
+                P = None
                 continue
             # at an l1 vertex, the edge that keeps the other pinned points at 0 moves r_i toward sign(sigma)
             released, d = j, -sign[i] * P[:, j]
-        live = np.flatnonzero(~pinned)
-        alpha, at = (_l1_line_search if l1 else _exp_line_search)(r[live], (d @ X1t)[live])
+        q = d @ X1t
+        q[pinned] = 0.0  # 0 up to rounding already: the pinned points stay on their kinks
+        alpha, at = (_l1_line_search if l1 else _exp_line_search)(r, q)
         beta = beta + alpha * d
         r = y - beta @ X1t
         near = np.abs(r) <= _ON_KINK
         if at >= 0:
-            near[live[at]] = True
-        joined = np.flatnonzero(near & ~pinned)
-        pinned |= near
-        sign = np.where(pinned, 0.0, np.sign(r))
+            near[at] = True
+        near[pinned] = False
+        joined = np.flatnonzero(near)
+        np.sign(r, out=sign)
+        sign[pinned] = sign[joined] = 0.0
         if released >= 0 and len(joined) == 1:
             # the joining point's row replaces the released one's: a rank-one update of P = B^-1
             a, col = X1t[:, joined[0]], P[:, released]
@@ -423,23 +479,24 @@ def _kink_walk(X: np.ndarray, y: np.ndarray, l1: bool) -> tuple[np.ndarray, floa
                 w = a @ P
                 w[released] -= 1.0
                 P = P - np.outer(col / pivot, w)
-                rows[released] = joined[0]
+                pinned = np.concatenate([pinned[:released], joined, pinned[released:]])
                 continue
         if released >= 0 or len(joined):
-            rows = None
+            pinned = np.concatenate([pinned, joined])
+            P = None
     u = sign * e
     u[pinned] = np.clip(np.linalg.lstsq(X1t[:, pinned], n * g, rcond=None)[0], -1.0, 1.0)
     gnorm = float(np.linalg.norm(X1t @ u)) / n
     return beta, gnorm, gnorm <= _BASELINE_TOL and steps < max_steps
 
 
-def _fit_exp(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
+def _fit_exp(X: np.ndarray, y: np.ndarray, design: _Design | None = None) -> tuple[np.ndarray, float, bool]:
     """Exact minimizer of mean exp(|y - X1 beta|) by active-set Newton: each
     step of ``_kink_walk`` is a Newton step on the free points' smooth part."""
-    return _kink_walk(X, y, l1=False)
+    return _kink_walk(X, y, False, design)
 
 
-def _fit_l1(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
+def _fit_l1(X: np.ndarray, y: np.ndarray, design: _Design | None = None) -> tuple[np.ndarray, float, bool]:
     """Least absolute deviations, solved exactly by Barrodale and Roberts'
     vertex walk (SIAM J. Numer. Anal. 10, 1973).
 
@@ -450,7 +507,7 @@ def _fit_l1(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
     in [-1, 1], and with u = sign(r) on the other points ``‖X1ᵀu‖ / n`` is
     the norm of the subgradient they certify.
     """
-    return _kink_walk(X, y, l1=True)
+    return _kink_walk(X, y, True, design)
 
 
 def fit_linear_baseline(loss_name: str, data: Dataset) -> LinearBaseline:
@@ -469,7 +526,10 @@ def fit_linear_baseline(loss_name: str, data: Dataset) -> LinearBaseline:
     fit = {"l2": _fit_l2, "log": _fit_logistic, "exp": _fit_exp, "l1": _fit_l1}.get(loss_name)
     if fit is None:
         raise ValueError(f"unknown baseline loss {loss_name!r}")
-    beta, gnorm, converged = fit(data.X, data.y)
+    if fit is _fit_logistic:  # Newton steps on systems of their own
+        beta, gnorm, converged = fit(data.X, data.y)
+    else:
+        beta, gnorm, converged = fit(data.X, data.y, _design(data))
     return LinearBaseline(loss_name, beta[:-1], float(beta[-1]), gnorm, converged)
 
 
@@ -501,9 +561,10 @@ def train_calma_bench(
         raise ValueError("recal_backend must be 'isotonic' or 'bucket'")
     pred = PipelinePredictor.of(ConstantPredictor(0.5))
     cal_engine = ExpectationEngine.empirical(cal)
+    design = _design(train)
     rounds = 0
     for recals in range(_MAX_ROUNDS):
-        beta, _, _ = _fit_l2(train.X, train.y - pred.values(train.X))
+        beta = design.solve(train.y - pred.values(train.X))
         w, b = beta[:-1], float(beta[-1])
         update_rms = math.sqrt(float(np.mean((train.X @ w + b) ** 2)))
         if update_rms > 1e-6:
@@ -551,6 +612,7 @@ def run_benchmark(cfg: MixtureConfig, alpha: float = 0.1, recal_backend: str = "
     clipped squared-error score the same way.
     """
     train, cal, test = gen_gaussian_mixture(cfg)
+    train = _FactoredDataset(train.X, train.y)  # the baselines and the trainer share one factor
     rows: dict[str, dict[str, float]] = {"optimal": {}, "calma": {}, "linear_regression": {}}
 
     baselines = {name: fit_linear_baseline(name, train) for name in BENCH_COLUMNS}

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 from dataclasses import dataclass, field, fields
 from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
@@ -709,17 +710,14 @@ def bucket_midpoints(delta: float) -> np.ndarray:
 @dataclass(frozen=True)
 class _Stage:
     """One pipeline step: ``apply(X, p)`` maps points and current predictions to new
-    ones.  Validated when built; fields serialize under their own names."""
+    ones.  Validated when built; fields serialize under their own names, and an
+    update stage's ``from_dict(d, hclass, where)`` rebuilds it from ``to_dict``'s
+    output, naming a malformed field after the prefix ``where``."""
 
     op: ClassVar[str]
 
     def to_dict(self) -> dict:
         return {"op": self.op, **{f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}}
-
-    @classmethod
-    def from_dict(cls, d: Mapping, hclass: HypothesisClass | None, where: str = "") -> "_Stage":
-        """Rebuild from ``to_dict``'s output; ``where`` prefixes the fields that errors name."""
-        return cls(**{f.name: _field(d, f.name, where) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -785,6 +783,10 @@ class AddLinearStage(_Stage):
     def apply(self, X, p):
         return clip01(p + X @ self.w + self.b)
 
+    @classmethod
+    def from_dict(cls, d, hclass, where=""):
+        return cls(_numbers(d, "w", where), _number(d, "b", where))
+
 
 @dataclass(frozen=True)
 class BucketStage(_Stage):
@@ -812,12 +814,12 @@ class BucketStage(_Stage):
     def from_dict(cls, d, hclass, where=""):
         delta = _number(d, "delta", where)
         if "buckets" not in d:  # the dense form older versions wrote
-            return cls(delta, _field(d, "values", where))
+            return cls(delta, _numbers(d, "values", where))
         if not 0 < delta <= 0.5:
             raise ValueError("need 0 < delta <= 1/2")
-        idx, moved = np.asarray(d["buckets"]), np.asarray(_field(d, "values", where), dtype=np.float64)
+        idx, moved = np.asarray(d["buckets"]), _numbers(d, "values", where)
         values = bucket_midpoints(delta)
-        if not (idx.ndim == moved.ndim == 1 and len(idx) == len(moved)
+        if not (idx.ndim == 1 and len(idx) == len(moved)
                 and (idx.size == 0 or idx.dtype.kind in "iu" and np.all(np.diff(idx) > 0)
                      and 0 <= idx[0] and idx[-1] < len(values))):
             raise ValueError("bucket indices must be strictly increasing integers in "
@@ -828,23 +830,39 @@ class BucketStage(_Stage):
 
 @dataclass(frozen=True)
 class IsotonicStage(_Stage):
-    """p <- fitted[j] for the last threshold j <= p (j = 0 below all): a step function."""
+    """p <- fitted[j] for the last threshold j <= p (j = 0 below all): a step function.
+
+    An isotonic fit repeats each fitted value over a run of thresholds, so
+    ``values`` searches only the thresholds where the fitted value changes
+    (kept privately; ``thresholds``, ``fitted`` and ``to_dict`` hold every
+    threshold).  The last such threshold <= p starts the run that holds the
+    last threshold <= p, so the lookup gives the same value for every p,
+    NaN and +-inf included.
+    """
 
     thresholds: np.ndarray
     fitted: np.ndarray
     op: ClassVar[str] = "isotonic"
+    _steps: np.ndarray = field(init=False, repr=False, compare=False)
+    _step_values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "thresholds", _freeze(np.ravel(self.thresholds)))
         object.__setattr__(self, "fitted", _unit_interval(self.fitted, "isotonic values"))
         if not 0 < len(self.thresholds) == len(self.fitted):
             raise ValueError("isotonic thresholds and values must be nonempty and equally long")
+        if not np.all(np.isfinite(self.thresholds)):
+            raise ValueError("isotonic thresholds must be finite")
         if not np.all(np.diff(self.thresholds) >= 0):
             raise ValueError("isotonic thresholds must be sorted ascending")
+        bits = self.fitted.view(np.uint64)  # a run ends where the bits change, so -0.0 and 0.0 stay apart
+        starts = np.flatnonzero(np.append(True, bits[1:] != bits[:-1]))
+        object.__setattr__(self, "_steps", self.thresholds[starts])
+        object.__setattr__(self, "_step_values", self.fitted[starts])
 
     def values(self, v: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.thresholds, v, side="right") - 1
-        return self.fitted[np.clip(idx, 0, len(self.fitted) - 1)]
+        idx = np.searchsorted(self._steps, v, side="right") - 1
+        return self._step_values[np.maximum(idx, 0)]
 
     def apply(self, X, p):
         return self.values(p)
@@ -854,7 +872,7 @@ class IsotonicStage(_Stage):
 
     @classmethod
     def from_dict(cls, d, hclass, where=""):
-        return cls(_field(d, "thresholds", where), _field(d, "values", where))
+        return cls(_numbers(d, "thresholds", where), _numbers(d, "values", where))
 
 
 STAGES = {s.op: s for s in (BaseStage, AddHypStage, AddLinearStage, BucketStage, IsotonicStage)}
@@ -943,6 +961,19 @@ def _number(d: Mapping, key: str, where: str) -> float:
         raise ValueError(f"{where}{key} must be a number, not {d.get(key)!r}") from None
 
 
+def _numbers(d: Mapping, key: str, where: str) -> np.ndarray:
+    """``d[key]`` as a 1-D float array; a missing entry or one that is not a list of
+    numbers raises a ``ValueError`` naming ``where + key``."""
+    value = _field(d, key, where)
+    try:
+        arr = np.asarray(value) if isinstance(value, (list, tuple, np.ndarray)) else None
+    except ValueError:  # a ragged list
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        raise ValueError(f"{where}{key} must be a list of numbers, not {reprlib.repr(value)}")
+    return arr.astype(np.float64)
+
+
 def predictor_from_dict(d: Mapping, hclass: HypothesisClass | None = None, where: str = "") -> Predictor:
     """Rebuild a serialized predictor; pipelines and GLM fits may reference class members.
     Older nested models (``bucket_recal``, base stages holding pipelines) load flat, and
@@ -955,7 +986,7 @@ def predictor_from_dict(d: Mapping, hclass: HypothesisClass | None = None, where
     if kind == "constant":
         return ConstantPredictor(_number(d, "value", where))
     if kind == "table":
-        return TablePredictor(np.asarray(_field(d, "points", where)), np.asarray(_field(d, "values", where)))
+        return TablePredictor(np.asarray(_field(d, "points", where)), _numbers(d, "values", where))
     if kind == "pipeline":
         if not isinstance(d.get("stages"), list):
             raise ValueError("a pipeline predictor needs a list of 'stages'")
@@ -975,12 +1006,15 @@ def predictor_from_dict(d: Mapping, hclass: HypothesisClass | None = None, where
         return PipelinePredictor(stages)
     if kind == "bucket_recal":
         base = predictor_from_dict(d.get("base"), hclass, where + "base.")
-        return BucketRecalPredictor(base, _number(d, "delta", where), _field(d, "bucket_values", where))
+        return BucketRecalPredictor(base, _number(d, "delta", where), _numbers(d, "bucket_values", where))
     if kind == "glm_linear":
         if hclass is None:
             raise ValueError("hypothesis class required to rebuild a glm_linear predictor")
         glm = get_loss(f"glm:{_field(d, 'transfer', where)}")
-        return GlmLinearPredictor(glm, hclass, dict(_field(d, "weights", where)))
+        weights = _field(d, "weights", where)
+        if not isinstance(weights, Mapping):
+            raise ValueError(f"{where}weights must be an object of member weights, not {reprlib.repr(weights)}")
+        return GlmLinearPredictor(glm, hclass, {tag: _number(weights, tag, f"{where}weights.") for tag in weights})
     raise ValueError(f"cannot rebuild predictor kind {kind!r}")
 
 

@@ -107,6 +107,23 @@ def reference_isotonic(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarr
     return xs, np.clip(fitted, 0.0, 1.0)
 
 
+def reference_isotonic_values(stage, v: np.ndarray) -> np.ndarray:
+    """Reference lookup of an isotonic stage: the dense search over every
+    threshold that ``IsotonicStage.values`` ran before it searched only the
+    thresholds where the fitted value changes; it must give the same bits."""
+    idx = np.searchsorted(stage.thresholds, v, side="right") - 1
+    return stage.fitted[np.clip(idx, 0, len(stage.fitted) - 1)]
+
+
+def reference_fit_l2(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Reference least-squares fit: one ``lstsq`` solve of [X, 1] per call, as
+    ``bench._fit_l2`` ran before it solved through a factorization kept for the
+    design; both return the minimum-norm solution on a rank-deficient design."""
+    X1 = np.column_stack([X, np.ones(len(X))])
+    beta, *_ = np.linalg.lstsq(X1, y, rcond=None)
+    return beta, float(np.linalg.norm(X1.T @ (X1 @ beta - y))) / len(y), True
+
+
 def reference_fit_l1(X: np.ndarray, y: np.ndarray, iters: int = 4000) -> tuple[np.ndarray, float]:
     """Reference l1 fit: subgradient descent with decaying steps from the
     least-squares start, keeping the best of ``iters`` iterates.  The exact

@@ -24,6 +24,7 @@ from support import (
     reference_fit_exp,
     reference_fit_l1,
     reference_fit_l1_lp,
+    reference_fit_l2,
     reference_kink_walk,
     reference_l1_line_search,
 )
@@ -70,6 +71,16 @@ class TestBaselines:
         assert beta[-1] == pytest.approx(0.3, abs=1e-9)
         assert converged and grad_norm <= 1e-12
 
+    @pytest.mark.parametrize("duplicated", [False, True], ids=["full-rank", "duplicated-column"])
+    def test_l2_matches_one_lstsq_solve(self, duplicated):
+        train, _, _ = gen_gaussian_mixture(MixtureConfig(s=4, d=4, seed=6, n_cal=10, n_test=10))
+        X = np.column_stack([train.X, train.X[:, 1]]) if duplicated else train.X
+        beta, grad_norm, _ = _fit_l2(X, train.y)
+        ref_beta, _, _ = reference_fit_l2(X, train.y)
+        # on the duplicated column both split the weight evenly: the minimum-norm solution
+        assert np.max(np.abs(beta - ref_beta)) <= 1e-12 * np.max(np.abs(ref_beta))
+        assert grad_norm <= 1e-12
+
     def test_logistic_kkt(self):
         cfg = MixtureConfig(s=2, d=2, seed=5, n_test=10)
         train, _, _ = gen_gaussian_mixture(cfg)
@@ -105,6 +116,14 @@ _KKT_CELLS = [(s, d, seed, 3000) for s, d in ((2, 2), (4, 4), (4, 10)) for seed 
 # the two table cells (perfbench seed 1 cycle 228 and seed 2 cycle 72) where HiGHS on the l1 dual stops at a
 # non-optimal vertex, so ``reference_fit_l1_lp`` cannot be the oracle there
 _HIGHS_MISSES = [(4, 10, 326577375, 3000), (4, 4, 1015108820, 3000)]
+# (cell, whether its first feature column is duplicated): a rank-deficient design has directions that move no residual
+_WALK_CELLS = [(cell, False) for cell in _KKT_CELLS + _HIGHS_MISSES] + [((4, 4, 3, 3000), True)]
+_WALK_IDS = ["-".join(map(str, cell)) + ("-dup" if dup else "") for cell, dup in _WALK_CELLS]
+
+
+def walk_train(s, d, seed, n_train, duplicated):
+    train, _, _ = gen_gaussian_mixture(MixtureConfig(s=s, d=d, seed=seed, n_train=n_train, n_cal=10, n_test=10))
+    return Dataset(np.column_stack([train.X, train.X[:, 0]]), train.y) if duplicated else train
 
 
 class TestL1Kernel:
@@ -112,9 +131,9 @@ class TestL1Kernel:
     checked here with an independent KKT certificate, not with the walk's own
     multipliers, and against HiGHS on the linear-program dual."""
 
-    @pytest.mark.parametrize("s,d,seed,n_train", _KKT_CELLS + _HIGHS_MISSES)
-    def test_kkt_certificate(self, s, d, seed, n_train):
-        train, _, _ = gen_gaussian_mixture(MixtureConfig(s=s, d=d, seed=seed, n_train=n_train))
+    @pytest.mark.parametrize("cell,duplicated", _WALK_CELLS, ids=_WALK_IDS)
+    def test_kkt_certificate(self, cell, duplicated):
+        train = walk_train(*cell, duplicated)
         fit = fit_linear_baseline("l1", train)
         assert fit.converged and fit.grad_norm <= 1e-12
         X1 = np.column_stack([train.X, np.ones(train.n)])
@@ -276,9 +295,9 @@ class TestReferenceWalk:
     afresh on every step.  Both must reach the same train objective."""
 
     @pytest.mark.parametrize("l1", [True, False], ids=["l1", "exp"])
-    @pytest.mark.parametrize("s,d,seed,n_train", _KKT_CELLS + _HIGHS_MISSES)
-    def test_same_train_objective_as_the_reference_walk(self, s, d, seed, n_train, l1):
-        train, _, _ = gen_gaussian_mixture(MixtureConfig(s=s, d=d, seed=seed, n_train=n_train, n_cal=10, n_test=10))
+    @pytest.mark.parametrize("cell,duplicated", _WALK_CELLS, ids=_WALK_IDS)
+    def test_same_train_objective_as_the_reference_walk(self, cell, duplicated, l1):
+        train = walk_train(*cell, duplicated)
         beta, _, converged = bench._kink_walk(train.X, train.y, l1)
         ref_beta, _, ref_converged = reference_kink_walk(train.X, train.y, l1)
         column = "l1" if l1 else "exp"
@@ -304,6 +323,27 @@ class TestReferenceWalk:
         assert converged and gnorm <= 1e-12
         walk, ref = (TestL1Kernel.objective(train.X, train.y, b) for b in (beta, refactored))
         assert abs(walk - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("l1", [True, False], ids=["l1", "exp"])
+    def test_full_length_line_searches_take_the_free_points_step(self, monkeypatch, l1):
+        # the walk passes all n points, with q = 0 at the pinned ones (every point whose residual is
+        # within _ON_KINK of 0 but the one just released, whose residual is set to exactly 0)
+        train, _, _ = gen_gaussian_mixture(MixtureConfig(s=4, d=10, seed=1, n_cal=10, n_test=10))
+        name = "_l1_line_search" if l1 else "_exp_line_search"
+        line_search, calls = getattr(bench, name), []
+        monkeypatch.setattr(bench, name, lambda r, q: calls.append((r.copy(), q.copy())) or line_search(r, q))
+        _, _, converged = bench._kink_walk(train.X, train.y, l1)
+        pinned_counts = []
+        for r, q in calls:
+            pinned = (np.abs(r) <= bench._ON_KINK) & (r != 0.0)
+            pinned_counts.append(int(pinned.sum()))
+            assert np.all(q[pinned] == 0.0)
+            free = np.flatnonzero(~pinned)
+            alpha, at = line_search(r, q)
+            free_alpha, free_at = line_search(r[free], q[free])
+            assert at == (free[free_at] if free_at >= 0 else -1)
+            assert abs(alpha - free_alpha) <= 1e-12 * free_alpha
+        assert converged and len(calls) > 10 and max(pinned_counts) >= 5
 
     def test_exp_steps_reuse_the_factor_of_an_unchanged_pinned_set(self, monkeypatch):
         train, _, _ = gen_gaussian_mixture(MixtureConfig(s=4, d=10, seed=1, n_cal=10, n_test=10))
@@ -368,6 +408,41 @@ class TestHarness:
         for col in BENCH_COLUMNS:
             assert r.rows["calma"][col] <= r.rows["optimal"][col] + 0.06
         assert set(r.rows) == {"optimal", "calma", "linear_regression"}
+
+    @staticmethod
+    def counted_design_factors(monkeypatch, shape):
+        """Lists that grow by one entry per ``_factor`` call on a matrix of ``shape`` (a
+        training design) and per least-squares solve through a factored design."""
+        factored, solved = [], []
+        factor, solve = bench._factor, bench._Design.solve
+
+        def counted_factor(A):
+            if A.shape == shape:
+                factored.append(A.shape)
+            return factor(A)
+
+        monkeypatch.setattr(bench, "_factor", counted_factor)
+        monkeypatch.setattr(bench._Design, "solve", lambda self, y: solved.append(len(y)) or solve(self, y))
+        return factored, solved
+
+    @pytest.mark.parametrize("alpha,backend,rounds", [(0.1, "isotonic", 2), (0.03, "isotonic", 3), (0.02, "bucket", 10)])
+    def test_one_cell_factors_its_design_once(self, monkeypatch, alpha, backend, rounds):
+        cfg = MixtureConfig(s=4, d=4, seed=1, n_train=600, n_cal=300, n_test=100)
+        factored, solved = self.counted_design_factors(monkeypatch, (cfg.n_train, cfg.d + 1))
+        assert run_benchmark(cfg, alpha=alpha, recal_backend=backend).iterations == rounds
+        # the l2 fit, the l1 and exp walk starts and every trainer round solve through the one factor
+        assert len(factored) == 1 and len(solved) >= 3 + rounds
+
+    def test_each_entry_point_factors_its_design_once_per_call(self, monkeypatch):
+        train, cal, _ = gen_gaussian_mixture(MixtureConfig(s=2, d=3, seed=4, n_train=500, n_cal=300, n_test=10))
+        factored, _ = self.counted_design_factors(monkeypatch, (train.n, train.dim + 1))
+        for name, factors in (("l2", 1), ("l1", 1), ("exp", 1), ("log", 0)):
+            before = len(factored)
+            fit_linear_baseline(name, train)
+            assert len(factored) - before == factors, name
+        before = len(factored)
+        train_calma_bench(train, cal, alpha=0.1)
+        assert len(factored) - before == 1
 
     def test_markdown_table(self):
         cfg = MixtureConfig(s=2, d=2, seed=2, n_train=400, n_cal=200, n_test=400)

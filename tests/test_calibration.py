@@ -22,6 +22,7 @@ from calma.core import (
     Dataset,
     ExpectationEngine,
     FiniteDistribution,
+    IsotonicStage,
     TablePredictor,
     bayes_predictor,
     bucket_index,
@@ -30,7 +31,7 @@ from calma.core import (
 )
 from calma.multiaccuracy import mae
 
-from support import random_class, random_distribution, random_predictor, reference_isotonic
+from support import random_class, random_distribution, random_predictor, reference_isotonic, reference_isotonic_values
 
 
 def two_level_set_instance():
@@ -316,6 +317,42 @@ class TestIsotonic:
         fit = isotonic_fit([0.0, 1.0], [0.0, 1.0])
         assert np.all(fit.values(np.linspace(0, 1, 11)) >= 0)
         assert np.all(fit.values(np.linspace(0, 1, 11)) <= 1)
+
+    @staticmethod
+    def random_stage(rng, n):
+        """A stage whose n thresholds (some tied) carry runs of equal fitted values."""
+        thresholds = np.sort(np.round(rng.uniform(-1, 2, n), int(rng.integers(1, 4))))
+        runs = rng.integers(1, 6, size=n)
+        fitted = np.repeat(rng.uniform(0, 1, n), runs)[:n]
+        if n > 1 and rng.random() < 0.3:
+            fitted[rng.integers(0, n)] = 0.0
+            fitted[rng.integers(0, n)] = -0.0  # equal to 0.0, but not in its bits
+        return IsotonicStage(thresholds, fitted)
+
+    def test_block_lookup_gives_the_dense_lookup_bits(self):
+        rng = np.random.default_rng(28)
+        for case in range(300):
+            stage = self.random_stage(rng, int(rng.choice([1, 2, 7, 60, 1000])))
+            t = stage.thresholds
+            queries = np.concatenate([
+                t,  # on every threshold
+                (t[1:] + t[:-1]) / 2,  # between neighbours
+                [t[0] - 1.0, t[-1] + 1.0, -np.inf, np.inf, np.nan],  # below and above all
+                rng.uniform(t[0] - 0.5, t[-1] + 0.5, 200),
+            ])
+            got, want = stage.values(queries), reference_isotonic_values(stage, queries)
+            assert got.tobytes() == want.tobytes(), case
+
+    def test_to_dict_lists_every_threshold(self):
+        stage = self.random_stage(np.random.default_rng(29), 60)
+        d = stage.to_dict()
+        assert d == {"op": "isotonic", "thresholds": stage.thresholds.tolist(), "values": stage.fitted.tolist()}
+        assert len(np.unique(stage.fitted)) < len(d["thresholds"]) == 60
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_thresholds_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            IsotonicStage([0.1, bad], [0.2, 0.4])
 
 
 class TestSamplers:

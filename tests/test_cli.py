@@ -241,14 +241,24 @@ def _model_text(predictor):
          "base must be an object with a 'kind'"),
         (_model_text({"kind": "glm_linear", "transfer": "sigmoid"}), "weights is missing"),
         (_model_text({"kind": "glm_linear", "weights": {"x0": 0.1}}), "transfer is missing"),
+        (_model_text({"kind": "pipeline", "stages": [{"op": "const", "value": 0.5},
+                                                     {"op": "isotonic", "thresholds": None, "values": [0.5]}]}),
+         "stages[1].thresholds must be a list of numbers, not None"),
+        (_model_text({"kind": "pipeline", "stages": [{"op": "const", "value": 0.5},
+                                                     {"op": "add_linear", "w": [0.1, 0.0, 0.0], "b": None}]}),
+         "stages[1].b must be a number, not None"),
+        (_model_text({"kind": "glm_linear", "transfer": "sigmoid", "weights": 3}),
+         "weights must be an object of member weights, not 3"),
     ],
     ids=["no-kind", "null-predictor", "no-stages", "stages-not-a-list", "not-json", "null-constant",
          "stage-not-an-object", "add-hyp-without-coef", "add-hyp-unknown-tag", "add-linear-without-w",
          "bucket-without-delta", "isotonic-without-thresholds", "table-without-points", "op-is-a-list",
-         "bucket-recal-without-base", "glm-without-weights", "glm-without-transfer"],
+         "bucket-recal-without-base", "glm-without-weights", "glm-without-transfer",
+         "isotonic-null-thresholds", "add-linear-null-b", "glm-weights-a-number"],
 )
 def test_unloadable_model_is_a_usage_error(runner, tmp_path, three_columns, text, reason):
-    # each ended in a KeyError, TypeError or JSONDecodeError traceback and exit 1
+    # each ended in a KeyError, TypeError or JSONDecodeError traceback and exit 1, or (null
+    # isotonic thresholds, read as [nan]) loaded and audited with exit 0
     data, model = three_columns
     with open(model, "w") as fh:
         fh.write(text)
