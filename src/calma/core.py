@@ -116,9 +116,8 @@ def correlate(weights: np.ndarray, resid: np.ndarray, G: np.ndarray):
 
 def value_matrix(fns: Iterable, arg: np.ndarray) -> np.ndarray:
     """C-contiguous n x k matrix whose column j is ``fns[j].values(arg)``.  A
-    class from ``coordinate_class`` or ``interval_class`` writes it in one pass
-    through its builder, bit for bit the same; other members are evaluated one
-    at a time."""
+    class from ``coordinate_class`` writes it in one pass through its builder,
+    bit for bit the same; other members are evaluated one at a time."""
     X = np.atleast_2d(np.asarray(arg, dtype=np.float64))
     fill = fns._fill if isinstance(fns, HypothesisClass) else None
     fns = list(fns)
@@ -343,8 +342,8 @@ class ExpectationEngine:
     def member_matrix(self, hclass: "HypothesisClass") -> np.ndarray:
         """Read-only, C-contiguous n x |C| matrix of every member of ``hclass``
         on ``X``, built by ``value_matrix`` (in one pass for a class from
-        ``coordinate_class`` or ``interval_class``, member by member for any
-        other) on the first call for that class and reused after."""
+        ``coordinate_class``, member by member for any other) on the first
+        call for that class and reused after."""
         hit = self._members.get(id(hclass))  # the hit inline: weak-learner queries on small engines call this most
         return self._cached(id(hclass), hclass, lambda X: value_matrix(hclass, X)) if hit is None else hit[1]
 
@@ -403,12 +402,12 @@ def constant_one() -> Hypothesis:
 
 @dataclass(frozen=True)
 class HypothesisClass:
-    """Members in a fixed order.  A class from ``coordinate_class`` or
-    ``interval_class`` (without repeated tags) also carries the builder
-    ``_fill(X, out)`` that ``value_matrix`` calls: it writes every member's
-    values on ``X`` into ``out`` at once.  A class from ``interval_class`` also
-    carries ``_cells``: its cell index builder ``index(X)`` and ``dot(index, v)``,
-    the members' correlations with ``v``."""
+    """Members in a fixed order.  Only a class from ``coordinate_class``
+    carries the builder ``_fill(X, out)`` that ``value_matrix`` calls: it
+    writes every member's values on ``X`` into ``out`` at once.  Only a class
+    from ``interval_class`` (without repeated tags) carries ``_cells``: its
+    cell index builder ``index(X)`` and ``dot(index, v)``, the members'
+    correlations with ``v``."""
 
     members: tuple
     _fill: Callable | None = field(default=None, init=False, repr=False, compare=False)
@@ -437,51 +436,34 @@ def make_class(members: Iterable[Hypothesis]) -> HypothesisClass:
     return _closed_class(list(members))
 
 
-def _closed_class(lead: list[Hypothesis], fill_lead: Callable | None = None,
-                  cells: tuple | None = None) -> HypothesisClass:
+def _closed_class(lead: list[Hypothesis]) -> HypothesisClass:
     """``lead``, the constant 1, then the negation of each; a member whose tag
-    is taken is dropped.  A class that drops none gets a builder from
-    ``fill_lead(X, out)``, if given, which writes the columns of ``lead``: the
-    builder sets the constant column and negates the leading block into the
-    trailing one.  ``cells = (index, dot_lead)`` correlates the same way,
-    ``dot_lead(index(X), v, out)`` writing the correlations of ``lead`` with ``v``."""
+    is taken is dropped."""
     members: dict[str, Hypothesis] = {}
     for h in [*lead, constant_one()]:
         members.setdefault(h.tag, h)
     for h in [m.neg() for m in members.values()]:
         members.setdefault(h.tag, h)
-    hclass, k = HypothesisClass(tuple(members.values())), len(lead)
-    if fill_lead is None or len(hclass) < 2 * (k + 1):
-        return hclass
-
-    def close(M: np.ndarray, write_lead: Callable, constant) -> np.ndarray:
-        write_lead(M[:, :k])
-        M[:, k] = constant
-        np.negative(M[:, : k + 1], out=M[:, k + 1 :])
-        return M
-
-    def dot(index: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # the constant sums v in row order, as does the cell that holds every row of a member
-        return close(np.empty((1, len(hclass))), lambda T: cells[1](index, v, T[0]), np.cumsum(v)[-1])[0]
-
-    object.__setattr__(hclass, "_fill", lambda X, M: close(M, lambda T: fill_lead(X, T), 1.0))
-    if cells is not None:
-        object.__setattr__(hclass, "_cells", (cells[0], dot))
-    return hclass
+    return HypothesisClass(tuple(members.values()))
 
 
 def coordinate_class(dim: int, scales: Sequence[float] | None = None) -> HypothesisClass:
-    """Coordinate projections x_j / scale_j, bounded by 1 on the scaled domain."""
-    if scales is None:
-        scales = [1.0] * dim
-    members = []
-    for j in range(dim):
-        s = float(scales[j])
-        if s <= 0:
-            raise ValueError("scales must be positive")
-        members.append(Hypothesis(lambda X, j=j, s=s: np.atleast_2d(X)[:, j] / s, 1.0, f"x{j}"))
-    divisors = np.array([float(s) for s in scales[:dim]])
-    return _closed_class(members, lambda X, out: np.divide(X[:, :dim], divisors, out=out))
+    """Coordinate projections x_j / scale_j, bounded by 1 on the scaled domain.
+    Its builder ``_fill`` divides the coordinates by their scales, sets the
+    constant column and negates the leading block into the trailing one."""
+    divisors = np.ones(dim) if scales is None else np.array(scales, dtype=np.float64)
+    if divisors.shape != (dim,) or not np.all(np.isfinite(divisors) & (divisors > 0)):
+        raise ValueError(f"scales must be {dim} finite, positive numbers")
+    hclass = _closed_class([Hypothesis(lambda X, j=j, s=float(s): np.atleast_2d(X)[:, j] / s, 1.0, f"x{j}")
+                            for j, s in enumerate(divisors)])
+
+    def fill(X: np.ndarray, M: np.ndarray) -> None:
+        np.divide(X[:, :dim], divisors, out=M[:, :dim])
+        M[:, dim] = 1.0
+        np.negative(M[:, : dim + 1], out=M[:, dim + 1 :])
+
+    object.__setattr__(hclass, "_fill", fill)
+    return hclass
 
 
 def lin_combination(cls: HypothesisClass, weights: Mapping[str, float], budget: float) -> Hypothesis:
@@ -499,25 +481,10 @@ def lin_combination(cls: HypothesisClass, weights: Mapping[str, float], budget: 
     return Hypothesis(fn, budget * cls.max_bound, tag)
 
 
-def _derived_class(
-    cls: HypothesisClass,
-    derive: Callable[[Hypothesis], Iterable[Hypothesis]],
-    fill: Callable[[np.ndarray, np.ndarray], None] | None = None,
-    cells: tuple | None = None,
-) -> HypothesisClass:
+def _derived_class(cls: HypothesisClass, derive: Callable[[Hypothesis], Iterable[Hypothesis]]) -> HypothesisClass:
     """``make_class`` over ``derive(m)`` for each member ``m`` of ``cls``, in order,
-    except negations: the closure adds the negations of what their base derives.
-    ``interval_class`` gives ``fill(B, out)``, which writes the derived columns
-    from the block ``B`` of those base members' values, and ``cells = (index, dot)``,
-    whose ``index(B)`` is the cell index ``dot`` reads."""
-    base = [j for j, m in enumerate(cls.members) if not m.tag.startswith("-")]
-    lead = [h for j in base for h in derive(cls.members[j])]
-
-    def block(X: np.ndarray) -> np.ndarray:
-        return value_matrix(cls, X)[:, base]
-
-    return _closed_class(lead, fill and (lambda X, out: fill(block(X), out)),
-                         cells and (lambda X: cells[0](block(X)), cells[1]))
+    except negations: the closure adds the negations of what their base derives."""
+    return _closed_class([h for m in cls.members if not m.tag.startswith("-") for h in derive(m)])
 
 
 def level_class(cls: HypothesisClass, points: np.ndarray) -> HypothesisClass:
@@ -558,20 +525,29 @@ def interval_class(cls: HypothesisClass, delta: float) -> HypothesisClass:
         idx = np.floor((values + 1.0) / delta).astype(int)
         return np.clip(idx, 0, m_cells - 1)
 
-    def fill(B: np.ndarray, out: np.ndarray) -> None:
-        # out's rows are contiguous runs of m_cells indicators per base member: a one-hot scatter
-        one_hot = out.reshape(len(B), B.shape[1], m_cells)
-        one_hot[...] = 0.0
-        np.put_along_axis(one_hot, cell_of(B)[:, :, None], 1.0, axis=2)
-
-    def dot(index: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
-        for j, cells_j in enumerate(index):  # row j: the cells of base member j
-            out[j * m_cells : (j + 1) * m_cells] = np.bincount(cells_j, weights=v, minlength=m_cells)
-
-    return _derived_class(cls, lambda h: [
+    hclass = _derived_class(cls, lambda h: [
         h.map(lambda u, j=j: (cell_of(u) == j).astype(float), 1.0, f"int({h.tag},{cell})")
         for j, cell in enumerate(cells)
-    ], fill, (lambda B: np.ascontiguousarray(cell_of(B).T), dot))
+    ])
+    base = [j for j, m in enumerate(cls.members) if not m.tag.startswith("-")]
+    k = len(base) * m_cells
+    if len(hclass) < 2 * (k + 1):  # a tag was dropped: the columns no longer follow the base block
+        return hclass
+
+    def index(X: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(cell_of(value_matrix(cls, X)[:, base]).T)
+
+    def dot(index: np.ndarray, v: np.ndarray) -> np.ndarray:
+        out = np.empty(len(hclass))
+        for j, cells_j in enumerate(index):  # row j: the cells of base member j
+            out[j * m_cells : (j + 1) * m_cells] = np.bincount(cells_j, weights=v, minlength=m_cells)
+        # the constant sums v in row order, as does the cell that holds every row of a member
+        out[k] = np.cumsum(v)[-1]
+        np.negative(out[: k + 1], out=out[k + 1 :])
+        return out
+
+    object.__setattr__(hclass, "_cells", (index, dot))
+    return hclass
 
 
 def power_class(cls: HypothesisClass, d: int) -> HypothesisClass:
@@ -643,6 +619,8 @@ class TablePredictor(Predictor):
 
     def __init__(self, points: np.ndarray, table_values: np.ndarray):
         pts = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("table points must be finite")
         vals = _unit_interval(table_values, "table values")
         if not 0 < len(pts) == len(vals):
             raise ValueError("points and values must be nonempty and of equal length")
@@ -961,16 +939,17 @@ def _number(d: Mapping, key: str, where: str) -> float:
         raise ValueError(f"{where}{key} must be a number, not {d.get(key)!r}") from None
 
 
-def _numbers(d: Mapping, key: str, where: str) -> np.ndarray:
-    """``d[key]`` as a 1-D float array; a missing entry or one that is not a list of
-    numbers raises a ``ValueError`` naming ``where + key``."""
+def _numbers(d: Mapping, key: str, where: str, ndim: int = 1) -> np.ndarray:
+    """``d[key]`` as an ``ndim``-D float array; a missing entry or one that is not an
+    ``ndim``-D list of numbers raises a ``ValueError`` naming ``where + key``."""
     value = _field(d, key, where)
     try:
         arr = np.asarray(value) if isinstance(value, (list, tuple, np.ndarray)) else None
     except ValueError:  # a ragged list
         arr = None
-    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
-        raise ValueError(f"{where}{key} must be a list of numbers, not {reprlib.repr(value)}")
+    if arr is None or arr.ndim != ndim or arr.dtype.kind not in "iuf":
+        shape = "" if ndim == 1 else f"{ndim}-D "
+        raise ValueError(f"{where}{key} must be a {shape}list of numbers, not {reprlib.repr(value)}")
     return arr.astype(np.float64)
 
 
@@ -986,7 +965,7 @@ def predictor_from_dict(d: Mapping, hclass: HypothesisClass | None = None, where
     if kind == "constant":
         return ConstantPredictor(_number(d, "value", where))
     if kind == "table":
-        return TablePredictor(np.asarray(_field(d, "points", where)), _numbers(d, "values", where))
+        return TablePredictor(_numbers(d, "points", where, ndim=2), _numbers(d, "values", where))
     if kind == "pipeline":
         if not isinstance(d.get("stages"), list):
             raise ValueError("a pipeline predictor needs a list of 'stages'")
@@ -1014,6 +993,10 @@ def predictor_from_dict(d: Mapping, hclass: HypothesisClass | None = None, where
         weights = _field(d, "weights", where)
         if not isinstance(weights, Mapping):
             raise ValueError(f"{where}weights must be an object of member weights, not {reprlib.repr(weights)}")
+        tags = {m.tag for m in hclass}
+        for tag in weights:
+            if tag not in tags:
+                raise ValueError(f"{where}weights.{tag} names no member of the class")
         return GlmLinearPredictor(glm, hclass, {tag: _number(weights, tag, f"{where}weights.") for tag in weights})
     raise ValueError(f"cannot rebuild predictor kind {kind!r}")
 

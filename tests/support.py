@@ -17,6 +17,7 @@ from calma.core import (
     HypothesisClass,
     TablePredictor,
     correlate,
+    interval_class,
     make_class,
     value_matrix,
 )
@@ -113,6 +114,35 @@ def reference_isotonic_values(stage, v: np.ndarray) -> np.ndarray:
     thresholds where the fitted value changes; it must give the same bits."""
     idx = np.searchsorted(stage.thresholds, v, side="right") - 1
     return stage.fitted[np.clip(idx, 0, len(stage.fitted) - 1)]
+
+
+def reference_interval_correlations(cls: HypothesisClass, delta: float, X: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``v``'s correlations with the members of ``interval_class(cls, delta)``
+    as its cell index composed them when ``_closed_class`` closed the lead
+    block: ``dot_lead`` writes one ``bincount`` per base member into the lead,
+    then ``close`` sets the constant to ``cumsum(v)[-1]`` and negates the lead
+    and constant into the trailing block.  A class that dropped a tag had no
+    cell index: ``v`` times its matrix, evaluated member by member."""
+    hclass = interval_class(cls, delta)
+    m_cells = int(math.ceil(2.0 / delta - 1e-9))
+    base = [m for m in cls.members if not m.tag.startswith("-")]
+    k = len(base) * m_cells
+    if len(hclass) < 2 * (k + 1):
+        return v @ value_matrix(list(hclass), X)
+    B = np.column_stack([m.values(X) for m in base]) if base else np.empty((len(X), 0))
+    index = np.ascontiguousarray(np.clip(np.floor((B + 1.0) / delta).astype(int), 0, m_cells - 1).T)
+
+    def close(M: np.ndarray, write_lead, constant) -> np.ndarray:
+        write_lead(M[:, :k])
+        M[:, k] = constant
+        np.negative(M[:, : k + 1], out=M[:, k + 1 :])
+        return M
+
+    def dot_lead(out: np.ndarray) -> None:
+        for j, cells_j in enumerate(index):
+            out[j * m_cells : (j + 1) * m_cells] = np.bincount(cells_j, weights=v, minlength=m_cells)
+
+    return close(np.empty((1, len(hclass))), lambda T: dot_lead(T[0]), np.cumsum(v)[-1])[0]
 
 
 def reference_fit_l2(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool]:

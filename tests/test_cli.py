@@ -249,12 +249,19 @@ def _model_text(predictor):
          "stages[1].b must be a number, not None"),
         (_model_text({"kind": "glm_linear", "transfer": "sigmoid", "weights": 3}),
          "weights must be an object of member weights, not 3"),
+        (_model_text({"kind": "table", "points": None, "values": [0.5]}), "points must be a 2-D list of numbers, not None"),
+        (_model_text({"kind": "table", "points": 3, "values": [0.5]}), "points must be a 2-D list of numbers, not 3"),
+        (_model_text({"kind": "table", "points": [[0.0, 0.0, 0.0], [1.0]], "values": [0.5, 0.5]}),
+         "points must be a 2-D list of numbers, not [[0.0, 0.0, 0.0], [1.0]]"),
+        (_model_text({"kind": "glm_linear", "transfer": "sigmoid", "weights": {"x0": 0.1, "zz": 0.1}}),
+         "weights.zz names no member of the class"),
     ],
     ids=["no-kind", "null-predictor", "no-stages", "stages-not-a-list", "not-json", "null-constant",
          "stage-not-an-object", "add-hyp-without-coef", "add-hyp-unknown-tag", "add-linear-without-w",
          "bucket-without-delta", "isotonic-without-thresholds", "table-without-points", "op-is-a-list",
          "bucket-recal-without-base", "glm-without-weights", "glm-without-transfer",
-         "isotonic-null-thresholds", "add-linear-null-b", "glm-weights-a-number"],
+         "isotonic-null-thresholds", "add-linear-null-b", "glm-weights-a-number", "table-null-points",
+         "table-points-a-number", "table-ragged-points", "glm-unknown-weight-tag"],
 )
 def test_unloadable_model_is_a_usage_error(runner, tmp_path, three_columns, text, reason):
     # each ended in a KeyError, TypeError or JSONDecodeError traceback and exit 1, or (null

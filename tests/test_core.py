@@ -52,7 +52,14 @@ from calma.core import (
 from calma.losses import lp_loss
 from calma.multiaccuracy import mae
 
-from support import random_class, random_distribution, random_predictor, record_stage_applications, table_hypothesis
+from support import (
+    random_class,
+    random_distribution,
+    random_predictor,
+    record_stage_applications,
+    reference_interval_correlations,
+    table_hypothesis,
+)
 
 
 class TestContainers:
@@ -355,8 +362,25 @@ def _per_member(cls, X):
     return np.column_stack(cols) if cols else np.empty((len(X), 0))
 
 
+def _sample_coordinates():
+    """The sample benchmark's scaled coordinate class over 10k mixture rows, and those rows."""
+    X = gen_gaussian_mixture(MixtureConfig(s=4, d=10, n_train=10_000, n_cal=1, n_test=1, seed=1))[0].X
+    scales = [max(float(np.max(np.abs(X[:, j]))), 1e-12) for j in range(X.shape[1])]
+    return coordinate_class(10, scales), X
+
+
+@pytest.mark.parametrize("scales", [[math.nan, 1.0], [math.inf, 1.0], [1.0], [1.0, 2.0, 3.0], [0.0, 1.0],
+                                    [-1.0, 1.0], [[1.0, 2.0]]])
+def test_coordinate_class_needs_one_finite_positive_scale_per_coordinate(scales):
+    # a NaN scale made a member NaN everywhere, an infinite one 0 everywhere; one scale short raised an
+    # IndexError, and extra scales were ignored
+    with pytest.raises(ValueError, match="scales must be 2 finite, positive numbers"):
+        coordinate_class(2, scales)
+
+
 class TestMemberMatrix:
-    """A class's one-pass builder against its members evaluated one at a time."""
+    """A coordinate class's one-pass builder and an interval class's cell index
+    against the members evaluated one at a time."""
 
     rng = np.random.default_rng(21)
     # uniform rows past [-1, 1], then cell edges and the domain's ends
@@ -381,6 +405,7 @@ class TestMemberMatrix:
         "make_class-empty": (lambda: make_class([]), X),
         "0-members": (lambda: HypothesisClass(()), X),
         "interval-of-0-members": (lambda: interval_class(HypothesisClass(()), 0.5), X),
+        "coordinate-non-dyadic-scales": (lambda: coordinate_class(3, [3.0, 0.7, 1.3]), X),  # inexact reciprocals
     }
     intervals = {k: case for k, case in cases.items() if k.startswith("interval")}
 
@@ -411,13 +436,35 @@ class TestMemberMatrix:
         assert first == np.argmax(want) and got[first] == got[tags.index("1")]
         assert list(engine._members) == [(id(cls), "cells")]  # no dense matrix was built
 
+    # each interval case as its base class and rows, and its cell width; then the class the sample benchmark trains on
+    interval_bases = {
+        "interval": (lambda: (coordinate_class(3), TestMemberMatrix.X), 0.3),
+        "interval-1-row": (lambda: (coordinate_class(3, [1.2] * 3), TestMemberMatrix.X[:1]), 0.25),
+        "interval-of-power": (lambda: (power_class(coordinate_class(3), 2), TestMemberMatrix.X), 0.5),
+        "interval-of-colliding": (lambda: (make_class(TestMemberMatrix.tagged[:2]), TestMemberMatrix.X), 0.5),
+        "interval-of-0-members": (lambda: (HypothesisClass(()), TestMemberMatrix.X), 0.5),
+        "sample": (_sample_coordinates, 0.25),
+    }
+
+    @pytest.mark.parametrize("build, delta", list(interval_bases.values()), ids=list(interval_bases))
+    def test_cell_index_gives_the_reference_composition_bits(self, build, delta, monkeypatch):
+        assert set(self.interval_bases) == {*self.intervals, "sample"}
+        monkeypatch.setattr(core, "_DENSE_MAX", -1)  # every engine reads the cell index
+        base, X = build()
+        cls = interval_class(base, delta)
+        engine = ExpectationEngine(X, np.full(len(X), 1.0 / len(X)), np.zeros(len(X)))
+        rng = np.random.default_rng(24)
+        for v in [rng.normal(size=len(X)) for _ in range(3)] + [rng.uniform(0.1, 1.0, len(X))]:
+            got, want = engine.correlations(cls, v), reference_interval_correlations(base, delta, X, v)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_colliding_tags_keep_the_first_member(self):
         cls = make_class(self.tagged)
         assert [m.tag for m in cls.members] == ["a", "-a", "1", "-1"]
 
     def test_coordinate_and_interval_builders_call_no_member(self, monkeypatch):
         # the class the sample benchmark trains on (10 scaled coordinates and the constant, 8 cells each), and a
-        # scaled coordinate class: their matrices and cell index come from the builders alone
+        # scaled coordinate class: the coordinate matrix and the interval cell index come from the builders alone
         X = gen_gaussian_mixture(MixtureConfig(s=4, d=10, n_train=10_000, n_cal=1, n_test=1, seed=1))[0].X
         scales = [max(float(np.max(np.abs(X[:, j]))), 1e-12) for j in range(X.shape[1])]
         classes = [interval_class(coordinate_class(10, scales), 0.25), coordinate_class(3, [2.0, 0.5, 4.0])]
@@ -429,8 +476,7 @@ class TestMemberMatrix:
 
         monkeypatch.setattr(Hypothesis, "values", evaluated)
         engine = ExpectationEngine(X, np.full(len(X), 1.0 / len(X)), np.zeros(len(X)))
-        for cls, w in zip(classes, want):
-            assert engine.member_matrix(cls).tobytes() == w.tobytes()
+        assert engine.member_matrix(classes[1]).tobytes() == want[1].tobytes()
         assert len(classes[0]) == 178 and len(X) * 178 > core._DENSE_MAX
         fresh = ExpectationEngine(X, engine.weights, engine.ystar)  # no cached matrix: reads the cell index
         assert np.all(np.abs(fresh.correlations(classes[0], v) - v @ want[0]) <= 1e-15 * np.sum(np.abs(v)))
@@ -521,6 +567,11 @@ class TestPredictors:
         pred = TablePredictor(np.zeros((1, 2)), [0.5])
         with pytest.raises(ValueError):
             pred.values(np.ones((1, 2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_table_predictor_rejects_non_finite_points(self, bad):
+        with pytest.raises(ValueError, match="table points must be finite"):
+            TablePredictor(np.array([[0.0, 1.0], [bad, 0.0]]), [0.1, 0.2])
 
     def test_table_predictor_unknown_row_among_known_rows(self):
         pts = np.array([[0.0, 1.0], [2.0, 3.0], [-1.0, 0.5]])
