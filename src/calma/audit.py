@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Sequence, Sized
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .core import (
     coordinate_class,
     correlate,
     lin_combination,
-    value_matrix,
 )
 from .losses import GlmLoss, Loss, TruncatedDecision, bregman
 
@@ -94,7 +93,7 @@ def omni_regret(
     pv = pred.values(engine.X)
     kv = decision(pv) if decision is not None else loss.decision(pv)
     # column 0 is the action taken on the prediction, the rest the hypotheses
-    T = np.column_stack([kv, value_matrix(hypotheses, engine.X)])
+    T = np.column_stack([kv, engine.member_matrix(hypotheses)])
     expected = correlate(engine.weights, 1.0, loss.loss(engine.ystar[:, None], T))
     return float(expected[0] - np.min(expected[1:], initial=math.inf))
 
@@ -155,9 +154,9 @@ def audit_family(
     hypotheses: HypothesisClass | Iterable[Hypothesis],
     engine: ExpectationEngine,
 ) -> OIGapReport:
-    """Every (loss, hypothesis) pair's gaps.  A ``HypothesisClass`` reads the
-    engine's cached member matrix, so a later ``mae`` over it reuses it; any
-    other iterable of hypotheses is evaluated through ``value_matrix``.
+    """Every (loss, hypothesis) pair's gaps, for a class or any sequence of
+    hypotheses, read from the engine's member cache, keyed by the members: a
+    later ``mae`` or audit over the same members on that engine builds nothing.
 
     Each loss's derivative at the members and its excess over the derivative
     at the decision are written into two n x |C| buffers, allocated once per
@@ -168,13 +167,11 @@ def audit_family(
 
     from .losses import partial_sup
 
-    hyps = list(hypotheses)
+    if not isinstance(hypotheses, Sized):  # a generator is read once, for the matrix and the tags
+        hypotheses = tuple(hypotheses)
     pv = pred.values(engine.X)
     resid = pv - engine.ystar
-    if isinstance(hypotheses, HypothesisClass):
-        members = engine.member_matrix(hypotheses)
-    else:
-        members = value_matrix(hyps, engine.X)
+    members = engine.member_matrix(hypotheses)
     step = max(1, _BLOCK_ENTRIES // max(1, members.shape[1]))
     at_members, excess = np.empty(members.shape), np.empty(members.shape)
     rows, warned = [], []
@@ -196,7 +193,7 @@ def audit_family(
         # decomposition residual below is a genuine roundoff check
         hyp_gaps = correlate(engine.weights, resid, at_members)
         loss_gaps = correlate(engine.weights, resid, excess)
-        for h, hg, lg in zip(hyps, hyp_gaps.tolist(), loss_gaps.tolist()):
+        for h, hg, lg in zip(hypotheses, hyp_gaps.tolist(), loss_gaps.tolist()):
             rows.append((loss.name, h.tag, hg, dec, lg, lg - (hg - dec)))
     return OIGapReport(tuple(rows), tuple(warned))
 
@@ -247,11 +244,11 @@ def random_lipschitz_loss(rng: np.random.Generator) -> Loss:
     """Like random_bounded_loss but with a 1-Lipschitz derivative."""
     xs = np.linspace(-1.0, 1.0, _LIPSCHITZ_KNOTS)
     h = xs[1] - xs[0]
-    ys = np.empty(_LIPSCHITZ_KNOTS)
-    ys[0] = rng.uniform(-1, 1)
-    for i in range(1, _LIPSCHITZ_KNOTS):
-        ys[i] = np.clip(ys[i - 1] + rng.uniform(-h, h), -1.0, 1.0)
-    return _interp_loss(xs, ys, "random_lipschitz")
+    ys = [rng.uniform(-1, 1)]
+    # one draw of all steps leaves rng where a draw per step did
+    for step in rng.uniform(-h, h, _LIPSCHITZ_KNOTS - 1).tolist():
+        ys.append(min(max(ys[-1] + step, -1.0), 1.0))
+    return _interp_loss(xs, np.array(ys), "random_lipschitz")
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,16 @@ residual correlation ``E[(p - y*) g(x)]``.
 
 All containers are immutable after construction (arrays are marked read-only)
 and safe to share across threads; their two caches change no result.  An
-engine's member cache holds one read-only matrix or cell index per class,
-shared by the engines one sampler draws: racing first calls may each build
-it, and all of them get the one stored first.  A pipeline's one slot holds the
-output of a prefix of its stages on one read-only array of rows.  It is a
-tuple swapped in a single assignment, so racing evaluations each read a whole
-slot, old or new.  ``Predictor.values`` may return a read-only array.  Every
-expectation and residual correlation reduces through ``correlate``, a BLAS dot
-or matrix-vector product, or through ``np.bincount`` in row order: repeated
-calls with the same shapes, numpy/BLAS build and BLAS thread count give
-bit-identical results, which are not exactly rounded.
+engine's member cache holds one read-only matrix per member sequence or cell
+index per class, shared by the engines one sampler draws: racing first calls
+may each build it, and all of them get the one stored first.  A pipeline's one
+slot holds the output of a prefix of its stages on one read-only array of
+rows.  It is a tuple swapped in a single assignment, so racing evaluations
+each read a whole slot, old or new.  ``Predictor.values`` may return a
+read-only array.  Every expectation and residual correlation reduces through
+``correlate``, a BLAS dot or matrix-vector product, or through ``np.bincount``
+in row order: repeated calls with the same shapes, numpy/BLAS build and BLAS
+thread count give bit-identical results, which are not exactly rounded.
 """
 
 from __future__ import annotations
@@ -312,9 +312,10 @@ class ExpectationEngine:
     the drawn label means of a ``DistributionSampler`` draw.
     Both cases make ``E[g(x, y)] = E[ystar * g(x,1) + (1 - ystar) * g(x,0)]``.
 
-    Member correlations go through ``correlations``.  A class from
-    ``interval_class`` past ``_DENSE_MAX`` matrix entries reads its cell index,
-    one cell per row and base member; every other class, the dense matrix.
+    Its member cache is keyed by the members: one entry per distinct member
+    sequence, which holds them for the engine's life.  Member correlations go
+    through ``correlations``: a class from ``interval_class`` past
+    ``_DENSE_MAX`` entries reads its cell index, every other the dense matrix.
     """
 
     X: np.ndarray
@@ -339,13 +340,14 @@ class ExpectationEngine:
         object.__setattr__(engine, "_members", self._members)
         return engine
 
-    def member_matrix(self, hclass: "HypothesisClass") -> np.ndarray:
-        """Read-only, C-contiguous n x |C| matrix of every member of ``hclass``
-        on ``X``, built by ``value_matrix`` (in one pass for a class from
-        ``coordinate_class``, member by member for any other) on the first
-        call for that class and reused after."""
-        hit = self._members.get(id(hclass))  # the hit inline: weak-learner queries on small engines call this most
-        return self._cached(id(hclass), hclass, lambda X: value_matrix(hclass, X)) if hit is None else hit[1]
+    def member_matrix(self, hypotheses: "HypothesisClass | Iterable[Hypothesis]") -> np.ndarray:
+        """Read-only, C-contiguous n x k matrix of a class's or any sequence's k
+        hypotheses on ``X``, cached by the tuple of their ids and built on the
+        first call by ``value_matrix`` (in one pass for a class from
+        ``coordinate_class``, member by member for any other, bit for bit alike)."""
+        h = hypotheses if isinstance(hypotheses, HypothesisClass) else HypothesisClass(tuple(hypotheses))
+        hit = self._members.get(h._key)  # the hit inline: weak-learner queries on small engines call this most
+        return self._cached(h._key, h.members, lambda X: value_matrix(h, X)) if hit is None else hit[1]
 
     def correlations(self, hclass: "HypothesisClass", v: np.ndarray) -> np.ndarray:
         """``v @ member_matrix(hclass)``, or past ``_DENSE_MAX`` entries the sums
@@ -355,13 +357,13 @@ class ExpectationEngine:
             return v @ self.member_matrix(hclass)
         return cells[1](self._cached((id(hclass), "cells"), hclass, cells[0]), v)
 
-    def _cached(self, key, hclass: "HypothesisClass", build: Callable) -> np.ndarray:
+    def _cached(self, key, holder, build: Callable) -> np.ndarray:
         hit = self._members.get(key)
         if hit is None:
             value = build(self.X)
             value.flags.writeable = False
-            # holding the class keeps its id unique; setdefault hands racing first calls one array
-            hit = self._members.setdefault(key, (hclass, value))
+            # holding what the key's ids name keeps them unique; setdefault hands racing first calls one array
+            hit = self._members.setdefault(key, (holder, value))
         return hit[1]
 
     def expect(self, values: np.ndarray) -> float:
@@ -402,16 +404,21 @@ def constant_one() -> Hypothesis:
 
 @dataclass(frozen=True)
 class HypothesisClass:
-    """Members in a fixed order.  Only a class from ``coordinate_class``
-    carries the builder ``_fill(X, out)`` that ``value_matrix`` calls: it
-    writes every member's values on ``X`` into ``out`` at once.  Only a class
-    from ``interval_class`` (without repeated tags) carries ``_cells``: its
-    cell index builder ``index(X)`` and ``dot(index, v)``, the members'
-    correlations with ``v``."""
+    """Members in a fixed order, and ``_key``, the tuple of their ids, computed
+    once: the key of an engine's member cache.  Only a class from
+    ``coordinate_class`` carries the builder ``_fill(X, out)`` that
+    ``value_matrix`` calls: it writes every member's values on ``X`` into
+    ``out`` at once.  Only a class from ``interval_class`` (without repeated
+    tags) carries ``_cells``: its cell index builder ``index(X)`` and
+    ``dot(index, v)``, the members' correlations with ``v``."""
 
     members: tuple
     _fill: Callable | None = field(default=None, init=False, repr=False, compare=False)
     _cells: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_key", tuple(map(id, self.members)))
 
     def __iter__(self):
         return iter(self.members)

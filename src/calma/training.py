@@ -140,7 +140,8 @@ def calma(
         ma = ma_algorithm(q, alpha - delta, wl, engine, sampler=sampler, batch_size=cfg.ma_batch)
         p_t = ma.predictor
         p_disc = discretize(p_t, delta)
-        estimate = float(np.median([ece(p_disc, measure(n_est)) for _ in range(repeats)]))
+        estimates = [ece(p_disc, measure(n_est)) for _ in range(repeats)]
+        estimate = estimates[0] if repeats == 1 else float(np.median(estimates))
         recalibrate = estimate > 0.75 * alpha
         q = recalibrate_with_engine(p_t, delta, measure(n_recal)) if recalibrate else p_disc
         rows.append((len(ma.updates), ma.wl_calls, estimate, recalibrate, ma.potential_before))

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from calma.audit import _LIPSCHITZ_KNOTS, _interp_loss
 from calma.bench import _BASELINE_TOL, _EXP_MAX_STEPS, _L1_MAX_STEPS, _ON_KINK, _fit_l2, _l1_line_search
 from calma.core import (
     STAGES,
@@ -400,6 +401,28 @@ def reference_audit_rows(pred, losses, hypotheses, engine) -> tuple:
         for h, hg, lg in zip(hyps, hyp_gaps.tolist(), loss_gaps.tolist()):
             rows.append((loss.name, h.tag, hg, dec, lg, lg - (hg - dec)))
     return tuple(rows)
+
+
+def reference_omni_regret(pred, loss, hypotheses, engine, decision=None) -> float:
+    """``audit.omni_regret`` as it computed it before the engine's member cache
+    took any sequence: the hypotheses' values from ``value_matrix`` directly."""
+    pv = pred.values(engine.X)
+    kv = decision(pv) if decision is not None else loss.decision(pv)
+    T = np.column_stack([kv, value_matrix(hypotheses, engine.X)])
+    expected = correlate(engine.weights, 1.0, loss.loss(engine.ystar[:, None], T))
+    return float(expected[0] - np.min(expected[1:], initial=math.inf))
+
+
+def reference_random_lipschitz_loss(rng: np.random.Generator):
+    """``audit.random_lipschitz_loss`` as a loop of scalar draws, each step
+    clipped to [-1, 1] by ``np.clip``."""
+    xs = np.linspace(-1.0, 1.0, _LIPSCHITZ_KNOTS)
+    h = xs[1] - xs[0]
+    ys = np.empty(_LIPSCHITZ_KNOTS)
+    ys[0] = rng.uniform(-1, 1)
+    for i in range(1, _LIPSCHITZ_KNOTS):
+        ys[i] = np.clip(ys[i - 1] + rng.uniform(-h, h), -1.0, 1.0)
+    return _interp_loss(xs, ys, "random_lipschitz")
 
 
 def record_stage_applications(monkeypatch) -> list:

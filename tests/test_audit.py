@@ -2,12 +2,14 @@
 geometry identity, and the two exact counterexample constructions."""
 
 import collections
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
-from calma import audit
+from calma import audit, core
 from calma.audit import (
     _sim_lp,
     audit_family,
@@ -36,12 +38,20 @@ from calma.core import (
     coordinate_class,
     interval_class,
     lin_combination,
+    value_matrix,
 )
 from calma.losses import Loss, get_loss, identity_glm, sigmoid_glm, truncated_decision
 from calma.multiaccuracy import ExhaustiveWeakLearner, ma_algorithm, mae
 from calma.training import calma
 
-from support import random_class, random_distribution, random_predictor, reference_audit_rows
+from support import (
+    random_class,
+    random_distribution,
+    random_predictor,
+    reference_audit_rows,
+    reference_omni_regret,
+    reference_random_lipschitz_loss,
+)
 
 SAFE_REGISTRY = ["l1", "l2", "l4", "lp:3", "glm:identity", "glm:sigmoid", "glm:crelu", "exp"]
 
@@ -145,6 +155,21 @@ class TestOmniRegret:
             regret = omni_regret(pred, loss, cls.members, engine)
             assert max(gaps) >= regret - 1e-12
 
+    def test_member_cache_gives_the_value_matrix_regret(self):
+        # the same bits whether the family is a class, a list or a generator, on a fresh engine or a warm one
+        rng = np.random.default_rng(19)
+        td = truncated_decision(sigmoid_glm(), 0.05)
+        for _ in range(40):
+            dist, engine, cls, pred = random_audit_instance(rng)
+            loss = get_loss(SAFE_REGISTRY[int(rng.integers(len(SAFE_REGISTRY)))])
+            grid = [lin_combination(cls, {"h0": float(w), "-1": 0.5 - abs(float(w))}, 1.0)
+                    for w in rng.uniform(-0.5, 0.5, 5)]
+            for family in (cls, grid):
+                for decision in (None, td):
+                    want = reference_omni_regret(pred, loss, list(family), engine, decision)
+                    for hypotheses in (family, list(family), (h for h in family)):
+                        assert omni_regret(pred, loss, hypotheses, engine, decision) == want
+
 
 class TestPythagorean:
     def test_identity_transfer_cross_term(self):
@@ -190,6 +215,16 @@ class TestRandomLossGenerators:
             loss = random_bounded_loss(rng)
             t = np.linspace(-1, 1, 301)
             assert np.max(np.abs(loss.partial(t))) <= 1.0 + 1e-12
+
+    def test_one_draw_of_steps_gives_the_scalar_loop(self):
+        # the same knots, decision and generator position as 20 scalar draws clipped one by one
+        t = np.linspace(-1, 1, 1001)
+        for seed in range(1000):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = random_lipschitz_loss(got_rng), reference_random_lipschitz_loss(want_rng)
+            assert got.partial(t).tobytes() == want.partial(t).tobytes()
+            assert got.decision(0.5) == want.decision(0.5) and got.name == want.name
+            assert got_rng.random() == want_rng.random()
 
     def test_lipschitz_partial(self):
         rng = np.random.default_rng(12)
@@ -294,14 +329,51 @@ class TestAuditFamily:
         assert set(d) == {"pairs", "max_abs_hypothesis_gap", "max_abs_decision_gap", "max_abs_loss_gap",
                           "max_decomposition_residual", "warnings"}
 
-    def test_class_reads_the_engines_member_matrix(self):
+    def test_class_reads_the_engines_member_matrix(self, monkeypatch):
         rng = np.random.default_rng(17)
         dist, engine, _, pred = random_audit_instance(rng)
         cls = interval_class(coordinate_class(dist.points.shape[1]), 0.5)
         losses = [get_loss("l1"), get_loss("l2"), random_bounded_loss(rng)]
         by_class = audit_family(pred, losses, cls, engine)
-        assert engine._members[id(cls)][1] is engine.member_matrix(cls)  # cached for a later mae
+        evaluated = []
+        values = Hypothesis.values
+        monkeypatch.setattr(Hypothesis, "values", lambda h, X: evaluated.append(h.tag) or values(h, X))
+        cached = engine.member_matrix(cls)  # cached for a later mae
+        assert engine.member_matrix(cls.members) is cached and evaluated == []
+        ExpectationEngine.exact(dist).member_matrix(cls.members)
+        assert evaluated == [h.tag for h in cls.members]  # a fresh engine evaluates every member
+        monkeypatch.undo()
         assert by_class == audit_family(pred, losses, cls.members, ExpectationEngine.exact(dist))
+
+    def test_audit_then_mae_build_one_matrix(self, monkeypatch):
+        engine, cls, pred, _ = self._block_instance("empirical")
+        builds = []
+        monkeypatch.setattr(core, "value_matrix", lambda fns, X: builds.append(len(fns)) or value_matrix(fns, X))
+        audit_family(pred, [get_loss("l2"), get_loss("l4")], cls.members, engine)
+        got = mae(pred, cls, engine)
+        assert builds == [len(cls)]  # the tuple's entry is the class's
+        monkeypatch.undo()
+        assert got == mae(pred, cls, ExpectationEngine(engine.X, engine.weights, engine.ystar))
+
+    def test_fresh_members_never_read_a_freed_lists_entry(self):
+        dist = random_distribution(np.random.default_rng(18), n_points=6)
+        engine = ExpectationEngine.exact(dist)
+
+        def constants(values):
+            return [Hypothesis(lambda X, v=v: np.full(len(X), v), 1.0, f"c{v:g}") for v in values]
+
+        first = constants([0.25, 0.5])
+        held = engine.member_matrix(first)
+        alive = [weakref.ref(h) for h in first]
+        del first
+        gc.collect()
+        assert all(ref() is not None for ref in alive)  # the entry holds its members, so their ids stay taken
+        for trial in range(1, 50):
+            fresh = constants([-trial / 64, trial / 64])
+            got = engine.member_matrix(fresh)
+            assert got is not held and got.tobytes() == value_matrix(fresh, dist.points).tobytes()
+            del fresh, got
+            gc.collect()
 
     def test_predictions_and_decisions_computed_once(self, monkeypatch):
         rng = np.random.default_rng(16)
@@ -353,19 +425,22 @@ class TestAuditFamily:
 
     @pytest.mark.filterwarnings("ignore:.*on its action domain:UserWarning")
     @pytest.mark.parametrize("block", ["one-row", "ragged", "default"])
-    @pytest.mark.parametrize("as_tuple", [False, True], ids=["class", "tuple"])
+    @pytest.mark.parametrize("form", ["class", "tuple", "list", "generator"])
     @pytest.mark.parametrize("engine_kind", ["exact", "empirical"])
-    def test_row_blocks_give_the_unblocked_rows(self, monkeypatch, engine_kind, as_tuple, block):
+    def test_row_blocks_give_the_unblocked_rows(self, monkeypatch, engine_kind, form, block):
+        # every form of the members reads one cache entry; the reference evaluates them through value_matrix
         engine, cls, pred, losses = self._block_instance(engine_kind)
         n, k = len(engine.X), len(cls)
+        want = reference_audit_rows(pred, losses, list(cls.members), engine)
         if block == "one-row":
             monkeypatch.setattr(audit, "_BLOCK_ENTRIES", 1)
         elif block == "ragged":  # the smallest row count above one that leaves a short last block
             monkeypatch.setattr(audit, "_BLOCK_ENTRIES", k * next(r for r in itertools.count(2) if n % r))
-        hypotheses = tuple(cls.members) if as_tuple else cls
+        hypotheses = {"class": lambda: cls, "tuple": lambda: cls.members, "list": lambda: list(cls.members),
+                      "generator": lambda: (h for h in cls.members)}[form]()
         report = audit_family(pred, losses, hypotheses, engine)
         assert len(report.rows) == len(losses) * k
-        assert report.rows == reference_audit_rows(pred, losses, hypotheses, engine)
+        assert report.rows == want
 
     @pytest.mark.parametrize("engine_kind", ["exact", "empirical"])
     def test_empty_class_or_loss_list_gives_no_rows(self, engine_kind):
