@@ -30,7 +30,6 @@ from .losses import (
     crelu_glm,
     exp_loss,
     get_loss,
-    glm_from_transfer,
     identity_glm,
     lp_loss,
     optimal_decision,

@@ -180,12 +180,20 @@ def audit(model_path, data_path, losses, class_spec, out_path, clamp):
     hclass = _class_from_dict(model["class"], engine.X.shape[1])
     with _loading(model_path):
         pred = predictor_from_dict(model.get("predictor"), hclass)
+        pred.values(engine.X)  # a pipeline keeps these values for the audit below
     if class_spec is not None:
         hclass, _ = _build_class(class_spec, engine.X)
     if clamp > 0:
         base = pred
         pred = FunctionPredictor(lambda X: np.clip(base.values(X), clamp, 1.0 - clamp), name="clamped")
-    loss_objs = [get_loss(name.strip()) for name in losses.split(",") if name.strip()]
+    loss_objs = []
+    for name in filter(None, (n.strip() for n in losses.split(","))):
+        try:
+            loss_objs.append(get_loss(name))
+        except ValueError as exc:
+            raise click.BadParameter(f"{name!r}: {exc}", param_hint="'--losses'")
+    if not loss_objs:
+        raise click.BadParameter(f"{losses!r} names no loss", param_hint="'--losses'")
     report = audit_family(pred, loss_objs, hclass, engine)
     payload = report.to_dict()
     payload["ece"] = ece_fn(pred, engine)

@@ -745,10 +745,11 @@ class AddHypStage(_Stage):
     def from_dict(cls, d, hclass, where=""):
         if hclass is None:
             raise ValueError("hypothesis class required to rebuild add_hyp stages")
+        tag = _field(d, "tag", where)
         try:
-            hypothesis = hclass.member(d.get("tag"))
+            hypothesis = hclass.member(tag)
         except KeyError:
-            raise ValueError(f"{where}tag {d.get('tag')!r} names no member of the class") from None
+            raise ValueError(f"{where}tag {tag!r} names no member of the class") from None
         return cls(hypothesis, _number(d, "coef", where))
 
 
@@ -766,6 +767,8 @@ class AddLinearStage(_Stage):
             raise ValueError("add_linear coefficients must be finite")
 
     def apply(self, X, p):
+        if X.shape[1] != len(self.w):
+            raise ValueError(f"add_linear w has {len(self.w)} entries but the data has {X.shape[1]} columns")
         return clip01(p + X @ self.w + self.b)
 
     @classmethod
@@ -975,7 +978,7 @@ def predictor_from_dict(d: Mapping, hclass: HypothesisClass | None = None, where
         return TablePredictor(_numbers(d, "points", where, ndim=2), _numbers(d, "values", where))
     if kind == "pipeline":
         if not isinstance(d.get("stages"), list):
-            raise ValueError("a pipeline predictor needs a list of 'stages'")
+            raise ValueError(f"{where[:-1] or 'a pipeline predictor'} needs a list of 'stages'")
         stages = []
         for pos, s in enumerate(d["stages"]):
             at = f"{where}stages[{pos}]."

@@ -18,7 +18,6 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "MonotonicityError",
     "OutOfRangeError",
     "UnboundedBelowError",
     "Loss",
@@ -28,7 +27,6 @@ __all__ = [
     "exp_loss",
     "squared_loss",
     "optimal_decision",
-    "glm_from_transfer",
     "identity_glm",
     "sigmoid_glm",
     "crelu_glm",
@@ -39,16 +37,11 @@ __all__ = [
 ]
 
 _PARTIAL_SUP_POINTS = 513  # grid on which partial_sup samples the discrete derivative
-_TRANSFER_CHECK_POINTS = 512  # grid on which glm_from_transfer checks that the transfer is monotone
 _MAX_TRUNCATION = 2.0**30  # truncated_decision raises past this clamp bound
 
 
-class MonotonicityError(ValueError):
-    """Transfer function decreases somewhere on the sampled grid."""
-
-
 class OutOfRangeError(ValueError):
-    """Value outside the image of the transfer on its working interval."""
+    """Value outside the image of the transfer."""
 
 
 class UnboundedBelowError(ValueError):
@@ -121,8 +114,8 @@ def optimal_decision(loss: Loss, p):
 
 def lp_loss(p: float) -> Loss:
     """Normalized power loss |y - t|^p / p; 1-Lipschitz on [0, 1]."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < np.inf:
+        raise ValueError("p must be finite and >= 1")
 
     def at0(t):
         return np.abs(t) ** p / p
@@ -188,8 +181,8 @@ class GlmLoss(Loss):
 
     ``dual_f`` is the convex conjugate of ``g``, defined on the image of the
     transfer; its derivative is the inverse transfer, which is ``kfn``.
-    ``im_gprime`` is that image over the working interval.  The discrete
-    derivative is always -t.
+    ``im_gprime`` holds the ends of that image over the whole real line.  The
+    discrete derivative is always -t.
     """
 
     gprime: Callable[[np.ndarray], np.ndarray] = None
@@ -292,72 +285,6 @@ def crelu_glm() -> GlmLoss:
         inverse=inverse,
         im=(0.0, 1.0),
         domain=(-2.0, 2.0),
-    )
-
-
-def glm_from_transfer(
-    gprime: Callable[[np.ndarray], np.ndarray],
-    name: str = "custom",
-    working_interval: tuple[float, float] = (-8.0, 8.0),
-) -> GlmLoss:
-    """Build the matching loss of an arbitrary monotone transfer.
-
-    The integral is computed by adaptive quadrature (tolerance 1e-10) when no
-    closed form is known, and the Legendre dual through the inverse transfer:
-    f(v) = v t* - g(t*) and f'(v) = t* where g'(t*) = v.  The inverse bisects
-    a whole array at once on the working interval, to 1e-12 or 200 steps.
-    """
-    from scipy.integrate import quad  # imported on demand to keep `import calma` light
-
-    lo, hi = working_interval
-    grid = np.linspace(lo, hi, _TRANSFER_CHECK_POINTS)
-    gv = np.asarray(gprime(grid), dtype=np.float64)
-    if np.any(np.diff(gv) < -1e-12):
-        raise MonotonicityError(f"transfer {name!r} decreases on the sampled grid")
-    im = (float(gv[0]), float(gv[-1]))
-
-    cache: dict[float, float] = {}
-
-    def g_scalar(t: float) -> float:
-        if t not in cache:
-            val, _ = quad(lambda s: float(np.asarray(gprime(s))), 0.0, t, epsabs=1e-10, epsrel=1e-10, limit=200)
-            cache[t] = val
-        return cache[t]
-
-    def g(t):
-        t = np.asarray(t, dtype=np.float64)
-        return np.array([g_scalar(float(s)) for s in t.ravel()]).reshape(t.shape)
-
-    def inverse(v):
-        v = np.asarray(v, dtype=np.float64)
-        inside = (v >= im[0] - 1e-12) & (v <= im[1] + 1e-12)
-        if not np.all(inside):
-            raise OutOfRangeError(f"{v[~inside].flat[0]} outside the transfer image {im}")
-        a, b = np.full(v.shape, lo), np.full(v.shape, hi)
-        active = np.ones(v.shape, dtype=bool)
-        for _ in range(200):  # a bracket whose ulp exceeds 1e-12 never closes
-            mid = 0.5 * (a + b)
-            below = np.asarray(gprime(mid)) < v
-            a = np.where(active & below, mid, a)
-            b = np.where(active & ~below, mid, b)
-            active &= b - a > 1e-12
-            if not active.any():
-                break
-        return 0.5 * (a + b)
-
-    def dual_f(v):
-        v = np.asarray(v, dtype=np.float64)
-        t = inverse(v)
-        return v * t - g(t)
-
-    return _glm_from_parts(
-        name,
-        gprime=gprime,
-        g=g,
-        dual_f=dual_f,
-        inverse=inverse,
-        im=im,
-        domain=working_interval,
     )
 
 

@@ -254,17 +254,28 @@ def _model_text(predictor):
          "points must be a 2-D list of numbers, not [[0.0, 0.0, 0.0], [1.0]]"),
         (_model_text({"kind": "glm_linear", "transfer": "sigmoid", "weights": {"x0": 0.1, "zz": 0.1}}),
          "weights.zz names no member of the class"),
+        (_model_text({"kind": "pipeline", "stages": [{"op": "base", "base": {"kind": "pipeline"}}]}),
+         "stages[0].base needs a list of 'stages'"),
+        (_model_text({"kind": "pipeline", "stages": [{"op": "const", "value": 0.5}, {"op": "add_hyp", "coef": 0.1}]}),
+         "stages[1].tag is missing"),
+        (_model_text({"kind": "pipeline", "stages": [{"op": "const", "value": 0.5},
+                                                     {"op": "add_linear", "w": [0.1, 0.0], "b": 0.0}]}),
+         "add_linear w has 2 entries but the data has 3 columns"),
+        (_model_text({"kind": "table", "points": [[0.0, 0.0]], "values": [0.5]}),
+         "point outside the table predictor's domain"),
     ],
     ids=["no-kind", "null-predictor", "no-stages", "stages-not-a-list", "not-json", "null-constant",
          "stage-not-an-object", "add-hyp-without-coef", "add-hyp-unknown-tag", "add-linear-without-w",
          "bucket-without-delta", "isotonic-without-thresholds", "table-without-points", "op-is-a-list",
          "bucket-recal-without-base", "glm-without-weights", "glm-without-transfer",
          "isotonic-null-thresholds", "add-linear-null-b", "glm-weights-a-number", "table-null-points",
-         "table-points-a-number", "table-ragged-points", "glm-unknown-weight-tag"],
+         "table-points-a-number", "table-ragged-points", "glm-unknown-weight-tag", "nested-pipeline-without-stages",
+         "add-hyp-without-tag", "add-linear-w-too-short", "table-points-too-narrow"],
 )
 def test_unloadable_model_is_a_usage_error(runner, tmp_path, three_columns, text, reason):
     # each ended in a KeyError, TypeError or JSONDecodeError traceback and exit 1, or (null
-    # isotonic thresholds, read as [nan]) loaded and audited with exit 0
+    # isotonic thresholds, read as [nan]) loaded and audited with exit 0; a predictor that
+    # cannot evaluate the data's rows ended in a ValueError traceback and exit 1
     data, model = three_columns
     with open(model, "w") as fh:
         fh.write(text)
@@ -300,6 +311,23 @@ def test_out_of_range_option_is_a_usage_error(runner, tmp_path, three_columns, a
         res = runner.invoke(main, [a.format(data=data, model=model) for a in args])
     assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
     assert f"Invalid value for '{option}'" in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize(
+    "losses, entry",
+    [("l1,foo", "foo"), ("l1,lp:0.5", "lp:0.5"), ("l1,lp:x", "lp:x"), ("l1,lp:nan", "lp:nan"), ("l1,lp:inf", "lp:inf"),
+     (",", ",")],
+)
+def test_unknown_loss_is_a_usage_error(runner, tmp_path, three_columns, losses, entry):
+    # foo, lp:0.5 and lp:x ended in a ValueError traceback and exit 1; lp:nan and lp:inf audited
+    # NaN gaps, and ',' audited no loss at all, with exit 0
+    data, model = three_columns
+    res = runner.invoke(main, ["audit", "--model", model, "--data", data, "--losses", losses,
+                               "--out", str(tmp_path / "r.json")])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"Error: Invalid value for '--losses': {entry!r}"), res.output
     assert "Traceback" not in res.output
 
 

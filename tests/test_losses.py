@@ -10,14 +10,12 @@ from calma import losses
 from calma.audit import _interp_loss, random_bounded_loss, random_lipschitz_loss
 from calma.losses import (
     Loss,
-    MonotonicityError,
     OutOfRangeError,
     UnboundedBelowError,
     bregman,
     crelu_glm,
     exp_loss,
     get_loss,
-    glm_from_transfer,
     identity_glm,
     lp_loss,
     optimal_decision,
@@ -212,7 +210,7 @@ class TestTransfers:
 
     def test_partial_is_exactly_negated_action(self):
         t = np.random.default_rng(34).uniform(-30.0, 30.0, 100)
-        for glm in ALL_GLMS + [glm_from_transfer(np.tanh, "tanh")]:
+        for glm in ALL_GLMS:
             assert np.array_equal(glm.partial(t), -t)
 
     def test_softplus_within_two_ulp_of_logaddexp(self):
@@ -232,22 +230,6 @@ class TestTransfers:
         assert glm.g(-3.0) == 0.0
         assert glm.g(0.5) == pytest.approx(0.125)
         assert glm.g(2.0) == pytest.approx(1.5)
-
-    def test_numeric_transfer_matches_closed_form(self):
-        glm = glm_from_transfer(lambda t: np.asarray(t, float) ** 3, "cubic", working_interval=(-3.0, 3.0))
-        for t in (-1.5, -0.2, 0.7, 2.0):
-            assert glm.g(t) == pytest.approx(t**4 / 4, abs=1e-9)
-        for v in (0.1, 0.5, 0.9):
-            assert glm.kfn(v) == pytest.approx(v ** (1 / 3), abs=1e-9)
-            assert glm.dual_f(v) == pytest.approx(0.75 * v ** (4 / 3), abs=1e-8)
-        # matrices of actions, as the audits pass them, keep their shape
-        T = np.array([[-1.5, 0.7], [2.0, -0.2]])
-        np.testing.assert_allclose(glm.partial(T), -T, atol=1e-9)
-        np.testing.assert_allclose(glm.kfn(T**3), T, atol=1e-9)
-
-    def test_monotonicity_checked(self):
-        with pytest.raises(MonotonicityError):
-            glm_from_transfer(lambda t: -np.asarray(t, float), "bad")
 
 
 class TestTransferInverse:
