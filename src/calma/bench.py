@@ -360,19 +360,22 @@ def _exp_line_search(r: np.ndarray, q: np.ndarray) -> tuple[float, int]:
     return float(x), -1
 
 
-def _l1_line_search(r: np.ndarray, q: np.ndarray) -> tuple[float, int]:
+def _l1_line_search(r: np.ndarray, q: np.ndarray, sign: np.ndarray) -> tuple[float, int]:
     """Exact minimizer a >= 0 of sum(|r - a q|), and the index of the point
     whose kink r_i / q_i it is.
 
-    The slope is constant between kinks and rises by 2 |q_i| at each kink
-    ahead, so the minimizer is the first kink where it turns nonnegative: a
-    weighted median of the kinks.  A residual of exactly 0 has left its kink
-    already, in the direction -q_i.  Only a growing prefix of the nearest
-    kinks is sorted, until the slope turns within it.
+    The slope at a = 0 is -sign . q, where ``sign`` holds sign(r_i), or
+    -sign(q_i) where r_i is exactly 0 (a point that has left its kink
+    already, in the direction -q_i); its entries at q_i = 0 are free.  The
+    walk passes its own sign array.  The slope is constant between kinks and
+    rises by 2 |q_i| at each kink ahead, so the minimizer is the first kink
+    where it turns nonnegative: a weighted median of the kinks.  Only a
+    growing prefix of the nearest kinks is sorted, until the slope turns
+    within it.
     """
     ahead = np.flatnonzero(r * q > 0)
     kinks = r[ahead] / q[ahead]
-    tilt = float(np.dot(np.where(r == 0.0, -np.sign(q), np.sign(r)), q))
+    tilt = float(np.dot(sign, q))
     size = _KINK_PREFIX
     while True:
         if size >= len(kinks):
@@ -461,7 +464,7 @@ def _kink_walk(X: np.ndarray, y: np.ndarray, l1: bool, design: _Design | None = 
             released, d = j, -sign[i] * P[:, j]
         q = d @ X1t
         q[pinned] = 0.0  # 0 up to rounding already: the pinned points stay on their kinks
-        alpha, at = (_l1_line_search if l1 else _exp_line_search)(r, q)
+        alpha, at = _l1_line_search(r, q, sign) if l1 else _exp_line_search(r, q)
         beta = beta + alpha * d
         r = y - beta @ X1t
         near = np.abs(r) <= _ON_KINK

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import os
+import reprlib
 import sys
 
 import click
@@ -56,14 +56,32 @@ def _build_class(spec: str, X: np.ndarray) -> tuple[HypothesisClass, dict]:
     if spec == "coords":
         scales = [max(float(np.max(np.abs(X[:, j]))), 1e-12) for j in range(X.shape[1])]
     elif spec.startswith("coords:"):
-        try:
-            scales = [float(v) for v in spec.split(":", 1)[1].split(",")]
-        except ValueError:
-            scales = []
+        scales = [_number(v) for v in spec.split(":", 1)[1].split(",")]
     else:
         raise click.UsageError(f"unknown class spec {spec!r}; use 'coords' or 'coords:s0,s1,...'")
     class_dict = {"kind": "coords", "scales": scales}
     return _class_from_dict(class_dict, X.shape[1], f"class spec {spec!r}"), class_dict
+
+
+def _number(text: str):
+    """``text`` as a float, or ``text`` itself when it is no number (the class check names it)."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _bad_scale(scales: list, n_columns: int) -> str | None:
+    """The first entry of ``scales`` that is not a finite positive number, a
+    missing one or the surplus, named; None if all ``n_columns`` are good."""
+    for i, s in enumerate(scales[:n_columns]):
+        if not (isinstance(s, (int, float)) and abs(s) <= sys.float_info.max and s > 0):  # NaN fails too
+            return f"scales[{i}] is {reprlib.repr(s)}"
+    if len(scales) < n_columns:
+        return f"scales[{len(scales)}] is missing"
+    if len(scales) > n_columns:
+        return f"scales has {len(scales)} entries"
+    return None
 
 
 def _class_from_dict(d: dict, n_columns: int, source: str = "the model file's class") -> HypothesisClass:
@@ -72,11 +90,10 @@ def _class_from_dict(d: dict, n_columns: int, source: str = "the model file's cl
         raise click.UsageError(f"{source} must be an object with a 'kind' and a list of 'scales'")
     if d["kind"] != "coords":
         raise click.UsageError(f"unknown class kind {d['kind']!r} in model file")
-    scales = d["scales"]
-    if not (len(scales) == n_columns
-            and all(isinstance(s, (int, float)) and math.isfinite(s) and s > 0 for s in scales)):
-        raise click.UsageError(f"{source} needs {n_columns} scales, one per data column, each finite and positive")
-    return coordinate_class(n_columns, scales)
+    bad = _bad_scale(d["scales"], n_columns)
+    if bad is not None:
+        raise click.UsageError(f"{source} needs {n_columns} scales, one per data column, each finite and positive: {bad}")
+    return coordinate_class(n_columns, d["scales"])
 
 
 @contextlib.contextmanager

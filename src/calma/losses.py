@@ -112,17 +112,63 @@ def optimal_decision(loss: Loss, p):
 # ---------------------------------------------------------------------------
 
 
+def _curves(shape):
+    """The two curves ``shape(|t|)`` and ``shape(|1 - t|)`` of a loss that
+    depends on the distance between the label and the action.
+
+    ``shape(d, out)`` reads the float64 array ``d`` (its sign is free) and
+    writes into ``out``, a fresh array of d's shape that may be d itself, so
+    each curve allocates one array.  A scalar comes out as a scalar, with the
+    bits it has inside an array.
+    """
+
+    def at0(t):
+        t = np.asarray(t, dtype=np.float64)
+        return shape(t, np.empty_like(t))[()]
+
+    def at1(t):
+        t = np.asarray(t, dtype=np.float64)
+        d = np.subtract(1.0, t, out=np.empty_like(t))
+        return shape(d, d)[()]
+
+    return at0, at1
+
+
+def _power_shape(p: float):
+    """``(d, out) -> |d|^p / p`` into ``out``.
+
+    For p = 1, 2, 3 and 4 the power is a product: p = 1 and 2 give the bits
+    of the float-pow form ``np.abs(d) ** p / p`` on arrays (numpy squares by
+    a product), p = 3 and 4 are within 2 ulp of it.  Every other p takes the
+    float pow.
+    """
+
+    def shape(d, out):
+        if p == 2 or p == 4:  # an even power needs no abs
+            np.multiply(d, d, out=out)
+            if p == 4:
+                out *= out
+            out *= 1.0 / p  # exact: a power of two
+            return out
+        np.abs(d, out=out)
+        if p == 1:
+            return out
+        if p == 3:
+            out *= out * out
+        else:
+            out **= p
+        out /= p
+        return out
+
+    return shape
+
+
 def lp_loss(p: float) -> Loss:
     """Normalized power loss |y - t|^p / p; 1-Lipschitz on [0, 1]."""
     if not 1 <= p < np.inf:
         raise ValueError("p must be finite and >= 1")
 
-    def at0(t):
-        return np.abs(t) ** p / p
-
-    def at1(t):
-        return np.abs(1.0 - t) ** p / p
-
+    at0, at1 = _curves(_power_shape(p))
     if p == 1:
         kfn = lambda q: (np.asarray(q) >= 0.5).astype(float)  # rounds, ties to 1
     else:
@@ -155,11 +201,7 @@ def exp_loss() -> Loss:
     to the boundary outside, i.e. k(p) = clip((1 + log(p/(1-p))) / 2, 0, 1).
     """
 
-    def at0(t):
-        return np.exp(np.abs(np.asarray(t, dtype=np.float64)))
-
-    def at1(t):
-        return np.exp(np.abs(1.0 - np.asarray(t, dtype=np.float64)))
+    at0, at1 = _curves(lambda d, out: np.exp(np.abs(d, out=out), out=out))
 
     def kfn(q):
         from scipy.special import logit

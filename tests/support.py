@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 
@@ -22,6 +23,7 @@ from calma.core import (
     make_class,
     value_matrix,
 )
+from calma.losses import Loss, exp_loss, lp_loss
 
 
 def random_distribution(
@@ -184,7 +186,7 @@ def reference_l1_line_search(r: np.ndarray, q: np.ndarray) -> tuple[float, int]:
     must return the same step, and the same point when no two kinks tie."""
     ahead = np.flatnonzero(r * q > 0)
     ahead = ahead[np.argsort(r[ahead] / q[ahead])]
-    slope = 2.0 * np.cumsum(np.abs(q[ahead])) - float(np.dot(np.where(r == 0.0, -np.sign(q), np.sign(r)), q))
+    slope = 2.0 * np.cumsum(np.abs(q[ahead])) - float(np.dot(l1_tilt(r, q), q))
     i = ahead[min(int(np.searchsorted(slope, 0.0)), len(ahead) - 1)]
     return float(r[i] / q[i]), int(i)
 
@@ -367,7 +369,11 @@ def reference_kink_walk(X: np.ndarray, y: np.ndarray, l1: bool) -> tuple[np.ndar
             # at an l1 vertex, the edge that keeps the other pinned points at 0 moves r_i toward sign(sigma)
             d = np.linalg.solve(fixed, -sign[i] * np.eye(k)[j])
         live = np.flatnonzero(~pinned)
-        alpha, at = (_l1_line_search if l1 else reference_exp_line_search)(r[live], (d @ X1t)[live])
+        r_live, q_live = r[live], (d @ X1t)[live]
+        if l1:
+            alpha, at = _l1_line_search(r_live, q_live, l1_tilt(r_live, q_live))
+        else:
+            alpha, at = reference_exp_line_search(r_live, q_live)
         beta = beta + alpha * d
         r = y - beta @ X1t
         pinned |= np.abs(r) <= _ON_KINK
@@ -378,6 +384,31 @@ def reference_kink_walk(X: np.ndarray, y: np.ndarray, l1: bool) -> tuple[np.ndar
     u[pinned] = np.clip(np.linalg.lstsq(X1t[:, pinned], n * g, rcond=None)[0], -1.0, 1.0)
     gnorm = float(np.linalg.norm(X1t @ u)) / n
     return beta, gnorm, gnorm <= _BASELINE_TOL and steps < max_steps
+
+
+def reference_lp_loss(p: float) -> Loss:
+    """``losses.lp_loss(p)`` with its curves in the float-pow form, out of
+    place: ``|t|**p / p`` and ``|1 - t|**p / p``.  The oracle for the product
+    curves of integer p."""
+    return dataclasses.replace(lp_loss(p), at0=lambda t: np.abs(t) ** p / p, at1=lambda t: np.abs(1.0 - t) ** p / p)
+
+
+def reference_exp_loss() -> Loss:
+    """``losses.exp_loss()`` with its curves out of place: ``exp(|t|)`` and
+    ``exp(|1 - t|)``."""
+    return dataclasses.replace(
+        exp_loss(),
+        at0=lambda t: np.exp(np.abs(np.asarray(t, dtype=np.float64))),
+        at1=lambda t: np.exp(np.abs(1.0 - np.asarray(t, dtype=np.float64))),
+    )
+
+
+def l1_tilt(r: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Signs whose dot product with q is minus the slope of sum(|r - a q|) at
+    a = 0: sign(r_i), and -sign(q_i) where r_i is exactly 0 (a point that has
+    left its kink in the direction -q_i).  The third argument of
+    ``bench._l1_line_search`` for a bare (r, q)."""
+    return np.where(r == 0.0, -np.sign(q), np.sign(r))
 
 
 def reference_audit_rows(pred, losses, hypotheses, engine) -> tuple:

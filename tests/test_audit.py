@@ -49,6 +49,8 @@ from support import (
     random_distribution,
     random_predictor,
     reference_audit_rows,
+    reference_exp_loss,
+    reference_lp_loss,
     reference_omni_regret,
     reference_random_lipschitz_loss,
 )
@@ -441,6 +443,28 @@ class TestAuditFamily:
         report = audit_family(pred, losses, hypotheses, engine)
         assert len(report.rows) == len(losses) * k
         assert report.rows == want
+
+    @pytest.mark.filterwarnings("ignore:.*on its action domain:UserWarning")
+    @pytest.mark.parametrize("block", ["one-row", "default"])
+    @pytest.mark.parametrize("engine_kind", ["exact", "empirical"])
+    def test_product_curves_against_the_pow_form_rows(self, monkeypatch, engine_kind, block):
+        # the reference's curves are the float-pow forms: l4 and l3 rows move by a few ulp of each
+        # curve value, every other row keeps its bits
+        engine, cls, pred, losses = self._block_instance(engine_kind)
+        pow_forms = {"l1": reference_lp_loss(1), "l2": reference_lp_loss(2), "l4": reference_lp_loss(4),
+                     "l3": reference_lp_loss(3), "exp": reference_exp_loss()}
+        want = reference_audit_rows(pred, [pow_forms.get(loss.name, loss) for loss in losses], list(cls.members), engine)
+        if block == "one-row":
+            monkeypatch.setattr(audit, "_BLOCK_ENTRIES", 1)
+        got = audit_family(pred, losses, cls, engine).rows
+        scale = float(np.sum(np.abs(engine.weights * (pred.values(engine.X) - engine.ystar))))
+        assert len(got) == len(want) and {row[0] for row in want} >= set(pow_forms)
+        for row, ref in zip(got, want):
+            assert row[:2] == ref[:2]
+            if row[0] in ("l4", "l3"):
+                assert max(abs(a - b) for a, b in zip(row[2:], ref[2:])) <= 1e-14 * scale, (row, ref)
+            else:
+                assert row == ref
 
     @pytest.mark.parametrize("engine_kind", ["exact", "empirical"])
     def test_empty_class_or_loss_list_gives_no_rows(self, engine_kind):

@@ -20,6 +20,7 @@ from calma.calibration import bucket_means, bucket_midpoints, ece
 from calma.core import BucketRecalPredictor, Dataset, ExpectationEngine, PipelinePredictor
 
 from support import (
+    l1_tilt,
     reference_exp_line_search,
     reference_fit_exp,
     reference_fit_l1,
@@ -182,7 +183,7 @@ class TestL1Kernel:
         for n in (1, 5, 31, 32, 33, 200, 3000):
             for ahead_share in (0.5, 0.8, 0.97, 1.0):
                 r, q = self.line_search_case(rng, n, ahead_share)
-                assert _l1_line_search(r, q) == reference_l1_line_search(r, q)
+                assert _l1_line_search(r, q, l1_tilt(r, q)) == reference_l1_line_search(r, q)
 
     def test_line_search_with_tied_kinks_and_zero_residuals(self):
         rng = np.random.default_rng(24)
@@ -193,7 +194,7 @@ class TestL1Kernel:
                 r = np.sign(r) * np.ceil(np.abs(r) * 2) / 2
                 q = np.sign(q) * np.ceil(np.abs(q) * 2) / 2
                 r[1::5] = 0.0
-                alpha, i = _l1_line_search(r, q)
+                alpha, i = _l1_line_search(r, q, l1_tilt(r, q))
                 assert alpha == reference_l1_line_search(r, q)[0] and alpha == r[i] / q[i]
 
     def test_step_cap_reports_unconverged_without_raising(self, monkeypatch):
@@ -331,16 +332,19 @@ class TestReferenceWalk:
         train, _, _ = gen_gaussian_mixture(MixtureConfig(s=4, d=10, seed=1, n_cal=10, n_test=10))
         name = "_l1_line_search" if l1 else "_exp_line_search"
         line_search, calls = getattr(bench, name), []
-        monkeypatch.setattr(bench, name, lambda r, q: calls.append((r.copy(), q.copy())) or line_search(r, q))
+        monkeypatch.setattr(bench, name, lambda *args: calls.append([a.copy() for a in args]) or line_search(*args))
         _, _, converged = bench._kink_walk(train.X, train.y, l1)
+        search = (lambda r, q: line_search(r, q, l1_tilt(r, q))) if l1 else line_search
         pinned_counts = []
-        for r, q in calls:
+        for r, q, *sign in calls:
             pinned = (np.abs(r) <= bench._ON_KINK) & (r != 0.0)
             pinned_counts.append(int(pinned.sum()))
             assert np.all(q[pinned] == 0.0)
+            if l1:  # the walk's own sign array tilts the search as l1_tilt does, to the bit
+                assert np.dot(sign[0], q) == np.dot(l1_tilt(r, q), q)
             free = np.flatnonzero(~pinned)
-            alpha, at = line_search(r, q)
-            free_alpha, free_at = line_search(r[free], q[free])
+            alpha, at = search(r, q)
+            free_alpha, free_at = search(r[free], q[free])
             assert at == (free[free_at] if free_at >= 0 else -1)
             assert abs(alpha - free_alpha) <= 1e-12 * free_alpha
         assert converged and len(calls) > 10 and max(pinned_counts) >= 5

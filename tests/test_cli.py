@@ -118,6 +118,42 @@ def test_model_class_must_match_the_data_columns(runner, tmp_path, three_columns
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("source", ["spec", "model"])
+@pytest.mark.parametrize(
+    "scales,named",
+    [([1.0, 1.0, -1.0], "scales[2] is -1.0"), ([1.0, float("nan"), 1.0], "scales[1] is nan"),
+     ([1.0, "x", 1.0], "scales[1] is 'x'"), ([1.0, 1.0], "scales[2] is missing"),
+     ([1.0, 1.0, 1.0, 1.0], "scales has 4 entries")],
+    ids=["negative", "nan", "string", "short", "long"],
+)
+def test_bad_scale_is_named(runner, tmp_path, three_columns, source, scales, named):
+    data, model = three_columns
+    if source == "spec":
+        spec = "coords:" + ",".join(str(s) for s in scales)
+        prefix = f"class spec {spec!r}"
+        args = ["train", "--data", data, "--out", str(tmp_path / "m.json"), "--trace", str(tmp_path / "t.json"), "--class", spec]
+    else:
+        with open(model, "w") as fh:
+            json.dump({"class": {"kind": "coords", "scales": scales}, "predictor": {"kind": "constant", "value": 0.5}}, fh)
+        prefix = "the model file's class"
+        args = ["audit", "--model", model, "--data", data, "--out", str(tmp_path / "r.json")]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    assert f"{prefix} needs 3 scales, one per data column, each finite and positive: {named}" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_scale_past_the_float_range_is_named(runner, tmp_path, three_columns):
+    # a JSON integer too large for a float ended in an OverflowError traceback and exit 1
+    data, model = three_columns
+    with open(model, "w") as fh:
+        fh.write('{"class": {"kind": "coords", "scales": [1.0, 1%s, 1.0]}, "predictor": {"kind": "constant", "value": 0.5}}' % ("0" * 400))
+    res = runner.invoke(main, ["audit", "--model", model, "--data", data, "--out", str(tmp_path / "r.json")])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    assert "each finite and positive: scales[1] is 1000" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_model_without_a_class_is_a_usage_error(runner, tmp_path, three_columns):
     # a KeyError traceback and exit 1 before the key was checked
     data, model = three_columns

@@ -24,6 +24,8 @@ from calma.losses import (
     truncated_decision,
 )
 
+from support import reference_exp_loss, reference_lp_loss
+
 ALL_GLMS = [identity_glm(), sigmoid_glm(), crelu_glm()]
 REGISTRY = ["l1", "l2", "l4", "lp:3", "glm:identity", "glm:sigmoid", "glm:crelu", "exp"]
 
@@ -48,6 +50,86 @@ class TestLpLoss:
             loss = lp_loss(p)
             t = rng.uniform(0, 1, 50)
             np.testing.assert_allclose(loss.partial(t), ((1 - t) ** p - t**p) / p, atol=1e-12)
+
+
+def _same_bits(got, want) -> bool:
+    """Equal bit for bit, except that any NaN matches any NaN (its sign and
+    payload are not part of a curve's contract)."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    nan = np.isnan(want)
+    return got.shape == want.shape and np.array_equal(np.isnan(got), nan) and np.array_equal(
+        got[~nan].view(np.uint64), want[~nan].view(np.uint64)
+    )
+
+
+class TestCurveOracle:
+    """The curves against ``support``'s float-pow, out-of-place forms."""
+
+    SPECIAL = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]
+    REFERENCES = {"l1": lambda: reference_lp_loss(1), "l2": lambda: reference_lp_loss(2),
+                  "lp:1.5": lambda: reference_lp_loss(1.5), "exp": reference_exp_loss,
+                  "l4": lambda: reference_lp_loss(4), "lp:3": lambda: reference_lp_loss(3)}
+
+    @classmethod
+    def values(cls):
+        """[-1, 1], N(0, 30), the special values, 1e+-200 and subnormals, as is and
+        reflected about 1/2 (so both curves see each)."""
+        rng = np.random.default_rng(41)
+        tiny = np.array([5e-324, 1e-310, 2.2250738585072014e-308, 1e-200, 1e200])
+        t = np.concatenate([rng.uniform(-1.0, 1.0, 100_000), rng.normal(0.0, 30.0, 100_000), cls.SPECIAL, tiny, -tiny])
+        return np.concatenate([t, 1.0 - t])
+
+    @staticmethod
+    def curves(name):
+        return [getattr(loss, c) for loss in (get_loss(name), TestCurveOracle.REFERENCES[name]()) for c in ("at0", "at1")]
+
+    @pytest.mark.parametrize("name", ["l1", "l2", "exp", "lp:1.5"])
+    def test_arrays_give_the_bits_of_the_pow_form(self, name):
+        at0, at1, ref0, ref1 = self.curves(name)
+        t = self.values()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _same_bits(at0(t), ref0(t)) and _same_bits(at1(t), ref1(t))
+            assert _same_bits(at0(t.reshape(-1, 2)), ref0(t).reshape(-1, 2))
+
+    @pytest.mark.parametrize("name", ["l1", "l2", "exp", "lp:1.5"])
+    def test_scalars_lists_and_0d_arrays_give_the_bits_of_the_pow_form(self, name):
+        # a scalar has the bits it has inside an array; the pow form's own scalar path agrees on
+        # the special values (elsewhere numpy's scalar pow can miss its array loop by 1 ulp)
+        at0, at1, ref0, ref1 = self.curves(name)
+        loss, ref = get_loss(name), self.REFERENCES[name]()
+        rng = np.random.default_rng(42)
+        xs = self.SPECIAL + rng.uniform(-2.0, 2.0, 200).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in xs:
+                want0, want1 = ref0(np.array([x]))[0], ref1(np.array([x]))[0]
+                for form in (x, np.float64(x), np.array(x)):
+                    assert _same_bits(at0(form), want0) and _same_bits(at1(form), want1)
+                    assert _same_bits(loss.partial(form), ref.partial(np.array([x]))[0])
+                    assert np.ndim(at0(form)) == 0 and not isinstance(at0(form), np.ndarray)
+            for x in self.SPECIAL:
+                assert _same_bits(at0(x), ref0(x)) and _same_bits(at1(x), ref1(x))
+            assert _same_bits(at0(xs), ref0(np.array(xs))) and _same_bits(loss.partial(xs), ref.partial(xs))
+            assert _same_bits(loss.loss([0.0, 0.3, 1.0], xs[:3]), ref.loss([0.0, 0.3, 1.0], xs[:3]))
+
+    @pytest.mark.parametrize("name", ["l4", "lp:3"])
+    def test_products_stay_within_two_ulp_of_the_pow_form(self, name):
+        at0, at1, ref0, ref1 = self.curves(name)
+        t = self.values()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for got, want in ((at0(t), ref0(t)), (at1(t), ref1(t))):
+                assert np.array_equal(np.isnan(got), np.isnan(want))
+                np.testing.assert_array_max_ulp(got[~np.isnan(want)], want[~np.isnan(want)], maxulp=2)
+            for x in self.SPECIAL:
+                assert _same_bits(at0(x), ref0(x)) and _same_bits(at1(x), ref1(x))
+
+    def test_curves_do_not_write_their_input(self):
+        t = self.values()
+        for name in self.REFERENCES:
+            before = t.copy()
+            with np.errstate(over="ignore", invalid="ignore"):
+                get_loss(name).partial(t)
+                get_loss(name).loss(0.5, t)
+            assert _same_bits(t, before)
 
 
 class TestDiscreteTaylor:
