@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import reprlib
 import sys
@@ -17,19 +18,6 @@ import sys
 import click
 import numpy as np
 
-from .audit import audit_family, parity_counterexample, sim_counterexample
-from .bench import (
-    BENCH_COLUMNS,
-    CenterPlacementError,
-    MixtureConfig,
-    aggregate_results,
-    column_value_for_score,
-    fit_linear_baseline,
-    gen_gaussian_mixture,
-    markdown_table,
-    run_benchmark,
-)
-from .calibration import ece as ece_fn
 from .core import (
     ConstantPredictor,
     Dataset,
@@ -43,11 +31,22 @@ from .core import (
     save_dataset,
 )
 from .losses import get_loss
-from .multiaccuracy import ExhaustiveWeakLearner, mae as mae_fn
-from .training import CalmaConfig, calma
+
+# each command imports the algorithm modules it runs, so start-up loads only the two above
 
 EXIT_THRESHOLD = 4
 EXIT_CONVERGENCE = 3
+
+
+class _Float(click.FloatRange):
+    """A float within the range that is also finite: ``click.FloatRange`` admits
+    NaN, which compares false with either bound."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if not math.isfinite(rv):
+            self.fail(f"{value!r} is not a finite number.", param, ctx)
+        return rv
 
 
 def _build_class(spec: str, X: np.ndarray) -> tuple[HypothesisClass, dict]:
@@ -132,6 +131,8 @@ def main():
 @click.option("--out-dir", default=".", show_default=True)
 def gen(s, d, n_train, n_cal, n_test, seed, out_dir):
     """Emit train/cal/test CSV splits of the Gaussian-mixture benchmark."""
+    from .bench import CenterPlacementError, MixtureConfig, gen_gaussian_mixture
+
     cfg = MixtureConfig(s=s, d=d, n_train=n_train, n_cal=n_cal, n_test=n_test, seed=seed)
     try:
         train, cal, test = gen_gaussian_mixture(cfg)
@@ -147,12 +148,15 @@ def gen(s, d, n_train, n_cal, n_test, seed, out_dir):
 @main.command()
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True))
 @click.option("--class", "class_spec", default="coords", show_default=True)
-@click.option("--alpha", default=0.1, type=click.FloatRange(0, 1, min_open=True), show_default=True)
+@click.option("--alpha", default=0.1, type=_Float(0, 1, min_open=True), show_default=True)
 @click.option("--seed", default=0, type=click.IntRange(min=0), show_default=True)
 @click.option("--out", "out_path", default="model.json", show_default=True)
 @click.option("--trace", "trace_path", default="trace.json", show_default=True, help="training trace file")
 def train(data_path, class_spec, alpha, seed, out_path, trace_path):
     """Train a calibrated multiaccurate predictor on a CSV dataset."""
+    from .multiaccuracy import ExhaustiveWeakLearner
+    from .training import CalmaConfig, calma
+
     data = _load_csv(data_path)
     hclass, class_dict = _build_class(class_spec, data.X)
     engine = ExpectationEngine.empirical(data)
@@ -185,10 +189,14 @@ def train(data_path, class_spec, alpha, seed, out_path, trace_path):
 @click.option("--losses", default="l1,l2,l4", show_default=True)
 @click.option("--class", "class_spec", default=None, help="audit class override; defaults to the model's")
 @click.option("--out", "out_path", default="report.json", show_default=True)
-@click.option("--clamp", default=1e-9, type=click.FloatRange(0, 0.5, max_open=True), show_default=True,
+@click.option("--clamp", default=1e-9, type=_Float(0, 0.5, max_open=True), show_default=True,
               help="keep glm decisions finite")
 def audit(model_path, data_path, losses, class_spec, out_path, clamp):
     """Run the indistinguishability audit of a trained model."""
+    from .audit import audit_family
+    from .calibration import ece
+    from .multiaccuracy import mae
+
     with open(model_path) as fh, _loading(model_path):
         model = json.load(fh)
     if "class" not in model:
@@ -213,8 +221,8 @@ def audit(model_path, data_path, losses, class_spec, out_path, clamp):
         raise click.BadParameter(f"{losses!r} names no loss", param_hint="'--losses'")
     report = audit_family(pred, loss_objs, hclass, engine)
     payload = report.to_dict()
-    payload["ece"] = ece_fn(pred, engine)
-    payload["mae"] = mae_fn(pred, hclass, engine)
+    payload["ece"] = ece(pred, engine)
+    payload["mae"] = mae(pred, hclass, engine)
     with open(out_path, "w") as fh:
         json.dump(payload, fh, indent=2)
     click.echo(
@@ -223,11 +231,13 @@ def audit(model_path, data_path, losses, class_spec, out_path, clamp):
 
 
 @main.command()
-@click.option("--loss", "loss_name", required=True, type=click.Choice(list(BENCH_COLUMNS)))
+@click.option("--loss", "loss_name", required=True, type=click.Choice(("l2", "l1", "exp", "log")))
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True))
 @click.option("--test", "test_path", default=None, type=click.Path(exists=True))
 def baseline(loss_name, data_path, test_path):
     """Fit the per-loss linear baseline; print train (and test) loss."""
+    from .bench import column_value_for_score, fit_linear_baseline
+
     data = _load_csv(data_path)
     fit = fit_linear_baseline(loss_name, data)
     out = {
@@ -248,14 +258,23 @@ def baseline(loss_name, data_path, test_path):
 @main.command()
 @click.option("--s", default=2, type=click.IntRange(min=1), show_default=True)
 @click.option("--d", default=2, type=click.IntRange(min=2), show_default=True)
-@click.option("--alpha", default=0.1, type=click.FloatRange(0, 1, min_open=True), show_default=True)
+@click.option("--alpha", default=0.1, type=_Float(0, 1, min_open=True), show_default=True)
 @click.option("--seeds", default=5, type=click.IntRange(min=1), show_default=True, help="number of seeds (0..n-1)")
 @click.option("--recal", default="isotonic", type=click.Choice(["isotonic", "bucket"]), show_default=True)
-@click.option("--tolerance", default=0.05, show_default=True)
+@click.option("--tolerance", default=0.05, type=_Float(min=0), show_default=True)
 @click.option("--out", "out_path", default=None, help="table file: .json, .csv or .md")
 def bench(s, d, alpha, seeds, recal, tolerance, out_path):
     """Run the multi-seed benchmark table and gate the trained predictor
     against each per-loss baseline."""
+    from .bench import (
+        BENCH_COLUMNS,
+        CenterPlacementError,
+        MixtureConfig,
+        aggregate_results,
+        markdown_table,
+        run_benchmark,
+    )
+
     try:
         results = [
             run_benchmark(MixtureConfig(s=s, d=d, seed=seed), alpha=alpha, recal_backend=recal)
@@ -299,6 +318,8 @@ def bench(s, d, alpha, seeds, recal, tolerance, out_path):
 @click.option("--resolution", default=100, type=click.IntRange(min=50), show_default=True, help="sim grid resolution")
 def counterexamples(which, resolution):
     """Run an exact counterexample construction and check its thresholds."""
+    from .audit import parity_counterexample, sim_counterexample
+
     if which == "parity":
         report = parity_counterexample()
         click.echo(json.dumps(report.to_dict(), indent=2))

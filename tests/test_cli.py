@@ -338,10 +338,18 @@ def test_unloadable_model_is_a_usage_error(runner, tmp_path, three_columns, text
         (["train", "--data", "{data}", "--seed", "-1"], "--seed"),
         (["bench", "--alpha", "0"], "--alpha"),
         (["bench", "--alpha", "1.5"], "--alpha"),
+        (["train", "--data", "{data}", "--alpha", "nan"], "--alpha"),
+        (["bench", "--alpha", "nan"], "--alpha"),
+        (["bench", "--tolerance", "nan"], "--tolerance"),
+        (["bench", "--tolerance", "inf"], "--tolerance"),
+        (["bench", "--tolerance", "-1"], "--tolerance"),
+        (["audit", "--model", "{model}", "--data", "{data}", "--clamp", "nan"], "--clamp"),
     ],
 )
 def test_out_of_range_option_is_a_usage_error(runner, tmp_path, three_columns, args, option):
-    # each of these ended in a traceback with exit 1, or (--clamp 0.7) audited a constant prediction
+    # each of these ended in a traceback with exit 1, or (--clamp 0.7) audited a constant prediction;
+    # NaN passed every range check: train --alpha nan raised, bench --alpha nan trained at NaN,
+    # --tolerance nan or inf gave a gate that cannot fail and --clamp nan skipped the clamp
     data, model = three_columns
     with runner.isolated_filesystem(temp_dir=tmp_path):
         res = runner.invoke(main, [a.format(data=data, model=model) for a in args])
@@ -441,6 +449,11 @@ def test_baseline_command(runner, tmp_path):
     assert payload["train_loss"] > 0
 
 
+def test_baseline_choices_are_the_bench_columns():
+    (loss,) = [p for p in main.commands["baseline"].params if p.name == "loss_name"]
+    assert tuple(loss.type.choices) == bench.BENCH_COLUMNS
+
+
 def test_baseline_l1_is_solved_exactly(runner, tmp_path):
     out = str(tmp_path)
     runner.invoke(main, ["gen", "--n-train", "200", "--n-cal", "50", "--n-test", "50", "--out-dir", out])
@@ -494,12 +507,12 @@ def test_counterexample_parity_exit_code(runner):
 
 
 def test_counterexample_sim_passes_at_the_exact_optimum(runner, monkeypatch):
-    from calma import cli
+    from calma import audit
     from calma.audit import SimReport
 
     # both violations exactly 1/20, the optimum the construction is built to have
     report = SimReport(0.05, 0.05, (0.2, 0.2, 0.9, 0.2), 12, 0.125, 0.0, 0.0, False)
-    monkeypatch.setattr(cli, "sim_counterexample", lambda resolution: report)
+    monkeypatch.setattr(audit, "sim_counterexample", lambda resolution: report)
     res = runner.invoke(main, ["counterexamples", "--which", "sim"])
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["min_violation_value_grid"] == 0.05
@@ -507,9 +520,9 @@ def test_counterexample_sim_passes_at_the_exact_optimum(runner, monkeypatch):
 
 def test_threshold_violation_exits_4(runner):
     # 2 stays click's usage error, as in test_malformed_coords_spec_is_a_usage_error
-    res = runner.invoke(main, ["bench", "--seeds", "1", "--tolerance", "-1"])
+    res = runner.invoke(main, ["bench", "--seeds", "1", "--tolerance", "0"])
     assert res.exit_code == 4, res.output
-    assert "exceeds baseline + -1.0" in res.output
+    assert "exceeds baseline + 0.0" in res.output
 
 
 def test_bench_writes_table(runner, tmp_path):

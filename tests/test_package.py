@@ -1,5 +1,6 @@
 """Public names: the package imports and every module's ``__all__`` resolves;
-results do not depend on the BLAS thread count."""
+imports load only what they use; results do not depend on the BLAS thread
+count."""
 
 import importlib
 import os
@@ -7,11 +8,22 @@ import pkgutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import calma
+from calma.core import Dataset, save_dataset
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(calma.__path__))
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(calma.__file__)))
+
+
+def _fresh(code: str, *args) -> list[str]:
+    """The last line ``code`` prints, split on whitespace, run with ``args`` in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env, capture_output=True, text=True,
+                         check=True)
+    return out.stdout.splitlines()[-1].split() if out.stdout.strip() else []
 
 
 def test_package_imports():
@@ -29,11 +41,66 @@ def test_all_names_resolve(name):
 def test_import_leaves_scipy_and_hashlib_unloaded():
     """``import calma.cli`` loads no scipy module (so neither scipy.optimize nor
     scipy.special) and not hashlib: both are imported where they are used."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(calma.__file__)))
     code = "import sys, calma.cli; print(*sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'hashlib')))"
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == []
+    assert _fresh(code) == []
+
+
+def test_import_loads_only_what_the_cli_shares():
+    """A bare ``import calma`` runs no submodule; ``import calma.cli`` adds only
+    the two modules every command uses."""
+    code = """
+import sys
+def loaded():
+    return ",".join(sorted(m for m in sys.modules if m.split(".")[0] == "calma"))
+import calma
+bare = loaded()
+import calma.cli
+print(bare, loaded())
+"""
+    assert _fresh(code) == ["calma", "calma,calma.cli,calma.core,calma.losses"]
+
+
+def test_every_exported_name_is_its_modules_object():
+    assert len(set(calma.__all__)) == len(calma.__all__)
+    starred = {}
+    exec("from calma import *", starred)
+    for module, names in calma._EXPORTS.items():
+        source = importlib.import_module(f"calma.{module}")
+        for name in names:
+            assert getattr(calma, name) is getattr(source, name) is starred[name], name
+    assert set(calma.__all__) <= set(dir(calma))
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        calma.nope
+
+
+def test_submodules_resolve_after_a_bare_import():
+    code = """
+import sys, calma
+print(*(name for name in sys.argv[1:] if getattr(calma, name) is sys.modules[f"calma.{name}"] and name in dir(calma)))
+"""
+    assert _fresh(code, *MODULES) == MODULES
+
+
+# runs one command as ``calma`` would, then prints the calma modules it loaded
+_COMMAND_LOADS = """
+import sys
+from calma.cli import main
+main(sys.argv[1:], standalone_mode=False)
+print(*sorted(m for m in sys.modules if m.startswith("calma.")))
+"""
+
+
+def test_train_and_audit_load_only_the_modules_they_run(tmp_path):
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(60, 2))
+    data, model = str(tmp_path / "data.csv"), tmp_path / "model.json"
+    save_dataset(Dataset(X, (X[:, 0] > 0).astype(float)), data)
+    trained = _fresh(_COMMAND_LOADS, "train", "--data", data, "--out", model, "--trace", tmp_path / "trace.json")
+    audited = _fresh(_COMMAND_LOADS, "audit", "--model", model, "--data", data, "--out", tmp_path / "report.json")
+    assert trained == ["calma.calibration", "calma.cli", "calma.core", "calma.losses", "calma.multiaccuracy",
+                       "calma.training"]
+    assert audited == ["calma.audit", "calma.calibration", "calma.cli", "calma.core", "calma.losses",
+                       "calma.multiaccuracy"]
 
 
 # hashes the l1 and exp baselines of one 3,000-row table cell and one exact-mode
@@ -88,10 +155,9 @@ print(h.hexdigest())
 
 
 def _digests_under_one_and_two_blas_threads(script: str) -> list[str]:
-    src = os.path.dirname(os.path.dirname(os.path.abspath(calma.__file__)))
     runs = []
     for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
         runs.append(subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, text=True))
     digests = [run.communicate()[0] for run in runs]
     assert [run.returncode for run in runs] == [0, 0]
