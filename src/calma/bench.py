@@ -31,11 +31,11 @@ with a recalibration on the held-out split (``calma.calibration``'s isotonic
 fit or bucket means) and returns the predictor whose held-out calibration
 error it checked, discretized to bucket midpoints.
 
-A table cell factors its training design [X, 1] once, by one SVD with
-``lstsq``'s rank cut-off (``_Design``): the least-squares baseline, the
-starts of the l1 and exp walks (and the directions a rank-deficient design
-cannot move) and every trainer round solve through it.  Called alone,
-``fit_linear_baseline`` and ``train_calma_bench`` factor once per call.
+Every baseline fit takes the training design [X, 1] (``_Design``), which one
+SVD with ``lstsq``'s rank cut-off factors on first use: the least-squares fit,
+the l1 and exp walk starts (and the directions a rank-deficient design cannot
+move) and every trainer round solve through it, so a table cell factors once.
+The log fit reads only the design's rows: on its own it factors nothing.
 """
 
 from __future__ import annotations
@@ -156,16 +156,10 @@ def _log_decision():
     return truncated_decision(_LOGISTIC, 1e-3)
 
 
-def _column_decision(column: str, p: np.ndarray) -> np.ndarray:
-    if column == "log":
-        return _log_decision()(p)
-    return _COLUMN_LOSS[column].decision(p)
-
-
 def column_value_for_predictions(column: str, p: np.ndarray, y: np.ndarray) -> float:
     """Expected loss of acting optimally (for this column) on predictions p."""
-    loss = _COLUMN_LOSS[column]
-    return float(np.mean(loss.loss(y, _column_decision(column, np.asarray(p)))))
+    decide = _log_decision() if column == "log" else _COLUMN_LOSS[column].decision
+    return column_value_for_score(column, decide(np.asarray(p)), y)
 
 
 def column_value_for_score(column: str, t: np.ndarray, y: np.ndarray) -> float:
@@ -192,7 +186,7 @@ class LinearBaseline:
 
 
 class _Design:
-    """The design X1 = [X, 1] of a training split, factored once by ``_factor``.
+    """The design X1 = [X, 1] of a training split, factored by ``_factor`` on first use.
 
     The pseudo-inverse gives ``lstsq``'s minimum-norm least-squares solution,
     with its rank cut-off, for any labels; the null space of X1 holds the
@@ -201,11 +195,17 @@ class _Design:
 
     def __init__(self, X: np.ndarray):
         self.X1t = np.vstack([X.T, np.ones(len(X))])  # rows are the coordinates and the intercept
-        self.pinv, null = _factor(self.X1t.T)
-        self.moveless = null.T
+
+    @functools.cached_property
+    def _factored(self) -> tuple[np.ndarray, np.ndarray]:
+        return _factor(self.X1t.T)
 
     def solve(self, y: np.ndarray) -> np.ndarray:
-        return self.pinv @ y
+        return self._factored[0] @ y
+
+    @property
+    def moveless(self) -> np.ndarray:
+        return self._factored[1].T
 
 
 @dataclass(frozen=True)
@@ -222,21 +222,20 @@ class _FactoredDataset(Dataset):
 
 
 def _design(data: Dataset) -> _Design:
-    """The factor ``data`` carries, or a new one of its design."""
+    """The design ``data`` carries, or a new one of its X, factored on first use."""
     return data.design if isinstance(data, _FactoredDataset) else _Design(data.X)
 
 
-def _fit_l2(X: np.ndarray, y: np.ndarray, design: _Design | None = None) -> tuple[np.ndarray, float, bool]:
-    """Least squares through the factored design (``X``'s unless given), and
-    the gradient norm ``‖X1ᵀ(X1 beta - y)‖ / n`` that rounding leaves."""
-    design = _Design(X) if design is None else design
+def _fit_l2(design: _Design, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Least squares through the factored design, and the gradient norm
+    ``‖X1ᵀ(X1 beta - y)‖ / n`` that rounding leaves."""
     beta = design.solve(y)
     return beta, float(np.linalg.norm(design.X1t @ (beta @ design.X1t - y))) / len(y), True
 
 
-def _fit_logistic(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
+def _fit_logistic(design: _Design, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
     """Damped Newton steps until the gradient norm is at most ``_BASELINE_TOL``, 200 at most."""
-    X1 = np.column_stack([X, np.ones(len(X))])
+    X1 = design.X1t.T.copy()  # C-ordered [X, 1]; the steps solve systems of their own and factor nothing
     n, k = X1.shape
     beta = np.zeros(k)
     from scipy.special import expit
@@ -391,8 +390,14 @@ def _l1_line_search(r: np.ndarray, q: np.ndarray, sign: np.ndarray) -> tuple[flo
         size *= 4
 
 
-def _kink_walk(X: np.ndarray, y: np.ndarray, l1: bool, design: _Design | None = None) -> tuple[np.ndarray, float, bool]:
-    """The active-set walk behind ``_fit_l1`` (``l1``) and ``_fit_exp``.
+def _kink_walk(design: _Design, y: np.ndarray, l1: bool) -> tuple[np.ndarray, float, bool]:
+    """The exact minimizer of mean exp(|y - X1 beta|), or with ``l1`` of the
+    mean absolute deviation: an active-set walk whose steps are Newton steps
+    on the free points' smooth part for exp and their steepest descent for
+    l1.  For l1 it is Barrodale and Roberts' vertex walk (SIAM J. Numer.
+    Anal. 10, 1973): once k residuals are 0 it is at a vertex, a release moves
+    along the edge that keeps the other k - 1 pinned, and the line search
+    stops at a weighted median of the kinks.
 
     From the least-squares start, points whose residual is 0 stay pinned
     there.  Each step keeps the pinned residuals at 0 and ends in an exact
@@ -404,11 +409,11 @@ def _kink_walk(X: np.ndarray, y: np.ndarray, l1: bool, design: _Design | None = 
     ``_L1_MAX_STEPS`` or ``_EXP_MAX_STEPS`` passes.
 
     The start and the directions that move no residual come from the factored
-    design (``X``'s unless given).  The pinned rows B (stacked over those
-    directions) are factored once per pinned set by ``_factor``: its
-    null-space basis gives the steps, and its pseudo-inverse P the
-    multipliers sigma = n gᵀP and, when B is k x k and invertible (an l1
-    vertex), the edge -sign P e_j that releases row j.  The exp Newton system
+    design.  The pinned rows B (stacked over those directions) are factored
+    once per pinned set by ``_factor``: its null-space basis gives the steps,
+    and its pseudo-inverse P the multipliers sigma = n gᵀP and, when B is
+    k x k and invertible (an l1 vertex), the edge -sign P e_j that releases
+    row j.  The exp Newton system
     is formed in that basis, whose products with every point are kept with the
     factor, and solved by ``np.linalg.solve`` (``lstsq`` if it is singular).
     After a vertex pivot, which replaces row j by the joining point's row a,
@@ -420,7 +425,6 @@ def _kink_walk(X: np.ndarray, y: np.ndarray, l1: bool, design: _Design | None = 
     slope, so the step is the one the free points alone give.  The
     certificate solves for sigma afresh.
     """
-    design = _Design(X) if design is None else design
     X1t = design.X1t
     k, n = X1t.shape
     beta = design.solve(y)
@@ -493,24 +497,8 @@ def _kink_walk(X: np.ndarray, y: np.ndarray, l1: bool, design: _Design | None = 
     return beta, gnorm, gnorm <= _BASELINE_TOL and steps < max_steps
 
 
-def _fit_exp(X: np.ndarray, y: np.ndarray, design: _Design | None = None) -> tuple[np.ndarray, float, bool]:
-    """Exact minimizer of mean exp(|y - X1 beta|) by active-set Newton: each
-    step of ``_kink_walk`` is a Newton step on the free points' smooth part."""
-    return _kink_walk(X, y, False, design)
-
-
-def _fit_l1(X: np.ndarray, y: np.ndarray, design: _Design | None = None) -> tuple[np.ndarray, float, bool]:
-    """Least absolute deviations, solved exactly by Barrodale and Roberts'
-    vertex walk (SIAM J. Numer. Anal. 10, 1973).
-
-    Each step of ``_kink_walk`` is the free points' steepest descent.  Once
-    k residuals are 0 the walk is at a vertex; a release then moves along the
-    edge that keeps the other k - 1 pinned, and the line search stops at a
-    weighted median of the kinks.  At the optimum the multipliers sigma lie
-    in [-1, 1], and with u = sign(r) on the other points ``‖X1ᵀu‖ / n`` is
-    the norm of the subgradient they certify.
-    """
-    return _kink_walk(X, y, True, design)
+_FITS = {"l2": _fit_l2, "l1": functools.partial(_kink_walk, l1=True),
+         "exp": functools.partial(_kink_walk, l1=False), "log": _fit_logistic}  # each takes (design, y)
 
 
 def fit_linear_baseline(loss_name: str, data: Dataset) -> LinearBaseline:
@@ -526,13 +514,9 @@ def fit_linear_baseline(loss_name: str, data: Dataset) -> LinearBaseline:
     The log, exp and l1 fits have converged when that norm is at most 1e-9
     within their step caps.
     """
-    fit = {"l2": _fit_l2, "log": _fit_logistic, "exp": _fit_exp, "l1": _fit_l1}.get(loss_name)
-    if fit is None:
+    if loss_name not in _FITS:
         raise ValueError(f"unknown baseline loss {loss_name!r}")
-    if fit is _fit_logistic:  # Newton steps on systems of their own
-        beta, gnorm, converged = fit(data.X, data.y)
-    else:
-        beta, gnorm, converged = fit(data.X, data.y, _design(data))
+    beta, gnorm, converged = _FITS[loss_name](_design(data), data.y)
     return LinearBaseline(loss_name, beta[:-1], float(beta[-1]), gnorm, converged)
 
 

@@ -924,15 +924,6 @@ class BucketRecalPredictor(PipelinePredictor):
     def values(self, X):  # bound here so perfbench's tracer can wrap this class by name
         return super().values(X)
 
-    delta = property(lambda self: self.stages[-1].delta)
-    bucket_values = property(lambda self: self.stages[-1].values)
-
-    @property
-    def is_delta_discrete(self) -> bool:
-        """True iff every output value is an odd multiple of delta."""
-        ratio = self.bucket_values / self.delta
-        return bool(np.all(np.abs(ratio - (2 * np.round((ratio - 1) / 2) + 1)) <= 1e-9))
-
 
 def _field(d: Mapping, key: str, where: str):
     """``d[key]``; a missing entry raises a ``ValueError`` naming ``where + key``."""

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from calma.audit import _LIPSCHITZ_KNOTS, _interp_loss
-from calma.bench import _BASELINE_TOL, _EXP_MAX_STEPS, _L1_MAX_STEPS, _ON_KINK, _fit_l2, _l1_line_search
+from calma.bench import _BASELINE_TOL, _EXP_MAX_STEPS, _L1_MAX_STEPS, _ON_KINK, _Design, _fit_l2, _l1_line_search
 from calma.core import (
     STAGES,
     Dataset,
@@ -119,6 +119,12 @@ def reference_isotonic_values(stage, v: np.ndarray) -> np.ndarray:
     return stage.fitted[np.clip(idx, 0, len(stage.fitted) - 1)]
 
 
+def is_delta_discrete(stage) -> bool:
+    """True iff every output value of the bucket stage is an odd multiple of its delta."""
+    ratio = stage.values / stage.delta
+    return bool(np.all(np.abs(ratio - (2 * np.round((ratio - 1) / 2) + 1)) <= 1e-9))
+
+
 def reference_interval_correlations(cls: HypothesisClass, delta: float, X: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``v``'s correlations with the members of ``interval_class(cls, delta)``
     as its cell index composed them when ``_closed_class`` closed the lead
@@ -160,11 +166,11 @@ def reference_fit_l2(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, b
 def reference_fit_l1(X: np.ndarray, y: np.ndarray, iters: int = 4000) -> tuple[np.ndarray, float]:
     """Reference l1 fit: subgradient descent with decaying steps from the
     least-squares start, keeping the best of ``iters`` iterates.  The exact
-    vertex walk of ``bench._fit_l1`` must never score worse than it."""
+    vertex walk of ``bench._kink_walk`` must never score worse than it."""
     X1 = np.column_stack([X, np.ones(len(X))])
     n = len(y)
     scale = np.maximum(np.sqrt(np.mean(X1**2, axis=0)), 1e-9)
-    beta, _, _ = _fit_l2(X, y)
+    beta, _, _ = _fit_l2(_Design(X), y)
 
     def value(bv):
         return float(np.mean(np.abs(y - X1 @ bv)))
@@ -195,8 +201,8 @@ def reference_fit_l1_lp(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float
     """Reference l1 fit: HiGHS on the least-absolute-deviations dual, max yᵀu
     subject to X1ᵀu = 0 and -1 <= u <= 1.  The coefficients are the negated
     marginals of its equality rows, and ``‖X1ᵀu‖ / n`` is the norm of the
-    subgradient that u certifies.  The vertex walk of ``bench._fit_l1`` must
-    reach the same train objective.
+    subgradient that u certifies.  The l1 vertex walk of ``bench._kink_walk``
+    must reach the same train objective.
 
     The oracle is exact only to HiGHS's tolerances: on 2 of 7,500 scanned
     ``table`` cells (mixture seed 1 cycle 228 at (s, d) = (4, 10), seed 2
@@ -215,7 +221,7 @@ def reference_fit_exp(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     """Reference exp fit: L-BFGS-B on mean exp(|y - X1 beta|) from the
     least-squares and the zero start, keeping the better.  The kink at a zero
     residual stops it short of the optimum, so the exact active-set fit of
-    ``bench._fit_exp`` must never score worse than it."""
+    ``bench._kink_walk`` must never score worse than it."""
     from scipy.optimize import minimize
 
     X1 = np.column_stack([X, np.ones(len(X))])
@@ -227,7 +233,7 @@ def reference_fit_exp(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
         return float(np.mean(e)), X1.T @ (-np.sign(r) * e) / n
 
     best = None
-    for init in (_fit_l2(X, y)[0], np.zeros(X1.shape[1])):
+    for init in (_fit_l2(_Design(X), y)[0], np.zeros(X1.shape[1])):
         res = minimize(value_grad, init, jac=True, method="L-BFGS-B", options={"maxiter": 500, "ftol": 1e-14})
         if best is None or res.fun < best.fun:
             best = res
@@ -323,7 +329,7 @@ def reference_kink_walk(X: np.ndarray, y: np.ndarray, l1: bool) -> tuple[np.ndar
     for the multipliers, ``solve`` for a vertex edge) with the exp line search above.
     ``bench._kink_walk`` must reach the same train objective.  Its own description:
 
-    The active-set walk behind ``_fit_l1`` (``l1``) and ``_fit_exp``.
+    The active-set walk behind the exact l1 (``l1``) and exp fits.
 
     From the least-squares start, points whose residual is 0 stay pinned
     there.  Each step keeps the pinned residuals at 0 and ends in an exact

@@ -15,11 +15,12 @@ from calma.bench import (
     run_benchmark,
     train_calma_bench,
 )
-from calma.bench import _exp_line_search, _fit_exp, _fit_l1, _fit_l2, _l1_line_search
+from calma.bench import _Design, _exp_line_search, _fit_l2, _kink_walk, _l1_line_search
 from calma.calibration import bucket_means, bucket_midpoints, ece
 from calma.core import BucketRecalPredictor, Dataset, ExpectationEngine, PipelinePredictor
 
 from support import (
+    is_delta_discrete,
     l1_tilt,
     reference_exp_line_search,
     reference_fit_exp,
@@ -67,7 +68,7 @@ class TestBaselines:
         X = rng.normal(size=(3000, 3))
         w_true = np.array([0.4, -0.2, 0.1])
         y = X @ w_true + 0.3  # noiseless linear scores
-        beta, grad_norm, converged = _fit_l2(X, y)
+        beta, grad_norm, converged = _fit_l2(_Design(X), y)
         np.testing.assert_allclose(beta[:-1], w_true, atol=1e-9)
         assert beta[-1] == pytest.approx(0.3, abs=1e-9)
         assert converged and grad_norm <= 1e-12
@@ -76,7 +77,7 @@ class TestBaselines:
     def test_l2_matches_one_lstsq_solve(self, duplicated):
         train, _, _ = gen_gaussian_mixture(MixtureConfig(s=4, d=4, seed=6, n_cal=10, n_test=10))
         X = np.column_stack([train.X, train.X[:, 1]]) if duplicated else train.X
-        beta, grad_norm, _ = _fit_l2(X, train.y)
+        beta, grad_norm, _ = _fit_l2(_Design(X), train.y)
         ref_beta, _, _ = reference_fit_l2(X, train.y)
         # on the duplicated column both split the weight evenly: the minimum-norm solution
         assert np.max(np.abs(beta - ref_beta)) <= 1e-12 * np.max(np.abs(ref_beta))
@@ -112,6 +113,24 @@ class TestBaselines:
             )
             assert fitted <= best_const + 1e-9
 
+    def test_a_carried_design_fits_the_bits_of_a_fresh_one(self):
+        # one carried design serves all four fits of a cell, as in run_benchmark; each plain fit factors its own
+        train, _, _ = gen_gaussian_mixture(MixtureConfig(s=4, d=4, seed=1, n_train=600, n_cal=10, n_test=10))
+        carried = bench._FactoredDataset(train.X, train.y)
+        for name in BENCH_COLUMNS:
+            a, b = fit_linear_baseline(name, carried), fit_linear_baseline(name, train)
+            assert np.array_equal(a.w, b.w) and a.b == b.b, name
+            assert a.grad_norm == b.grad_norm and a.converged == b.converged, name
+
+    def test_unknown_loss_is_named_before_any_factoring(self, monkeypatch):
+        train, _, _ = gen_gaussian_mixture(MixtureConfig(s=2, d=2, seed=1, n_train=50, n_cal=10, n_test=10))
+        calls = []
+        monkeypatch.setattr(bench, "_factor", lambda A: calls.append(A.shape))
+        monkeypatch.setattr(bench, "_Design", lambda X: calls.append(X.shape))
+        with pytest.raises(ValueError, match="'hinge'"):
+            fit_linear_baseline("hinge", train)
+        assert calls == []
+
 
 _KKT_CELLS = [(s, d, seed, 3000) for s, d in ((2, 2), (4, 4), (4, 10)) for seed in (1, 2)] + [(2, 2, 5, 40)]
 # the two table cells (perfbench seed 1 cycle 228 and seed 2 cycle 72) where HiGHS on the l1 dual stops at a
@@ -128,7 +147,7 @@ def walk_train(s, d, seed, n_train, duplicated):
 
 
 class TestL1Kernel:
-    """``_fit_l1`` solves least absolute deviations exactly; its optimality is
+    """The l1 walk solves least absolute deviations exactly; its optimality is
     checked here with an independent KKT certificate, not with the walk's own
     multipliers, and against HiGHS on the linear-program dual."""
 
@@ -164,7 +183,7 @@ class TestL1Kernel:
     @pytest.mark.parametrize("s,d,seed,n_train", _KKT_CELLS)
     def test_train_objective_matches_the_lp(self, s, d, seed, n_train):
         train, _, _ = gen_gaussian_mixture(MixtureConfig(s=s, d=d, seed=seed, n_train=n_train, n_cal=10, n_test=10))
-        beta, _, _ = _fit_l1(train.X, train.y)
+        beta, _, _ = _kink_walk(_Design(train.X), train.y, True)
         lp_beta, _, lp_converged = reference_fit_l1_lp(train.X, train.y)
         walk, lp = self.objective(train.X, train.y, beta), self.objective(train.X, train.y, lp_beta)
         assert lp_converged and abs(walk - lp) <= 1e-12 * lp
@@ -200,7 +219,7 @@ class TestL1Kernel:
     def test_step_cap_reports_unconverged_without_raising(self, monkeypatch):
         train, _, _ = gen_gaussian_mixture(MixtureConfig(s=4, d=4, seed=1, n_cal=10, n_test=10))
         monkeypatch.setattr(bench, "_L1_MAX_STEPS", 1)
-        beta, gnorm, converged = _fit_l1(train.X, train.y)
+        beta, gnorm, converged = _kink_walk(_Design(train.X), train.y, True)
         assert not converged and np.all(np.isfinite(beta)) and gnorm > 1e-9
 
     def test_constant_only_design(self):
@@ -213,7 +232,7 @@ class TestL1Kernel:
     def test_duplicated_column(self):
         train, _, _ = gen_gaussian_mixture(MixtureConfig(s=2, d=2, seed=3, n_cal=10, n_test=10))
         X = np.column_stack([train.X, train.X[:, 0]])
-        beta, gnorm, converged = _fit_l1(X, train.y)
+        beta, gnorm, converged = _kink_walk(_Design(X), train.y, True)
         assert converged and gnorm <= 1e-12
         lp_beta, _, _ = reference_fit_l1_lp(train.X, train.y)
         walk, lp = self.objective(X, train.y, beta), self.objective(train.X, train.y, lp_beta)
@@ -221,7 +240,7 @@ class TestL1Kernel:
 
 
 class TestExpKernel:
-    """``_fit_exp`` minimizes mean exp(|y - t|) exactly; its optimality is
+    """The exp walk minimizes mean exp(|y - t|) exactly; its optimality is
     checked here with an independent KKT certificate, not with the solver's
     own multipliers."""
 
@@ -271,7 +290,7 @@ class TestExpKernel:
     def test_step_cap_reports_unconverged_without_raising(self, monkeypatch):
         train, _, _ = gen_gaussian_mixture(MixtureConfig(s=4, d=4, seed=1, n_cal=10, n_test=10))
         monkeypatch.setattr(bench, "_EXP_MAX_STEPS", 1)
-        beta, gnorm, converged = _fit_exp(train.X, train.y)
+        beta, gnorm, converged = _kink_walk(_Design(train.X), train.y, False)
         assert not converged and np.all(np.isfinite(beta)) and gnorm > 1e-9
 
     def test_constant_only_design(self):
@@ -299,7 +318,7 @@ class TestReferenceWalk:
     @pytest.mark.parametrize("cell,duplicated", _WALK_CELLS, ids=_WALK_IDS)
     def test_same_train_objective_as_the_reference_walk(self, cell, duplicated, l1):
         train = walk_train(*cell, duplicated)
-        beta, _, converged = bench._kink_walk(train.X, train.y, l1)
+        beta, _, converged = bench._kink_walk(_Design(train.X), train.y, l1)
         ref_beta, _, ref_converged = reference_kink_walk(train.X, train.y, l1)
         column = "l1" if l1 else "exp"
         walk, ref = (column_value_for_score(column, train.X @ b[:-1] + b[-1], train.y) for b in (beta, ref_beta))
@@ -315,11 +334,11 @@ class TestReferenceWalk:
     def test_refactoring_at_every_vertex_reaches_the_same_vertex(self, monkeypatch):
         train, _, _ = gen_gaussian_mixture(MixtureConfig(s=4, d=10, seed=1, n_cal=10, n_test=10))
         calls = self.counted_factors(monkeypatch)
-        beta, _, _ = _fit_l1(train.X, train.y)
+        beta, _, _ = _kink_walk(_Design(train.X), train.y, True)
         updated = len(calls)
         # |pivot| <= |row| |column|, so a cut-off of 1 refactors from scratch at every vertex
         monkeypatch.setattr(bench, "_TINY_PIVOT", 1.0)
-        refactored, gnorm, converged = _fit_l1(train.X, train.y)
+        refactored, gnorm, converged = _kink_walk(_Design(train.X), train.y, True)
         assert len(calls) - updated > 2 * updated
         assert converged and gnorm <= 1e-12
         walk, ref = (TestL1Kernel.objective(train.X, train.y, b) for b in (beta, refactored))
@@ -333,7 +352,7 @@ class TestReferenceWalk:
         name = "_l1_line_search" if l1 else "_exp_line_search"
         line_search, calls = getattr(bench, name), []
         monkeypatch.setattr(bench, name, lambda *args: calls.append([a.copy() for a in args]) or line_search(*args))
-        _, _, converged = bench._kink_walk(train.X, train.y, l1)
+        _, _, converged = bench._kink_walk(_Design(train.X), train.y, l1)
         search = (lambda r, q: line_search(r, q, l1_tilt(r, q))) if l1 else line_search
         pinned_counts = []
         for r, q, *sign in calls:
@@ -381,7 +400,7 @@ class TestTrainer:
         alpha = 0.1
         train, cal, _ = gen_gaussian_mixture(MixtureConfig(s=2, d=2, seed=11, n_test=10))
         pred, _ = train_calma_bench(train, cal, alpha=alpha)
-        assert isinstance(pred, BucketRecalPredictor) and pred.is_delta_discrete
+        assert isinstance(pred, BucketRecalPredictor) and is_delta_discrete(pred.stages[-1])
         assert ece(pred, ExpectationEngine.empirical(cal)) <= 0.75 * alpha
 
     def test_backend_validated(self):

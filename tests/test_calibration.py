@@ -31,7 +31,14 @@ from calma.core import (
 )
 from calma.multiaccuracy import mae
 
-from support import random_class, random_distribution, random_predictor, reference_isotonic, reference_isotonic_values
+from support import (
+    is_delta_discrete,
+    random_class,
+    random_distribution,
+    random_predictor,
+    reference_isotonic,
+    reference_isotonic_values,
+)
 
 
 def two_level_set_instance():
@@ -131,7 +138,7 @@ class TestDiscretize:
         pred = random_predictor(rng, dist)
         disc = discretize(pred, 0.0625)
         assert distance(pred, disc, engine, "linf") <= 0.0625 + 1e-12
-        assert disc.is_delta_discrete
+        assert is_delta_discrete(disc.stages[-1])
 
     def test_awkward_delta_clamps_last_midpoint(self):
         # 0.07 does not divide 1: the top midpoint clamps to 1, keeping the
@@ -142,7 +149,7 @@ class TestDiscretize:
         pred = random_predictor(rng, dist)
         disc = discretize(pred, 0.07)
         assert distance(pred, disc, engine, "linf") <= 0.07 + 1e-12
-        assert np.max(disc.bucket_values) <= 1.0
+        assert np.max(disc.stages[-1].values) <= 1.0
 
     def test_mae_perturbation(self):
         rng = np.random.default_rng(7)
@@ -174,7 +181,7 @@ class TestRecalibrateExact:
     def test_empty_buckets_keep_midpoints(self):
         dist = FiniteDistribution(np.zeros((1, 1)), [1.0], [0.7])
         rec = recalibrate_with_engine(ConstantPredictor(0.1), 0.1, ExpectationEngine.exact(dist))
-        np.testing.assert_allclose(rec.bucket_values[1:], (2 * np.arange(1, 5) + 1) * 0.1)
+        np.testing.assert_allclose(rec.stages[-1].values[1:], (2 * np.arange(1, 5) + 1) * 0.1)
 
     def test_output_perfectly_calibrated(self):
         rng = np.random.default_rng(8)
@@ -250,7 +257,7 @@ class TestRecal:
         pred = random_predictor(rng, dist)
         a = recalibrate_with_engine(pred, 0.1, ExpectationEngine.empirical(Dataset(X, y)))
         b = recalibrate_with_engine(pred, 0.1, ExpectationEngine.exact(dist))
-        np.testing.assert_allclose(a.bucket_values, b.bucket_values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a.stages[-1].values, b.stages[-1].values, rtol=0, atol=1e-12)
 
     def test_close_to_exact_bucket_means(self):
         rng = np.random.default_rng(13)
@@ -400,7 +407,7 @@ class TestSamplers:
             idx = bucket_index(pred.values(dist.points), delta)
             rows = np.bincount(idx, weights=counts, minlength=n_buckets(delta))
             hits = np.bincount(idx, weights=ones, minlength=n_buckets(delta))
-            got = recalibrate_with_engine(pred, delta, draw).bucket_values
+            got = recalibrate_with_engine(pred, delta, draw).stages[-1].values
             filled = rows > 0
             np.testing.assert_allclose(got[filled], hits[filled] / rows[filled], rtol=0, atol=1e-15)
 

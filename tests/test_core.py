@@ -53,6 +53,7 @@ from calma.losses import lp_loss
 from calma.multiaccuracy import mae
 
 from support import (
+    is_delta_discrete,
     random_class,
     random_distribution,
     random_predictor,
@@ -600,10 +601,10 @@ class TestPredictors:
         base = ConstantPredictor(0.3)
         delta = 0.1
         mids = (2 * np.arange(n_buckets(delta)) + 1.0) * delta
-        assert BucketRecalPredictor(base, delta, mids).is_delta_discrete
+        assert is_delta_discrete(BucketRecalPredictor(base, delta, mids).stages[-1])
         off = mids.copy()
         off[0] = 0.12
-        assert not BucketRecalPredictor(base, delta, off).is_delta_discrete
+        assert not is_delta_discrete(BucketRecalPredictor(base, delta, off).stages[-1])
 
     def test_pipeline_roundtrip(self):
         rng = np.random.default_rng(20)
