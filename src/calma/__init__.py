@@ -10,7 +10,6 @@ import importlib
 # the public names, by the submodule that defines them
 _EXPORTS = {
     "core": (
-        "BucketRecalPredictor",
         "ConstantPredictor",
         "Dataset",
         "ExpectationEngine",

@@ -30,7 +30,7 @@ from .core import (
     correlate,
     lin_combination,
 )
-from .losses import GlmLoss, Loss, TruncatedDecision, bregman
+from .losses import GlmLoss, Loss, OutOfRangeError, TruncatedDecision, bregman
 
 __all__ = [
     "hypothesis_oi_gap",
@@ -183,7 +183,10 @@ def audit_family(
                 # a unit-bounded discrete derivative
                 warned.append(f"{loss.name}: |discrete derivative| reaches {sup:.3g} > 1 on its action domain")
                 warn(warned[-1], stacklevel=2)
-        at_decision = loss.partial(loss.decision(pv))
+        try:
+            at_decision = loss.partial(loss.decision(pv))
+        except OutOfRangeError as exc:
+            raise OutOfRangeError(f"{loss.name} cannot decide on these predictions: {exc}") from None
         for lo in range(0, len(members), step):
             block = slice(lo, lo + step)
             at_members[block] = loss.partial(members[block])

@@ -148,6 +148,9 @@ _LOGISTIC = sigmoid_glm()
 
 _COLUMN_LOSS = {"l2": _SQ, "l1": _L1, "exp": _EXP, "log": _LOGISTIC}
 _BASELINE_TOL = 1e-9  # the (sub)gradient norm at which the log and exp fits have converged
+# a log-fit Hessian whose eigenvalues span more than 1 / this is singular: on the mixtures a full-rank
+# design's span stays under 1e5, and a dependent column's reads over 1e13 from rounding alone
+_SINGULAR_H = 1e-10
 
 
 @functools.cache
@@ -252,7 +255,10 @@ def _fit_logistic(design: _Design, y: np.ndarray) -> tuple[np.ndarray, float, bo
             break
         W = mu * (1.0 - mu) + 1e-10
         H = (X1.T * W) @ X1 / n
-        step = np.linalg.solve(H, g)
+        ev = np.linalg.eigvalsh(H)
+        # dependent columns make H singular: the minimum-norm step leaves the directions that move no score alone
+        singular = ev[0] <= ev[-1] * _SINGULAR_H
+        step = np.linalg.lstsq(H, g, rcond=_SINGULAR_H)[0] if singular else np.linalg.solve(H, g)
         v0, t_step = value(t), 1.0
         # a Newton decrement g'H^-1 g <= 2e-12 cannot buy the 1e-12 decrease: take the full step
         while g @ step > 2e-12 and value(X1 @ (beta - t_step * step)) > v0 - 1e-12 and t_step > 1e-8:

@@ -17,11 +17,12 @@ from typing import Callable, Iterable, Protocol
 import numpy as np
 
 from .core import (
-    BucketRecalPredictor,
+    BucketStage,
     Dataset,
     ExpectationEngine,
     FiniteDistribution,
     IsotonicStage,
+    PipelinePredictor,
     Predictor,
     bucket_index,
     bucket_midpoints,
@@ -120,11 +121,11 @@ def weighted_ce(pred: Predictor, weights: Iterable[Callable], engine: Expectatio
 # ---------------------------------------------------------------------------
 
 
-def discretize(pred: Predictor, delta: float) -> BucketRecalPredictor:
+def discretize(pred: Predictor, delta: float) -> PipelinePredictor:
     """Snap predictions to bucket midpoints; moves no value by more than delta."""
     if not 0 < delta <= 0.5:
         raise ValueError("delta must lie in (0, 1/2]")
-    return BucketRecalPredictor(pred, delta, bucket_midpoints(delta))
+    return PipelinePredictor.of(pred).extended(BucketStage(delta, bucket_midpoints(delta)))
 
 
 def bucket_means(pv: np.ndarray, yv: np.ndarray, wv: np.ndarray, delta: float) -> np.ndarray:
@@ -137,10 +138,10 @@ def bucket_means(pv: np.ndarray, yv: np.ndarray, wv: np.ndarray, delta: float) -
     return np.divide(wy, w, out=bucket_midpoints(delta), where=w > 0)
 
 
-def recalibrate_with_engine(pred: Predictor, delta: float, engine: ExpectationEngine) -> BucketRecalPredictor:
+def recalibrate_with_engine(pred: Predictor, delta: float, engine: ExpectationEngine) -> PipelinePredictor:
     """Bucket-mean recalibration using the engine's label means per bucket."""
     values = bucket_means(pred.values(engine.X), engine.ystar, engine.weights, delta)
-    return BucketRecalPredictor(pred, delta, values)
+    return PipelinePredictor.of(pred).extended(BucketStage(delta, values))
 
 
 def est_ece_samples_needed(delta: float, mu: float) -> int:

@@ -30,7 +30,7 @@ from .core import (
     predictor_from_dict,
     save_dataset,
 )
-from .losses import get_loss
+from .losses import OutOfRangeError, get_loss
 
 # each command imports the algorithm modules it runs, so start-up loads only the two above
 
@@ -219,7 +219,10 @@ def audit(model_path, data_path, losses, class_spec, out_path, clamp):
             raise click.BadParameter(f"{name!r}: {exc}", param_hint="'--losses'")
     if not loss_objs:
         raise click.BadParameter(f"{losses!r} names no loss", param_hint="'--losses'")
-    report = audit_family(pred, loss_objs, hclass, engine)
+    try:
+        report = audit_family(pred, loss_objs, hclass, engine)
+    except OutOfRangeError as exc:  # a glm transfer's inverse at a prediction of exactly 0 or 1
+        raise click.UsageError(f"{exc}; a --clamp above {clamp:g} keeps them inside it")
     payload = report.to_dict()
     payload["ece"] = ece(pred, engine)
     payload["mae"] = mae(pred, hclass, engine)

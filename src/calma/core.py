@@ -56,7 +56,6 @@ __all__ = [
     "FunctionPredictor",
     "TablePredictor",
     "GlmLinearPredictor",
-    "BucketRecalPredictor",
     "PipelinePredictor",
     "STAGES",
     "BaseStage",
@@ -180,7 +179,7 @@ class FiniteDistribution:
     def from_dict(cls, d: Mapping) -> "FiniteDistribution":
         if missing := [k for k in ("points", "mass", "bayes") if k not in d]:
             raise ValueError(f"a distribution needs 'points', 'mass' and 'bayes'; missing: {', '.join(missing)}")
-        return cls(*(np.asarray(d[k]) for k in ("points", "mass", "bayes")))
+        return cls(_numbers(d, "points", "", ndim=2), _numbers(d, "mass", ""), _numbers(d, "bayes", ""))
 
 
 @dataclass(frozen=True)
@@ -874,8 +873,8 @@ class PipelinePredictor(Predictor):
     stages on the rows ``X``.  ``values(X)`` starts from it when ``X`` is that
     very array and applies only the later stages.  The slot is filled only
     while it is empty or holds those rows, and only for an ``X`` that is
-    read-only and owns its data, as engines' arrays are; ``extended`` and
-    ``BucketRecalPredictor`` hand it to the longer pipeline.
+    read-only and owns its data, as engines' arrays are; ``extended`` hands
+    it to the longer pipeline.
     """
 
     kind = "pipeline"
@@ -913,16 +912,11 @@ class PipelinePredictor(Predictor):
         return {"kind": self.kind, "stages": [s.to_dict() for s in self.stages]}
 
 
-class BucketRecalPredictor(PipelinePredictor):
-    """``base``'s stages then one bucket stage: discretized or recalibrated output."""
+class BucketRecalPredictor:
+    """Built by nothing in calma: perfbench's tracer wraps it by name until ROADMAP item 1A."""
 
-    def __init__(self, base: Predictor, delta: float, bucket_values: np.ndarray):
-        base = PipelinePredictor.of(base)
-        super().__init__(base.stages + (BucketStage(delta, bucket_values),))
-        self._slot = base._slot
-
-    def values(self, X):  # bound here so perfbench's tracer can wrap this class by name
-        return super().values(X)
+    def values(self, X):
+        return PipelinePredictor.values(self, X)
 
 
 def _field(d: Mapping, key: str, where: str):
@@ -985,8 +979,8 @@ def predictor_from_dict(d: Mapping, hclass: HypothesisClass | None = None, where
                 raise ValueError(f"{at}op {s['op']!r} names no stage")
         return PipelinePredictor(stages)
     if kind == "bucket_recal":
-        base = predictor_from_dict(d.get("base"), hclass, where + "base.")
-        return BucketRecalPredictor(base, _number(d, "delta", where), _numbers(d, "bucket_values", where))
+        base = PipelinePredictor.of(predictor_from_dict(d.get("base"), hclass, where + "base."))
+        return base.extended(BucketStage(_number(d, "delta", where), _numbers(d, "bucket_values", where)))
     if kind == "glm_linear":
         if hclass is None:
             raise ValueError("hypothesis class required to rebuild a glm_linear predictor")

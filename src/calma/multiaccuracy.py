@@ -24,7 +24,6 @@ from .core import (
     HypothesisClass,
     PipelinePredictor,
     Predictor,
-    correlate,
     value_matrix,
 )
 from .losses import GlmLoss
@@ -33,8 +32,6 @@ __all__ = [
     "NonTerminationError",
     "NonConvergenceError",
     "mae",
-    "ResidualAccess",
-    "exact_residual_access",
     "ExhaustiveWeakLearner",
     "MAResult",
     "MAUpdate",
@@ -62,24 +59,11 @@ def mae(pred: Predictor, hclass: HypothesisClass, engine: ExpectationEngine) -> 
     return float(np.max(np.abs(corr), initial=0.0))
 
 
-@dataclass(frozen=True)
 class ResidualAccess:
-    """Access to the residual function f via an engine's weighted points.
-
-    Under an exact engine ``z`` is f(x) = p*(x) - p(x) itself; under an
-    empirical one it is the real-valued label y - p(x), whose conditional
-    mean is f(x).  Member correlations come from the engine's cache.
-    """
-
-    engine: ExpectationEngine
-    z: np.ndarray
+    """Built by nothing in calma: perfbench's tracer wraps it by name until ROADMAP item 1A."""
 
     def correlation(self, h: Hypothesis) -> float:
-        return float(correlate(self.engine.weights, self.z, h.values(self.engine.X)))
-
-
-def exact_residual_access(engine: ExpectationEngine, pred_values: np.ndarray) -> ResidualAccess:
-    return ResidualAccess(engine, engine.ystar - pred_values)
+        raise NotImplementedError("ExhaustiveWeakLearner.query reads (engine, residual) instead")
 
 
 @dataclass(frozen=True)
@@ -99,8 +83,11 @@ class ExhaustiveWeakLearner:
         if not 0 < self.sigma <= self.rho:
             raise ValueError("need 0 < sigma <= rho")
 
-    def query(self, access: ResidualAccess) -> tuple[Hypothesis, float] | None:
-        corr = access.engine.correlations(self.hclass, access.engine.weights * access.z)
+    def query(self, engine: ExpectationEngine, z: np.ndarray) -> tuple[Hypothesis, float] | None:
+        """The member best correlated with the residual ``z`` under ``engine``: under an
+        exact engine f(x) = p*(x) - p(x) itself, under an empirical one the label y - p(x),
+        whose conditional mean is f(x).  Member correlations come from the engine's cache."""
+        corr = engine.correlations(self.hclass, engine.weights * z)
         best = int(np.argmax(corr))
         if corr[best] >= self.sigma - _WL_TIE_TOL:
             return self.hclass.members[best], float(corr[best])
@@ -153,7 +140,7 @@ def ma_algorithm(
     start = before = engine.expect((engine.ystar - pred.values(engine.X)) ** 2)
     while True:
         measured = engine if sampler is None else sampler.draw(batch_size)
-        picked = wl.query(exact_residual_access(measured, pred.values(measured.X)))
+        picked = wl.query(measured, measured.ystar - pred.values(measured.X))
         if picked is None:
             return MAResult(pred, tuple(updates), start)
         if len(updates) >= cap:

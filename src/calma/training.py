@@ -29,7 +29,7 @@ from .calibration import (
     recal_samples_needed,
     recalibrate_with_engine,
 )
-from .core import ExpectationEngine, Predictor
+from .core import ExpectationEngine, PipelinePredictor, Predictor
 from .multiaccuracy import ExhaustiveWeakLearner, ma_algorithm, mae
 
 __all__ = ["IterationCapError", "CalmaConfig", "CalmaRound", "CalmaTrace", "calma"]
@@ -102,7 +102,7 @@ def calma(
     engine: ExpectationEngine,
     sampler: Sampler | None = None,
     config: CalmaConfig | None = None,
-) -> tuple[Predictor, CalmaTrace]:
+) -> tuple[PipelinePredictor, CalmaTrace]:
     """Train an alpha-calibrated, multiaccurate, delta-discrete predictor.
 
     Parameter schedule: delta = alpha^2 / 32, mu = alpha / 4; each round

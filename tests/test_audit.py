@@ -521,6 +521,11 @@ class TestParityConstruction:
         assert pm4.decision(1.0) == pytest.approx(1.0)
         assert pm4.decision(0.0) == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("power", [1, 3])
+    def test_plus_minus_power_outside_2_and_4_refused(self, power):
+        with pytest.raises(ValueError, match="pm_power_loss supports powers 2 and 4"):
+            pm_power_loss(power, 0.5)
+
     def test_distribution_shape(self):
         dist, cls = parity_distribution()
         assert dist.n == 8

@@ -17,7 +17,7 @@ from calma.bench import (
 )
 from calma.bench import _Design, _exp_line_search, _fit_l2, _kink_walk, _l1_line_search
 from calma.calibration import bucket_means, bucket_midpoints, ece
-from calma.core import BucketRecalPredictor, Dataset, ExpectationEngine, PipelinePredictor
+from calma.core import Dataset, ExpectationEngine, PipelinePredictor
 
 from support import (
     is_delta_discrete,
@@ -95,6 +95,33 @@ class TestBaselines:
         train, _, _ = gen_gaussian_mixture(MixtureConfig(s=2, d=2, seed=17, n_cal=10, n_test=10))
         fit = fit_linear_baseline("log", train)
         assert fit.converged and fit.grad_norm <= 1e-9
+
+    @pytest.mark.parametrize("extra", ["duplicated", "constant"])
+    def test_logistic_splits_a_dependent_column_by_minimum_norm(self, extra):
+        # the Newton Hessian of such a design is singular: np.linalg.solve raised on it, or
+        # returned steps of norm ~1e15
+        train, _, _ = gen_gaussian_mixture(MixtureConfig(s=4, d=4, seed=6, n_cal=10, n_test=10))
+        ref = fit_linear_baseline("log", train)
+        col = train.X[:, 0] if extra == "duplicated" else np.full(train.n, 3.7)
+        fit = fit_linear_baseline("log", Dataset(np.column_stack([train.X, col]), train.y))
+        assert fit.converged and fit.grad_norm <= 1e-9
+        if extra == "duplicated":  # x0's weight, halved on x0 and on its copy
+            want = np.concatenate([[ref.w[0] / 2], ref.w[1:], [ref.w[0] / 2, ref.b]])
+        else:  # the intercept, split between the column 3.7 and the constant 1
+            want = np.concatenate([ref.w, np.array([3.7, 1.0]) * ref.b / (1 + 3.7**2)])
+        assert np.max(np.abs(np.append(fit.w, fit.b) - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_logistic_on_fewer_distinct_rows_than_coefficients(self):
+        # 3 distinct rows, 5 coefficients: the fit meets each row's label mean and has no
+        # component in the null space of the rows
+        train, _, _ = gen_gaussian_mixture(MixtureConfig(s=4, d=4, seed=6, n_cal=10, n_test=10))
+        rows = train.X[:3]
+        y = np.concatenate([np.tile([1.0, 0, 0, 0], 5), np.tile([1.0, 0], 10), np.tile([1.0, 1, 1, 0], 5)])
+        fit = fit_linear_baseline("log", Dataset(np.repeat(rows, 20, axis=0), y))
+        assert fit.converged and fit.grad_norm <= 1e-9
+        np.testing.assert_allclose(1.0 / (1.0 + np.exp(-fit.score(rows))), [0.25, 0.5, 0.75], atol=1e-9)
+        X1, beta = np.column_stack([rows, np.ones(3)]), np.append(fit.w, fit.b)
+        assert np.linalg.norm(beta - np.linalg.pinv(X1) @ (X1 @ beta)) <= 1e-9 * np.linalg.norm(beta)
 
     def test_constant_only_l2_equals_label_mean(self):
         data = Dataset(np.zeros((10, 1)), [1, 1, 1, 0, 0, 1, 0, 1, 1, 0])
@@ -400,7 +427,7 @@ class TestTrainer:
         alpha = 0.1
         train, cal, _ = gen_gaussian_mixture(MixtureConfig(s=2, d=2, seed=11, n_test=10))
         pred, _ = train_calma_bench(train, cal, alpha=alpha)
-        assert isinstance(pred, BucketRecalPredictor) and is_delta_discrete(pred.stages[-1])
+        assert isinstance(pred, PipelinePredictor) and is_delta_discrete(pred.stages[-1])
         assert ece(pred, ExpectationEngine.empirical(cal)) <= 0.75 * alpha
 
     def test_backend_validated(self):

@@ -374,6 +374,14 @@ class TestSamplers:
         with pytest.raises(InsufficientSamplesError):
             s.draw(1)
 
+    def test_dataset_sampler_seed_fixes_one_permutation_of_every_row(self):
+        data = Dataset(np.arange(50, dtype=float).reshape(-1, 1), np.arange(50) % 3 == 0)
+        a, b = (DatasetSampler(data, seed=7).draw(50) for _ in range(2))
+        assert np.array_equal(a.X, b.X) and np.array_equal(a.ystar, b.ystar)
+        order = a.X[:, 0].astype(int)
+        assert np.array_equal(np.sort(order), np.arange(50)) and not np.array_equal(order, np.arange(50))
+        assert np.array_equal(a.ystar, data.y[order])  # each label travels with its row
+
     def test_distribution_draw_is_its_empirical_distribution(self):
         # the draw's law: a multinomial count per support point, a binomial label count per point
         dist = random_distribution(np.random.default_rng(17), n_points=8)
@@ -416,3 +424,19 @@ class TestSamplers:
         dist = random_distribution(rng, n_points=5)
         e = DistributionSampler(dist, seed=0).draw(200_000)
         assert e.expect(e.ystar) == pytest.approx(ExpectationEngine.exact(dist).expect(dist.bayes), abs=0.01)
+
+
+@pytest.mark.parametrize(
+    "build, reason",
+    [
+        (lambda: discretize(ConstantPredictor(0.5), 0.6), "delta must lie in (0, 1/2]"),
+        (lambda: discretize(ConstantPredictor(0.5), 0.0), "delta must lie in (0, 1/2]"),
+        (lambda: isotonic_fit([], []), "scores and labels must be nonempty and equally long"),
+        (lambda: isotonic_fit([0.1, 0.2], [1.0]), "scores and labels must be nonempty and equally long"),
+    ],
+    ids=["discretize-wide", "discretize-0", "isotonic-empty", "isotonic-lengths"],
+)
+def test_invalid_input_is_refused_with_its_reason(build, reason):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == reason

@@ -35,6 +35,14 @@ def make_wl(cls, alpha):
 
 
 class TestTermination:
+    @pytest.mark.parametrize("alpha", [0.0, 1.5, float("nan")])
+    def test_alpha_outside_the_unit_interval_refused(self, alpha):
+        rng = np.random.default_rng(0)
+        dist = random_distribution(rng)
+        cls = random_class(rng, dist, 3)
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+            calma(bayes_predictor(dist), alpha, make_wl(cls, 0.1), ExpectationEngine.exact(dist))
+
     def test_immediate_exit_when_already_good(self):
         rng = np.random.default_rng(0)
         dist = random_distribution(rng)

@@ -1,5 +1,6 @@
 """Command-line surface: generation, training, auditing, counterexamples."""
 
+import dataclasses
 import json
 import os
 
@@ -227,11 +228,17 @@ def test_unloadable_csv_is_a_usage_error(runner, tmp_path, three_columns, comman
         ({"points": [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], "mass": [0.25, 0.25], "bayes": [0.5, 0.5]},
          "masses must sum to 1 within 1e-12"),
         ("{", "Expecting property name enclosed in double quotes"),
+        ({"points": [[0.0, 0.0, 0.0]], "mass": "abc", "bayes": [0.5]}, "mass must be a list of numbers, not 'abc'"),
+        ({"points": [[0.0, 0.0, 0.0]], "mass": [1.0], "bayes": None}, "bayes must be a list of numbers, not None"),
+        ({"points": [0.0, 0.0, 0.0], "mass": [1.0], "bayes": [0.5]},
+         "points must be a 2-D list of numbers, not [0.0, 0.0, 0.0]"),
     ],
-    ids=["no-bayes", "mass-0.5", "not-json"],
+    ids=["no-bayes", "mass-0.5", "not-json", "mass-a-string", "null-bayes", "points-1-d"],
 )
 def test_unloadable_distribution_is_a_usage_error(runner, tmp_path, three_columns, dist, reason):
-    # no bayes ended in a KeyError traceback and exit 1, the others in a ValueError traceback
+    # no bayes ended in a KeyError traceback and exit 1, the others in a ValueError traceback; a
+    # string mass was reported as "could not convert string to float", a null bayes as not finite,
+    # and 1-D points loaded as one point
     _, model = three_columns
     bad = tmp_path / "bad.json"
     bad.write_text(dist if isinstance(dist, str) else json.dumps(dist))
@@ -375,6 +382,36 @@ def test_unknown_loss_is_a_usage_error(runner, tmp_path, three_columns, losses, 
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("value", [0.0, 1.0])
+def test_glm_audit_of_an_end_prediction_without_clamp_is_a_usage_error(runner, tmp_path, three_columns, value):
+    # an OutOfRangeError traceback and exit 1: the sigmoid's inverse has no value at 0 or 1
+    data, model = three_columns
+    with open(model, "w") as fh:
+        fh.write(_model_text({"kind": "constant", "value": value}))
+    res = runner.invoke(main, ["audit", "--model", model, "--data", data, "--clamp", "0", "--losses", "l1,glm:sigmoid",
+                               "--out", str(tmp_path / "r.json")])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and "glm:sigmoid" in errors[0] and "--clamp" in errors[0], res.output
+    assert "Traceback" not in res.output
+
+
+def test_unknown_class_spec_is_a_usage_error(runner, tmp_path, three_columns):
+    data, _ = three_columns
+    res = runner.invoke(main, ["train", "--data", data, "--class", "levels", "--out", str(tmp_path / "m.json"), "--trace", ""])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    assert "unknown class spec 'levels'; use 'coords' or 'coords:s0,s1,...'" in res.output
+
+
+def test_unknown_model_class_kind_is_a_usage_error(runner, tmp_path, three_columns):
+    data, model = three_columns
+    with open(model, "w") as fh:
+        json.dump({"class": {"kind": "levels", "scales": [1.0, 1.0, 1.0]}, "predictor": {"kind": "constant", "value": 0.5}}, fh)
+    res = runner.invoke(main, ["audit", "--model", model, "--data", data, "--out", str(tmp_path / "r.json")])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    assert "unknown class kind 'levels' in model file" in res.output
+
+
 def test_coords_spec_scales_are_stored(runner, tmp_path, three_columns):
     data, _ = three_columns
     model = str(tmp_path / "m.json")
@@ -516,6 +553,17 @@ def test_counterexample_sim_passes_at_the_exact_optimum(runner, monkeypatch):
     res = runner.invoke(main, ["counterexamples", "--which", "sim"])
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["min_violation_value_grid"] == 0.05
+
+
+def test_counterexample_parity_violation_exits_4(runner, monkeypatch):
+    from calma import audit
+
+    # the construction's report with a hypothesis gap short of 4/9
+    report = dataclasses.replace(audit.parity_counterexample(), l4_hypothesis_gap=0.4)
+    monkeypatch.setattr(audit, "parity_counterexample", lambda: report)
+    res = runner.invoke(main, ["counterexamples", "--which", "parity"])
+    assert res.exit_code == 4, res.output
+    assert json.loads(res.output)["l4_hypothesis_gap"] == 0.4
 
 
 def test_threshold_violation_exits_4(runner):

@@ -16,7 +16,6 @@ from calma.core import (
     AddHypStage,
     AddLinearStage,
     BaseStage,
-    BucketRecalPredictor,
     BucketStage,
     BudgetExceededError,
     ConstantPredictor,
@@ -601,10 +600,10 @@ class TestPredictors:
         base = ConstantPredictor(0.3)
         delta = 0.1
         mids = (2 * np.arange(n_buckets(delta)) + 1.0) * delta
-        assert is_delta_discrete(BucketRecalPredictor(base, delta, mids).stages[-1])
+        assert is_delta_discrete(PipelinePredictor.of(base).extended(BucketStage(delta, mids)).stages[-1])
         off = mids.copy()
         off[0] = 0.12
-        assert not is_delta_discrete(BucketRecalPredictor(base, delta, off).stages[-1])
+        assert not is_delta_discrete(PipelinePredictor.of(base).extended(BucketStage(delta, off)).stages[-1])
 
     def test_pipeline_roundtrip(self):
         rng = np.random.default_rng(20)
@@ -715,7 +714,7 @@ class TestPipelineStages:
             assert [op for op, _ in calls] == [stage.op]
             assert np.array_equal(out, PipelinePredictor(pred.stages).values(engine.X))
         calls.clear()
-        recal = BucketRecalPredictor(pred, 0.25, [0.3, 0.8])  # hands over the slot like extended
+        recal = pred.extended(BucketStage(0.25, [0.3, 0.8]))
         out = recal.values(engine.X)
         assert [op for op, _ in calls] == ["bucket"]
         assert np.array_equal(out, PipelinePredictor(recal.stages).values(engine.X))
@@ -928,3 +927,37 @@ def test_bucket_index_matches_interval_membership(v, delta):
     assert lo <= v
     if j < m - 1:
         assert v < lo + 2 * delta
+
+
+_ONE_POINT = FiniteDistribution(np.zeros((1, 1)), [1.0], [0.5])
+_UNBOUNDED = Hypothesis(lambda X: 2.0 * np.atleast_2d(X)[:, 0], 2.0, "2x0")
+
+
+@pytest.mark.parametrize(
+    "build, reason",
+    [
+        (lambda: FiniteDistribution(np.zeros((2, 1)), [1.0], [0.5, 0.5]), "points, mass and bayes must have equal length"),
+        (lambda: FiniteDistribution(np.zeros((2, 1)), [1.5, -0.5], [0.5, 0.5]), "masses must be nonnegative"),
+        (lambda: Dataset(np.zeros((0, 2)), []), "dataset must be nonempty"),
+        (lambda: Dataset(np.zeros((2, 2)), [1.0]), "feature matrix and labels must have equal length"),
+        (lambda: interval_class(coordinate_class(2), 2.5), "delta must lie in (0, 2]"),
+        (lambda: interval_class(make_class([_UNBOUNDED]), 0.5), "interval_class requires members bounded in [-1, 1]"),
+        (lambda: power_class(coordinate_class(2), 0), "d must be >= 1"),
+        (lambda: TablePredictor(np.zeros((2, 1)), [0.5]), "points and values must be nonempty and of equal length"),
+        (lambda: predictor_from_dict({"kind": "pipeline", "stages": [{"op": "const", "value": 0.5},
+                                                                     {"op": "add_hyp", "tag": "x0", "coef": 0.1}]}),
+         "hypothesis class required to rebuild add_hyp stages"),
+        (lambda: predictor_from_dict({"kind": "glm_linear", "transfer": "sigmoid", "weights": {}}),
+         "hypothesis class required to rebuild a glm_linear predictor"),
+        (lambda: predictor_from_dict({"kind": "spline"}), "cannot rebuild predictor kind 'spline'"),
+        (lambda: distance(ConstantPredictor(0.2), ConstantPredictor(0.4), ExpectationEngine.exact(_ONE_POINT), "l3"),
+         "unknown norm 'l3'"),
+    ],
+    ids=["dist-lengths", "dist-negative-mass", "empty-dataset", "dataset-lengths", "interval-delta",
+         "interval-unbounded-member", "power-0", "table-lengths", "add-hyp-without-class", "glm-without-class",
+         "unknown-kind", "unknown-norm"],
+)
+def test_invalid_input_is_refused_with_its_reason(build, reason):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == reason

@@ -407,6 +407,11 @@ class TestTruncatedDecision:
         with pytest.raises(UnboundedBelowError):
             truncated_decision(sigmoid_glm(), 1e-12)
 
+    @pytest.mark.parametrize("delta", [0.0, -0.1])
+    def test_nonpositive_suboptimality_refused(self, delta):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            truncated_decision(sigmoid_glm(), delta)
+
     def test_zero_suboptimality_at_half(self):
         for glm in ALL_GLMS:
             td = truncated_decision(glm, 0.05)

@@ -14,6 +14,7 @@ from calma.core import (
     Hypothesis,
     HypothesisClass,
     bayes_predictor,
+    correlate,
     make_class,
     predictor_from_dict,
     value_matrix,
@@ -23,8 +24,6 @@ from calma.losses import crelu_glm, identity_glm, sigmoid_glm
 from calma.multiaccuracy import (
     ExhaustiveWeakLearner,
     NonTerminationError,
-    ResidualAccess,
-    exact_residual_access,
     l1_glm_fit,
     ma_algorithm,
     mae,
@@ -73,7 +72,7 @@ class TestMemberMatrix:
         calls.clear()
         wl = ExhaustiveWeakLearner(cls, rho=0.01, sigma=0.01)
         for _ in range(3):
-            wl.query(exact_residual_access(engine, np.full(dist.n, 0.5)))
+            wl.query(engine, engine.ystar - np.full(dist.n, 0.5))
         mae(ConstantPredictor(0.5), cls, engine)
         assert engine.member_matrix(cls) is M
         assert calls == []  # no member evaluated again after the first build
@@ -86,9 +85,8 @@ class TestMemberMatrix:
         pred = random_predictor(rng, dist)
         pv = pred.values(dist.points)
         wl = ExhaustiveWeakLearner(cls, rho=0.01, sigma=0.01)
-        cached = exact_residual_access(engine, pv)
-        fresh = ResidualAccess(ExpectationEngine.exact(dist), cached.z)
-        assert wl.query(cached) == wl.query(fresh)
+        z = engine.ystar - pv
+        assert wl.query(engine, z) == wl.query(ExpectationEngine.exact(dist), z)
 
 
 class TestWeakLearner:
@@ -98,14 +96,12 @@ class TestWeakLearner:
         engine = ExpectationEngine.exact(dist)
         cls = random_class(rng, dist, 3)
         wl = ExhaustiveWeakLearner(cls, rho=0.1, sigma=0.05)
-        access = exact_residual_access(engine, dist.bayes.copy())
-        assert wl.query(access) is None
+        assert wl.query(engine, engine.ystar - dist.bayes.copy()) is None
 
     def test_returns_correlated_member(self):
         dist, engine, cls = single_point_instance()
         wl = ExhaustiveWeakLearner(cls, rho=0.1, sigma=0.1)
-        access = exact_residual_access(engine, ConstantPredictor(0.2).values(dist.points))
-        picked = wl.query(access)
+        picked = wl.query(engine, engine.ystar - ConstantPredictor(0.2).values(dist.points))
         assert picked is not None
         h, corr = picked
         assert corr >= 0.1
@@ -128,14 +124,14 @@ class TestWeakLearner:
             pred = random_predictor(rng, dist)
             wl = ExhaustiveWeakLearner(cls, rho=sigma, sigma=sigma)
             exact_best = max(
-                exact_residual_access(engine, pred.values(dist.points)).correlation(h) for h in cls
+                float(correlate(engine.weights, engine.ystar - pred.values(dist.points), h.values(engine.X)))
+                for h in cls
             )
             if abs(exact_best - sigma) < sigma:  # only decide well-separated cases
                 continue
             sampler = DistributionSampler(dist, seed=seed)
             fresh = sampler.draw(20000)
-            access = exact_residual_access(fresh, pred.values(fresh.X))
-            got = wl.query(access)
+            got = wl.query(fresh, fresh.ystar - pred.values(fresh.X))
             assert (got is not None) == (exact_best >= sigma)
 
 
@@ -195,7 +191,7 @@ class TestMaAlgorithm:
         dist, engine, cls = single_point_instance()
 
         class NeverDeclines(ExhaustiveWeakLearner):
-            def query(self, residual):
+            def query(self, engine, z):
                 return cls.member("1"), self.sigma
 
         wl = NeverDeclines(cls, rho=0.1, sigma=0.1)
@@ -212,6 +208,11 @@ class TestL1GlmFit:
         cls = make_class([])  # constants only
         fit = l1_glm_fit(cls, sigmoid_glm(), alpha=0.1, data=data)
         assert all(w == 0.0 for w in fit.weights.values())
+
+    def test_negative_alpha_refused(self):
+        data = Dataset(np.zeros((4, 1)), [0, 1, 0, 1])
+        with pytest.raises(ValueError, match="alpha must be nonnegative"):
+            l1_glm_fit(make_class([]), sigmoid_glm(), alpha=-0.1, data=data)
 
     def test_scalar_kkt_solution(self):
         # constants only, label mean 0.7, alpha 0.1: fitted value is 0.6
