@@ -237,7 +237,12 @@ def _fit_l2(design: _Design, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
 
 
 def _fit_logistic(design: _Design, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """Damped Newton steps until the gradient norm is at most ``_BASELINE_TOL``, 200 at most."""
+    """Damped Newton steps until the gradient norm is at most ``_BASELINE_TOL``, 200 at most.
+
+    Scores that strictly separate the labels are never a minimizer: scaling the
+    coefficients up lowers the loss further, so such a fit reports
+    ``converged=False`` whatever its gradient norm.  Quasi-complete separation
+    (a score of exactly 0 on some rows) is not detected."""
     X1 = design.X1t.T.copy()  # C-ordered [X, 1]; the steps solve systems of their own and factor nothing
     n, k = X1.shape
     beta = np.zeros(k)
@@ -264,7 +269,8 @@ def _fit_logistic(design: _Design, y: np.ndarray) -> tuple[np.ndarray, float, bo
         while g @ step > 2e-12 and value(X1 @ (beta - t_step * step)) > v0 - 1e-12 and t_step > 1e-8:
             t_step *= 0.5
         beta = beta - t_step * step
-    return beta, gnorm, gnorm <= _BASELINE_TOL
+    separated = bool(np.all((t > 0) == (y == 1)))
+    return beta, gnorm, gnorm <= _BASELINE_TOL and not separated
 
 
 _ON_KINK = 1e-12  # a residual this small sits on its kink of |r| and exp(|r|)
@@ -518,7 +524,8 @@ def fit_linear_baseline(loss_name: str, data: Dataset) -> LinearBaseline:
     residual's correlation with the features, and for the exp and l1 fits the
     multipliers on their zero residuals, clipped to [-1, 1], certify theirs.
     The log, exp and l1 fits have converged when that norm is at most 1e-9
-    within their step caps.
+    within their step caps, and the log fit only when its scores do not
+    strictly separate the labels.
     """
     if loss_name not in _FITS:
         raise ValueError(f"unknown baseline loss {loss_name!r}")

@@ -114,18 +114,12 @@ def correlate(weights: np.ndarray, resid: np.ndarray, G: np.ndarray):
 
 
 def value_matrix(fns: Iterable, arg: np.ndarray) -> np.ndarray:
-    """C-contiguous n x k matrix whose column j is ``fns[j].values(arg)``.  A
-    class from ``coordinate_class`` writes it in one pass through its builder,
-    bit for bit the same; other members are evaluated one at a time."""
+    """C-contiguous n x k matrix whose column j is ``fns[j].values(arg)``,
+    written by the class's ``fill``; a plain sequence is wrapped in a class."""
     X = np.atleast_2d(np.asarray(arg, dtype=np.float64))
-    fill = fns._fill if isinstance(fns, HypothesisClass) else None
-    fns = list(fns)
-    out = np.empty((len(X), len(fns)))
-    if fill is None:
-        for j, f in enumerate(fns):
-            out[:, j] = f.values(X)
-    else:
-        fill(X, out)
+    h = _as_class(fns)
+    out = np.empty((len(X), len(h)))
+    h.fill(X, out)
     return out
 
 
@@ -313,8 +307,7 @@ class ExpectationEngine:
 
     Its member cache is keyed by the members: one entry per distinct member
     sequence, which holds them for the engine's life.  Member correlations go
-    through ``correlations``: a class from ``interval_class`` past
-    ``_DENSE_MAX`` entries reads its cell index, every other the dense matrix.
+    through ``correlations``, which asks the class how to compute them.
     """
 
     X: np.ndarray
@@ -342,19 +335,14 @@ class ExpectationEngine:
     def member_matrix(self, hypotheses: "HypothesisClass | Iterable[Hypothesis]") -> np.ndarray:
         """Read-only, C-contiguous n x k matrix of a class's or any sequence's k
         hypotheses on ``X``, cached by the tuple of their ids and built on the
-        first call by ``value_matrix`` (in one pass for a class from
-        ``coordinate_class``, member by member for any other, bit for bit alike)."""
-        h = hypotheses if isinstance(hypotheses, HypothesisClass) else HypothesisClass(tuple(hypotheses))
+        first call by ``value_matrix`` through the class's ``fill``."""
+        h = _as_class(hypotheses)
         hit = self._members.get(h._key)  # the hit inline: weak-learner queries on small engines call this most
         return self._cached(h._key, h.members, lambda X: value_matrix(h, X)) if hit is None else hit[1]
 
-    def correlations(self, hclass: "HypothesisClass", v: np.ndarray) -> np.ndarray:
-        """``v @ member_matrix(hclass)``, or past ``_DENSE_MAX`` entries the sums
-        of ``v`` per cell, in row order, from a class's cached cell index."""
-        cells = getattr(hclass, "_cells", None)
-        if cells is None or len(self.X) * len(hclass.members) <= _DENSE_MAX:
-            return v @ self.member_matrix(hclass)
-        return cells[1](self._cached((id(hclass), "cells"), hclass, cells[0]), v)
+    def correlations(self, hclass: "HypothesisClass | Iterable[Hypothesis]", v: np.ndarray) -> np.ndarray:
+        """``v @ member_matrix(hclass)``, as the class's ``correlations`` computes it."""
+        return _as_class(hclass).correlations(self, v)
 
     def _cached(self, key, holder, build: Callable) -> np.ndarray:
         hit = self._members.get(key)
@@ -404,16 +392,11 @@ def constant_one() -> Hypothesis:
 @dataclass(frozen=True)
 class HypothesisClass:
     """Members in a fixed order, and ``_key``, the tuple of their ids, computed
-    once: the key of an engine's member cache.  Only a class from
-    ``coordinate_class`` carries the builder ``_fill(X, out)`` that
-    ``value_matrix`` calls: it writes every member's values on ``X`` into
-    ``out`` at once.  Only a class from ``interval_class`` (without repeated
-    tags) carries ``_cells``: its cell index builder ``index(X)`` and
-    ``dot(index, v)``, the members' correlations with ``v``."""
+    once: the key of an engine's member cache.  ``fill`` and ``correlations``
+    say how the class writes its member matrix and correlates its members with
+    a vector; ``coordinate_class`` and ``interval_class`` override one each."""
 
     members: tuple
-    _fill: Callable | None = field(default=None, init=False, repr=False, compare=False)
-    _cells: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -435,6 +418,19 @@ class HypothesisClass:
     def max_bound(self) -> float:
         return max(m.range_bound for m in self.members)
 
+    def fill(self, X: np.ndarray, out: np.ndarray) -> None:
+        """Write member j's values on the rows ``X`` into column j of ``out``."""
+        for j, h in enumerate(self.members):
+            out[:, j] = h.values(X)
+
+    def correlations(self, engine: ExpectationEngine, v: np.ndarray) -> np.ndarray:
+        """``v @`` the members' matrix on the engine's rows, from its cache."""
+        return v @ engine.member_matrix(self)
+
+
+def _as_class(hypotheses: HypothesisClass | Iterable[Hypothesis]) -> HypothesisClass:
+    return hypotheses if isinstance(hypotheses, HypothesisClass) else HypothesisClass(tuple(hypotheses))
+
 
 def make_class(members: Iterable[Hypothesis]) -> HypothesisClass:
     """Build a class from ``members``, the constant 1 and every negation, which
@@ -453,23 +449,27 @@ def _closed_class(lead: list[Hypothesis]) -> HypothesisClass:
     return HypothesisClass(tuple(members.values()))
 
 
+@dataclass(frozen=True)
+class _Coordinates(HypothesisClass):
+    """A class from ``coordinate_class``: ``fill`` writes its matrix in one pass, bit for bit the members' values."""
+
+    divisors: np.ndarray = field(repr=False, compare=False)
+
+    def fill(self, X: np.ndarray, out: np.ndarray) -> None:
+        dim = len(self.divisors)
+        np.divide(X[:, :dim], self.divisors, out=out[:, :dim])
+        out[:, dim] = 1.0
+        np.negative(out[:, : dim + 1], out=out[:, dim + 1 :])
+
+
 def coordinate_class(dim: int, scales: Sequence[float] | None = None) -> HypothesisClass:
-    """Coordinate projections x_j / scale_j, bounded by 1 on the scaled domain.
-    Its builder ``_fill`` divides the coordinates by their scales, sets the
-    constant column and negates the leading block into the trailing one."""
+    """Coordinate projections x_j / scale_j, bounded by 1 on the scaled domain."""
     divisors = np.ones(dim) if scales is None else np.array(scales, dtype=np.float64)
     if divisors.shape != (dim,) or not np.all(np.isfinite(divisors) & (divisors > 0)):
         raise ValueError(f"scales must be {dim} finite, positive numbers")
     hclass = _closed_class([Hypothesis(lambda X, j=j, s=float(s): np.atleast_2d(X)[:, j] / s, 1.0, f"x{j}")
                             for j, s in enumerate(divisors)])
-
-    def fill(X: np.ndarray, M: np.ndarray) -> None:
-        np.divide(X[:, :dim], divisors, out=M[:, :dim])
-        M[:, dim] = 1.0
-        np.negative(M[:, : dim + 1], out=M[:, dim + 1 :])
-
-    object.__setattr__(hclass, "_fill", fill)
-    return hclass
+    return _Coordinates(hclass.members, divisors)
 
 
 def lin_combination(cls: HypothesisClass, weights: Mapping[str, float], budget: float) -> Hypothesis:
@@ -513,6 +513,29 @@ def level_class(cls: HypothesisClass, points: np.ndarray) -> HypothesisClass:
     return _derived_class(cls, levels)
 
 
+@dataclass(frozen=True)
+class _Intervals(HypothesisClass):
+    """Interval indicators in the order of their base: ``ncells`` per base member, the constant, then
+    the negations.  ``index(X)`` has one row per base member: the cell of each row of ``X``."""
+
+    index: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
+    ncells: int = field(repr=False, compare=False)
+
+    def correlations(self, engine: ExpectationEngine, v: np.ndarray) -> np.ndarray:
+        """Up to ``_DENSE_MAX`` entries as any class; past it the sums of ``v`` per cell, in row order."""
+        if len(engine.X) * len(self.members) <= _DENSE_MAX:
+            return super().correlations(engine, v)
+        index = engine._cached((id(self), "cells"), self, self.index)
+        k = len(index) * self.ncells
+        out = np.empty(len(self))
+        for j, cells_j in enumerate(index):  # row j: the cells of base member j
+            out[j * self.ncells : (j + 1) * self.ncells] = np.bincount(cells_j, weights=v, minlength=self.ncells)
+        # the constant sums v in row order, as does the cell that holds every row of a member
+        out[k] = np.cumsum(v)[-1]
+        np.negative(out[: k + 1], out=out[k + 1 :])
+        return out
+
+
 def interval_class(cls: HypothesisClass, delta: float) -> HypothesisClass:
     """Indicators of each member falling in a width-``delta`` subinterval.
 
@@ -524,36 +547,25 @@ def interval_class(cls: HypothesisClass, delta: float) -> HypothesisClass:
     for m in cls.members:
         if m.range_bound > 1 + 1e-9:
             raise ValueError("interval_class requires members bounded in [-1, 1]")
-    m_cells = int(math.ceil(2.0 / delta - 1e-9))
-    cells = [f"[{lo:.6g},{min(lo + delta, 1.0):.6g})" for lo in (-1.0 + j * delta for j in range(m_cells))]
+    ncells = int(math.ceil(2.0 / delta - 1e-9))
+    cells = [f"[{lo:.6g},{min(lo + delta, 1.0):.6g})" for lo in (-1.0 + j * delta for j in range(ncells))]
 
     def cell_of(values: np.ndarray) -> np.ndarray:
         idx = np.floor((values + 1.0) / delta).astype(int)
-        return np.clip(idx, 0, m_cells - 1)
+        return np.clip(idx, 0, ncells - 1)
 
     hclass = _derived_class(cls, lambda h: [
         h.map(lambda u, j=j: (cell_of(u) == j).astype(float), 1.0, f"int({h.tag},{cell})")
         for j, cell in enumerate(cells)
     ])
     base = [j for j, m in enumerate(cls.members) if not m.tag.startswith("-")]
-    k = len(base) * m_cells
-    if len(hclass) < 2 * (k + 1):  # a tag was dropped: the columns no longer follow the base block
+    if len(hclass) < 2 * (len(base) * ncells + 1):  # a tag was dropped: the columns no longer follow the base block
         return hclass
 
     def index(X: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(cell_of(value_matrix(cls, X)[:, base]).T)
 
-    def dot(index: np.ndarray, v: np.ndarray) -> np.ndarray:
-        out = np.empty(len(hclass))
-        for j, cells_j in enumerate(index):  # row j: the cells of base member j
-            out[j * m_cells : (j + 1) * m_cells] = np.bincount(cells_j, weights=v, minlength=m_cells)
-        # the constant sums v in row order, as does the cell that holds every row of a member
-        out[k] = np.cumsum(v)[-1]
-        np.negative(out[: k + 1], out=out[k + 1 :])
-        return out
-
-    object.__setattr__(hclass, "_cells", (index, dot))
-    return hclass
+    return _Intervals(hclass.members, index, ncells)
 
 
 def power_class(cls: HypothesisClass, d: int) -> HypothesisClass:

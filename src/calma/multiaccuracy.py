@@ -86,8 +86,11 @@ class ExhaustiveWeakLearner:
     def query(self, engine: ExpectationEngine, z: np.ndarray) -> tuple[Hypothesis, float] | None:
         """The member best correlated with the residual ``z`` under ``engine``: under an
         exact engine f(x) = p*(x) - p(x) itself, under an empirical one the label y - p(x),
-        whose conditional mean is f(x).  Member correlations come from the engine's cache."""
+        whose conditional mean is f(x).  Member correlations come from the engine's cache.
+        A class without members declines: no member reaches sigma."""
         corr = engine.correlations(self.hclass, engine.weights * z)
+        if len(corr) == 0:
+            return None
         best = int(np.argmax(corr))
         if corr[best] >= self.sigma - _WL_TIE_TOL:
             return self.hclass.members[best], float(corr[best])

@@ -111,6 +111,16 @@ class TestBaselines:
             want = np.concatenate([ref.w, np.array([3.7, 1.0]) * ref.b / (1 + 3.7**2)])
         assert np.max(np.abs(np.append(fit.w, fit.b) - want)) <= 1e-9 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_logistic_on_separable_data_does_not_converge(self, seed):
+        # 8 mixture rows tiled 40 times are linearly separable: the logistic loss has no minimizer,
+        # although the Newton steps reach a gradient norm below 1e-9 at a large ||w||
+        train, _, _ = gen_gaussian_mixture(MixtureConfig(s=4, d=10, seed=seed))
+        data = Dataset(np.tile(train.X[:8], (40, 1)), np.tile(train.y[:8], 40))
+        fit = fit_linear_baseline("log", data)
+        assert np.all((fit.score(data.X) > 0) == (data.y == 1))
+        assert not fit.converged and fit.grad_norm <= 1e-9
+
     def test_logistic_on_fewer_distinct_rows_than_coefficients(self):
         # 3 distinct rows, 5 coefficients: the fit meets each row's label mean and has no
         # component in the null space of the rows

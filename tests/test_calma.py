@@ -13,6 +13,7 @@ from calma.core import (
     ConstantPredictor,
     ExpectationEngine,
     FiniteDistribution,
+    HypothesisClass,
     TablePredictor,
     bayes_predictor,
     coordinate_class,
@@ -53,6 +54,15 @@ class TestTermination:
         assert trace.outer_iterations == 1
         assert not trace.rounds[0].recalibrated
         assert trace.rounds[0].wl_updates == 0
+
+    def test_empty_class_ends_after_one_declined_query(self):
+        # the weak learner declines on a class without members, so the first round only recalibrates
+        dist = FiniteDistribution(np.array([[0.0], [1.0]]), [0.5, 0.5], [0.3, 0.7])
+        alpha = 0.2
+        pred, trace = calma(ConstantPredictor(0.5), alpha, make_wl(HypothesisClass(()), alpha),
+                            ExpectationEngine.exact(dist))
+        assert trace.outer_iterations == 1 and trace.total_wl_calls == 1 and trace.total_updates == 0
+        assert trace.final_ece == pytest.approx(alpha**2 / 32, abs=1e-12) and trace.final_mae == 0.0
 
     def test_parity_instance_terminates_first_round(self):
         # coordinates are uncorrelated with the parity residual and the

@@ -89,7 +89,55 @@ class TestMemberMatrix:
         assert wl.query(engine, z) == wl.query(ExpectationEngine.exact(dist), z)
 
 
+class TestClassInterface:
+    """A class answers ``fill`` and ``correlations`` itself: ``value_matrix``, the engine, ``mae``
+    and the weak learner read what a subclass answers, whatever its members' values are."""
+
+    dist = FiniteDistribution(np.array([[0.0], [1.0], [2.0]]), [0.25, 0.25, 0.5], [0.2, 0.6, 0.9])
+    members = tuple(Hypothesis(lambda X, j=j: np.atleast_2d(X)[:, 0] * j / 4, 1.0, f"c{j}") for j in range(3))
+
+    def test_value_matrix_and_the_member_matrix_call_fill(self):
+        filled = []
+
+        class Filled(HypothesisClass):
+            def fill(self, X, out):
+                filled.append(len(X))
+                out[:] = 0.25  # not the members' values
+
+        cls = Filled(self.members)
+        assert np.array_equal(value_matrix(cls, self.dist.points), np.full((3, 3), 0.25))
+        engine = ExpectationEngine.exact(self.dist)
+        assert np.array_equal(engine.member_matrix(cls), np.full((3, 3), 0.25))
+        assert engine.member_matrix(cls) is engine.member_matrix(cls)
+        assert filled == [3, 3]
+
+    def test_the_engine_mae_and_the_weak_learner_read_correlations(self):
+        asked = []
+
+        class Answering(HypothesisClass):
+            def correlations(self, engine, v):
+                asked.append(len(v))
+                return np.array([0.0, 0.3, -0.5])  # not the members' correlations
+
+        cls = Answering(self.members)
+        engine = ExpectationEngine.exact(self.dist)
+        assert engine.correlations(cls, np.ones(3)).tolist() == [0.0, 0.3, -0.5]
+        assert mae(ConstantPredictor(0.5), cls, engine) == 0.5
+        assert ExhaustiveWeakLearner(cls, rho=0.2, sigma=0.2).query(engine, np.zeros(3)) == (cls.members[1], 0.3)
+        assert ExhaustiveWeakLearner(cls, rho=0.4, sigma=0.4).query(engine, np.zeros(3)) is None
+        assert asked == [3, 3, 3, 3]
+        assert engine._members == {}  # no member matrix was built
+
+
 class TestWeakLearner:
+    def test_declines_on_an_empty_class(self):
+        # no member reaches sigma, so the contract's escape clause holds vacuously
+        dist, engine, _ = single_point_instance()
+        wl = ExhaustiveWeakLearner(HypothesisClass(()), rho=0.1, sigma=0.1)
+        assert wl.query(engine, engine.ystar - ConstantPredictor(0.2).values(dist.points)) is None
+        result = ma_algorithm(ConstantPredictor(0.2), 0.1, wl, engine)
+        assert result.updates == () and result.wl_calls == 1
+
     def test_declines_on_zero_residual(self):
         rng = np.random.default_rng(1)
         dist = random_distribution(rng)
