@@ -57,9 +57,6 @@ _EXPORTS = {
     "training": ("CalmaConfig", "CalmaTrace", "calma"),
     "audit": (
         "audit_family",
-        "decision_oi_gap",
-        "hypothesis_oi_gap",
-        "loss_oi_gap",
         "omni_regret",
         "parity_counterexample",
         "pythagorean_residual",

@@ -49,7 +49,7 @@ import numpy as np
 
 from .calibration import discretize, ece, isotonic_fit, recalibrate_with_engine
 from .core import AddLinearStage, ConstantPredictor, Dataset, ExpectationEngine, PipelinePredictor, clip01
-from .losses import _softplus, exp_loss, lp_loss, sigmoid_glm, squared_loss, truncated_decision
+from .losses import exp_loss, lp_loss, sigmoid_glm, squared_loss, truncated_decision
 
 __all__ = [
     "CenterPlacementError",
@@ -246,14 +246,13 @@ def _fit_logistic(design: _Design, y: np.ndarray) -> tuple[np.ndarray, float, bo
     X1 = design.X1t.T.copy()  # C-ordered [X, 1]; the steps solve systems of their own and factor nothing
     n, k = X1.shape
     beta = np.zeros(k)
-    from scipy.special import expit
 
     def value(t):
-        return float(np.mean(_softplus(t) - y * t))
+        return float(np.mean(_LOGISTIC.g(t) - y * t))
 
     for steps in range(201):
         t = X1 @ beta
-        mu = expit(t)
+        mu = _LOGISTIC.gprime(t)
         g = X1.T @ (mu - y) / n
         gnorm = float(np.linalg.norm(g))
         if gnorm <= _BASELINE_TOL or steps == 200:

@@ -49,6 +49,32 @@ class _Float(click.FloatRange):
         return rv
 
 
+class _OutPath(click.Path):
+    """A path the command writes, checked before any work starts: a file
+    (``dir_okay=False``) goes into an existing, writable directory; a directory
+    (``file_okay=False``) exists, or its nearest existing ancestor is a writable
+    directory to make it in.  An empty path writes nothing and passes."""
+
+    def __init__(self, **kwargs):
+        super().__init__(writable=True, **kwargs)
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)  # an existing path of the wrong kind or unwritable fails here
+        if not rv or os.path.exists(rv):
+            return rv
+        parent = os.path.dirname(rv) or os.curdir
+        if not self.file_okay:  # makedirs makes the missing ancestors
+            while not os.path.exists(parent):
+                parent = os.path.dirname(parent) or os.curdir
+        if not os.path.exists(parent):
+            self.fail(f"directory {parent!r} does not exist.", param, ctx)
+        if not os.path.isdir(parent):
+            self.fail(f"{parent!r} is not a directory.", param, ctx)
+        if not os.access(parent, os.W_OK):
+            self.fail(f"directory {parent!r} is not writable.", param, ctx)
+        return rv
+
+
 def _build_class(spec: str, X: np.ndarray) -> tuple[HypothesisClass, dict]:
     """Resolve a --class spec against data; 'coords' scales each coordinate
     by its max absolute value so members are bounded by 1."""
@@ -128,7 +154,7 @@ def main():
 @click.option("--n-cal", default=1000, type=click.IntRange(min=1), show_default=True)
 @click.option("--n-test", default=10000, type=click.IntRange(min=1), show_default=True)
 @click.option("--seed", default=0, type=click.IntRange(min=0), show_default=True)
-@click.option("--out-dir", default=".", show_default=True)
+@click.option("--out-dir", default=".", show_default=True, type=_OutPath(file_okay=False))
 def gen(s, d, n_train, n_cal, n_test, seed, out_dir):
     """Emit train/cal/test CSV splits of the Gaussian-mixture benchmark."""
     from .bench import CenterPlacementError, MixtureConfig, gen_gaussian_mixture
@@ -150,8 +176,9 @@ def gen(s, d, n_train, n_cal, n_test, seed, out_dir):
 @click.option("--class", "class_spec", default="coords", show_default=True)
 @click.option("--alpha", default=0.1, type=_Float(0, 1, min_open=True), show_default=True)
 @click.option("--seed", default=0, type=click.IntRange(min=0), show_default=True)
-@click.option("--out", "out_path", default="model.json", show_default=True)
-@click.option("--trace", "trace_path", default="trace.json", show_default=True, help="training trace file")
+@click.option("--out", "out_path", default="model.json", show_default=True, type=_OutPath(dir_okay=False))
+@click.option("--trace", "trace_path", default="trace.json", show_default=True, type=_OutPath(dir_okay=False),
+              help="training trace file")
 def train(data_path, class_spec, alpha, seed, out_path, trace_path):
     """Train a calibrated multiaccurate predictor on a CSV dataset."""
     from .multiaccuracy import ExhaustiveWeakLearner
@@ -188,7 +215,7 @@ def train(data_path, class_spec, alpha, seed, out_path, trace_path):
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True))
 @click.option("--losses", default="l1,l2,l4", show_default=True)
 @click.option("--class", "class_spec", default=None, help="audit class override; defaults to the model's")
-@click.option("--out", "out_path", default="report.json", show_default=True)
+@click.option("--out", "out_path", default="report.json", show_default=True, type=_OutPath(dir_okay=False))
 @click.option("--clamp", default=1e-9, type=_Float(0, 0.5, max_open=True), show_default=True,
               help="keep glm decisions finite")
 def audit(model_path, data_path, losses, class_spec, out_path, clamp):
@@ -265,7 +292,7 @@ def baseline(loss_name, data_path, test_path):
 @click.option("--seeds", default=5, type=click.IntRange(min=1), show_default=True, help="number of seeds (0..n-1)")
 @click.option("--recal", default="isotonic", type=click.Choice(["isotonic", "bucket"]), show_default=True)
 @click.option("--tolerance", default=0.05, type=_Float(min=0), show_default=True)
-@click.option("--out", "out_path", default=None, help="table file: .json, .csv or .md")
+@click.option("--out", "out_path", default=None, type=_OutPath(dir_okay=False), help="table file: .json, .csv or .md")
 def bench(s, d, alpha, seeds, recal, tolerance, out_path):
     """Run the multi-seed benchmark table and gate the trained predictor
     against each per-loss baseline."""

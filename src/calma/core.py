@@ -644,7 +644,7 @@ class TablePredictor(Predictor):
             raise ValueError("points and values must be nonempty and of equal length")
         self._points = pts
         self._values = clip01(vals)
-        keys = _row_keys(pts)
+        keys = _row_keys(pts + 0.0)  # -0.0 + 0.0 is +0.0: both zeros are one point
         order = np.argsort(keys, kind="stable")
         last = np.append(keys[order[1:]] != keys[order[:-1]], True)  # last of each run of equal rows
         self._keys = keys[order[last]]
@@ -654,7 +654,7 @@ class TablePredictor(Predictor):
         X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
         if X.shape[1] != self._points.shape[1]:
             raise ValueError("point outside the table predictor's domain")
-        keys = _row_keys(X)
+        keys = _row_keys(X + 0.0)
         idx = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
         if not np.all(self._keys[idx] == keys):
             raise ValueError("point outside the table predictor's domain")

@@ -185,13 +185,8 @@ def lp_loss(p: float) -> Loss:
 
 def squared_loss() -> Loss:
     """Unnormalized squared error (y - t)^2 with the identity decision."""
-    return Loss(
-        at0=lambda t: np.asarray(t) ** 2,
-        at1=lambda t: (1.0 - np.asarray(t)) ** 2,
-        action_domain=(0.0, 1.0),
-        name="sq",
-        kfn=lambda q: np.asarray(q, dtype=np.float64),
-    )
+    at0, at1 = _curves(lambda d, out: np.multiply(d, d, out=out))
+    return Loss(at0, at1, action_domain=(0.0, 1.0), name="sq", kfn=lambda q: np.asarray(q, dtype=np.float64))
 
 
 def exp_loss() -> Loss:

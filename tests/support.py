@@ -5,10 +5,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import warnings
 
 import numpy as np
 
-from calma.audit import _LIPSCHITZ_KNOTS, _interp_loss
+from calma.audit import _LIPSCHITZ_KNOTS, _interp_loss, audit_family
 from calma.bench import _BASELINE_TOL, _EXP_MAX_STEPS, _L1_MAX_STEPS, _ON_KINK, _Design, _fit_l2, _l1_line_search
 from calma.core import (
     STAGES,
@@ -415,6 +416,15 @@ def l1_tilt(r: np.ndarray, q: np.ndarray) -> np.ndarray:
     left its kink in the direction -q_i).  The third argument of
     ``bench._l1_line_search`` for a bare (r, q)."""
     return np.where(r == 0.0, -np.sign(q), np.sign(r))
+
+
+def audit_row(pred, loss, hyp, engine) -> dict:
+    """The one row of ``audit.audit_family`` for (loss, hyp), keyed by the
+    report's pair fields: ``hypothesis_gap``, ``decision_gap``, ``loss_gap``.
+    Drops the warning of a loss whose discrete derivative exceeds 1."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", ".*on its action domain", UserWarning)
+        return audit_family(pred, [loss], [hyp], engine).to_dict()["pairs"][0]
 
 
 def reference_audit_rows(pred, losses, hypotheses, engine) -> tuple:

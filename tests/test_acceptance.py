@@ -6,9 +6,6 @@ import time
 import numpy as np
 
 from calma.audit import (
-    decision_oi_gap,
-    hypothesis_oi_gap,
-    loss_oi_gap,
     omni_regret,
     parity_counterexample,
     pythagorean_residual,
@@ -29,6 +26,7 @@ from calma.core import (
     ExpectationEngine,
     Hypothesis,
     bayes_predictor,
+    constant_one,
     distance,
     interval_class,
     lin_combination,
@@ -38,6 +36,7 @@ from calma.multiaccuracy import ExhaustiveWeakLearner, l1_glm_fit, ma_algorithm,
 from calma.training import calma
 
 from support import (
+    audit_row,
     bernoulli_dataset,
     random_class,
     random_distribution,
@@ -79,9 +78,8 @@ def test_criterion_02_decomposition_identity():
         dist, engine, cls, pred = random_audit_instance(rng, max_points=21)
         loss = get_loss(REGISTRY[int(rng.integers(len(REGISTRY)))])
         h = cls.members[int(rng.integers(len(cls)))]
-        lg = loss_oi_gap(pred, loss, h, engine)
-        hg = hypothesis_oi_gap(pred, loss, h, engine)
-        dg = decision_oi_gap(pred, loss, engine)
+        row = audit_row(pred, loss, h, engine)  # its loss gap correlates the excess derivative directly
+        lg, hg, dg = row["loss_gap"], row["hypothesis_gap"], row["decision_gap"]
         worst = max(worst, abs(lg - (hg - dg)))
     assert worst <= 1e-12
     note(2, f"loss gap = hypothesis gap - decision gap on 500 instances (worst {worst:.2e})")
@@ -98,10 +96,11 @@ def test_criterion_03_characterizations():
             for c in cls.members
         ]
         hyp_bound = mae(pred, derived, engine)
-        worst_hyp = max(abs(hypothesis_oi_gap(pred, loss, c, engine)) for c in cls.members)
+        worst_hyp = max(abs(audit_row(pred, loss, c, engine)["hypothesis_gap"]) for c in cls.members)
         w = lambda v, l=loss: l.partial(l.decision(v))
         ce_bound = weighted_ce(pred, [w], engine)
-        if worst_hyp > hyp_bound + 1e-12 or abs(decision_oi_gap(pred, loss, engine)) > ce_bound + 1e-12:
+        dec_gap = audit_row(pred, loss, constant_one(), engine)["decision_gap"]
+        if worst_hyp > hyp_bound + 1e-12 or abs(dec_gap) > ce_bound + 1e-12:
             violations += 1
     assert violations == 0
     note(3, "hypothesis/decision gaps bounded by derived-class MAE/CE on 500 instances")
@@ -191,7 +190,7 @@ def test_criterion_08_pythagorean_identity_and_bound():
             if glm.transfer_name == "sigmoid":
                 h = Hypothesis(lambda X, h=h: 0.9 * h.values(X), 0.9, h.tag)
             res = pythagorean_residual(pred, glm, h, engine)
-            gap = loss_oi_gap(pred, glm, h, engine)
+            gap = audit_row(pred, glm, h, engine)["loss_gap"]
             assert abs(res - gap) <= 1e-9
 
     # after training: residuals over budgeted combinations stay within
@@ -231,7 +230,7 @@ def test_criterion_09_general_loss_routes():
             loss = random_bounded_loss(rng)
             for c in cls.members:
                 if not c.tag.startswith("-"):
-                    assert abs(loss_oi_gap(pred, loss, c, engine)) <= 4 * alpha + 1e-9
+                    assert abs(audit_row(pred, loss, c, engine)["loss_gap"]) <= 4 * alpha + 1e-9
 
     # interval indicators: alpha^2-multiaccuracy controls Lipschitz losses by 3 alpha
     alpha = 0.3
@@ -248,7 +247,7 @@ def test_criterion_09_general_loss_routes():
             loss = random_lipschitz_loss(local)
             for c in cls.members:
                 if not c.tag.startswith("-"):
-                    assert abs(hypothesis_oi_gap(pred, loss, c, engine)) <= 3 * alpha + 1e-9
+                    assert abs(audit_row(pred, loss, c, engine)["hypothesis_gap"]) <= 3 * alpha + 1e-9
     note(9, "Boolean 4-alpha and interval 3-alpha loss-gap routes hold with zero violations")
 
 

@@ -13,9 +13,6 @@ from calma import audit, core
 from calma.audit import (
     _sim_lp,
     audit_family,
-    decision_oi_gap,
-    hypothesis_oi_gap,
-    loss_oi_gap,
     omni_regret,
     parity_counterexample,
     parity_distribution,
@@ -35,6 +32,7 @@ from calma.core import (
     HypothesisClass,
     Predictor,
     bayes_predictor,
+    constant_one,
     coordinate_class,
     interval_class,
     lin_combination,
@@ -45,6 +43,7 @@ from calma.multiaccuracy import ExhaustiveWeakLearner, ma_algorithm, mae
 from calma.training import calma
 
 from support import (
+    audit_row,
     random_class,
     random_distribution,
     random_predictor,
@@ -74,9 +73,10 @@ class TestGapBasics:
         for name in ("l2", "l4", "exp"):
             loss = get_loss(name)
             for h in cls.members[:3]:
-                assert abs(hypothesis_oi_gap(pred, loss, h, engine)) <= 1e-12
-                assert abs(loss_oi_gap(pred, loss, h, engine)) <= 1e-12
-            assert abs(decision_oi_gap(pred, loss, engine)) <= 1e-12
+                row = audit_row(pred, loss, h, engine)
+                assert abs(row["hypothesis_gap"]) <= 1e-12
+                assert abs(row["loss_gap"]) <= 1e-12
+            assert abs(audit_row(pred, loss, constant_one(), engine)["decision_gap"]) <= 1e-12
 
     def test_decision_gap_vanishes_when_calibrated(self):
         rng = np.random.default_rng(1)
@@ -84,7 +84,7 @@ class TestGapBasics:
         engine = ExpectationEngine.exact(dist)
         pred = bayes_predictor(dist)  # calibrated (it is the label mean)
         for name in SAFE_REGISTRY:
-            assert abs(decision_oi_gap(pred, get_loss(name), engine)) <= 1e-12
+            assert abs(audit_row(pred, get_loss(name), constant_one(), engine)["decision_gap"]) <= 1e-12
 
     def test_exact_mode_partial_identity(self):
         # the hypothesis gap equals E[(p - p*) partial(c(x))] pointwise
@@ -93,7 +93,7 @@ class TestGapBasics:
             dist, engine, cls, pred = random_audit_instance(rng)
             loss = get_loss("l4")
             h = cls.members[0]
-            gap = hypothesis_oi_gap(pred, loss, h, engine)
+            gap = audit_row(pred, loss, h, engine)["hypothesis_gap"]
             pv = pred.values(dist.points)
             direct = engine.expect((pv - dist.bayes) * loss.partial(h.values(dist.points)))
             assert gap == pytest.approx(direct, abs=1e-12)
@@ -107,9 +107,8 @@ class TestDecomposition:
             dist, engine, cls, pred = random_audit_instance(rng)
             loss = get_loss(SAFE_REGISTRY[int(rng.integers(len(SAFE_REGISTRY)))])
             h = cls.members[int(rng.integers(len(cls)))]
-            lg = loss_oi_gap(pred, loss, h, engine)
-            hg = hypothesis_oi_gap(pred, loss, h, engine)
-            dg = decision_oi_gap(pred, loss, engine)
+            row = audit_row(pred, loss, h, engine)
+            lg, hg, dg = row["loss_gap"], row["hypothesis_gap"], row["decision_gap"]
             assert abs(lg - (hg - dg)) <= 1e-12
             checked += 1
 
@@ -125,7 +124,7 @@ class TestCharacterizations:
                 for c in cls.members
             ]
             bound = mae(pred, derived, engine)
-            worst = max(abs(hypothesis_oi_gap(pred, loss, c, engine)) for c in cls.members)
+            worst = max(abs(audit_row(pred, loss, c, engine)["hypothesis_gap"]) for c in cls.members)
             assert worst <= bound + 1e-12
 
     def test_decision_gap_bounded_by_derived_ce(self):
@@ -135,7 +134,7 @@ class TestCharacterizations:
             loss = get_loss(SAFE_REGISTRY[int(rng.integers(len(SAFE_REGISTRY)))])
             w = lambda v, l=loss: l.partial(l.decision(v))
             bound = weighted_ce(pred, [w], engine)
-            assert abs(decision_oi_gap(pred, loss, engine)) <= bound + 1e-12
+            assert abs(audit_row(pred, loss, constant_one(), engine)["decision_gap"]) <= bound + 1e-12
 
 
 class TestOmniRegret:
@@ -153,7 +152,7 @@ class TestOmniRegret:
         for _ in range(100):
             dist, engine, cls, pred = random_audit_instance(rng)
             loss = get_loss(SAFE_REGISTRY[int(rng.integers(len(SAFE_REGISTRY)))])
-            gaps = [loss_oi_gap(pred, loss, c, engine) for c in cls.members]
+            gaps = [audit_row(pred, loss, c, engine)["loss_gap"] for c in cls.members]
             regret = omni_regret(pred, loss, cls.members, engine)
             assert max(gaps) >= regret - 1e-12
 
@@ -197,7 +196,7 @@ class TestPythagorean:
                 # keep the transferred score inside the dual's domain
                 h = Hypothesis(lambda X, h=h: 0.9 * h.values(X), 0.9, h.tag)
             res = pythagorean_residual(pred, glm, h, engine)
-            gap = loss_oi_gap(pred, glm, h, engine)
+            gap = audit_row(pred, glm, h, engine)["loss_gap"]
             assert abs(res - gap) <= 1e-9
 
     def test_vanishes_at_bayes(self):
@@ -254,7 +253,7 @@ class TestGeneralLossRoutes:
                 for c in cls.members:
                     if c.tag.startswith("-"):
                         continue
-                    assert abs(loss_oi_gap(pred, loss, c, engine)) <= 4 * alpha + 1e-9
+                    assert abs(audit_row(pred, loss, c, engine)["loss_gap"]) <= 4 * alpha + 1e-9
 
     def test_interval_class_controls_lipschitz_losses(self):
         # boosting to alpha^2 over the interval indicators bounds every
@@ -276,7 +275,7 @@ class TestGeneralLossRoutes:
                 for c in cls.members:
                     if c.tag.startswith("-"):
                         continue
-                    assert abs(hypothesis_oi_gap(pred, loss, c, engine)) <= 3 * alpha + 1e-9
+                    assert abs(audit_row(pred, loss, c, engine)["hypothesis_gap"]) <= 3 * alpha + 1e-9
 
 
 class TestRelaxedDecisions:
@@ -401,12 +400,15 @@ class TestAuditFamily:
         assert CountingPredictor.calls == 1
         assert decisions == {loss.name: 1 for loss in losses}
         monkeypatch.undo()
-        # the batched report agrees with the per-pair gap functions
-        for (_, tag, hg, dg, lg, _), (loss, h) in zip(report.rows, itertools.product(losses, cls.members)):
+        # the batched report agrees with the reference rows, computed on whole matrices
+        reference = reference_audit_rows(base, losses, cls.members, engine)
+        for (_, tag, hg, dg, lg, _), (_, _, rhg, rdg, rlg, _), (_, h) in zip(
+            report.rows, reference, itertools.product(losses, cls.members)
+        ):
             assert tag == h.tag
-            assert abs(hg - hypothesis_oi_gap(base, loss, h, engine)) <= 1e-12
-            assert abs(dg - decision_oi_gap(base, loss, engine)) <= 1e-12
-            assert abs(lg - loss_oi_gap(base, loss, h, engine)) <= 1e-12
+            assert abs(hg - rhg) <= 1e-12
+            assert abs(dg - rdg) <= 1e-12
+            assert abs(lg - rlg) <= 1e-12
 
     @staticmethod
     def _block_instance(engine_kind):

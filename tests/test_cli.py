@@ -366,6 +366,39 @@ def test_out_of_range_option_is_a_usage_error(runner, tmp_path, three_columns, a
 
 
 @pytest.mark.parametrize(
+    "args, option, reason",
+    [
+        (["train", "--data", "{data}", "--out", "nodir/m.json"], "--out", "directory 'nodir' does not exist"),
+        (["train", "--data", "{data}", "--trace", "afile/t.json"], "--trace", "'afile' is not a directory"),
+        (["train", "--data", "{data}", "--out", "."], "--out", "is a directory"),
+        (["audit", "--model", "{model}", "--data", "{data}", "--out", "nodir/r.json"], "--out", "'nodir' does not exist"),
+        (["bench", "--seeds", "1", "--out", "nodir/table.json"], "--out", "directory 'nodir' does not exist"),
+        (["gen", "--out-dir", "afile"], "--out-dir", "'afile' is a file"),
+        (["gen", "--out-dir", "afile/sub/dir"], "--out-dir", "'afile' is not a directory"),
+    ],
+    ids=["train-out", "train-trace", "train-out-is-a-dir", "audit-out", "bench-out", "gen-file", "gen-under-a-file"],
+)
+def test_unwritable_output_path_is_a_usage_error(runner, tmp_path, three_columns, args, option, reason):
+    # train, audit and bench did all their work before open() raised FileNotFoundError, and gen ended in a
+    # FileExistsError from makedirs: tracebacks with exit 1.  Now the command line is refused when parsed.
+    data, model = three_columns
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        open("afile", "w").close()
+        res = runner.invoke(main, [a.format(data=data, model=model) for a in args])
+        assert sorted(os.listdir()) == ["afile"]  # nothing written, no directory made
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    assert f"Invalid value for '{option}'" in res.output and reason in res.output
+    assert "Traceback" not in res.output
+
+
+def test_output_directory_is_made_with_its_ancestors(runner, tmp_path):
+    out = str(tmp_path / "new" / "deep")
+    res = runner.invoke(main, ["gen", "--n-train", "20", "--n-cal", "5", "--n-test", "20", "--out-dir", out])
+    assert res.exit_code == 0, res.output
+    assert os.path.exists(os.path.join(out, "train.csv"))
+
+
+@pytest.mark.parametrize(
     "losses, entry",
     [("l1,foo", "foo"), ("l1,lp:0.5", "lp:0.5"), ("l1,lp:x", "lp:x"), ("l1,lp:nan", "lp:nan"), ("l1,lp:inf", "lp:inf"),
      (",", ",")],
