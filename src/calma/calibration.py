@@ -65,6 +65,8 @@ class DistributionSampler:
         self._engine = ExpectationEngine.exact(dist)
 
     def draw(self, n: int) -> ExpectationEngine:
+        if n < 1:
+            raise ValueError(f"a draw takes at least 1 row, not {n}")
         counts = self.rng.multinomial(n, self.dist.mass)
         ones = self.rng.binomial(counts, self.dist.bayes)
         weights = counts / n
@@ -89,6 +91,8 @@ class DatasetSampler:
         return len(self._y) - self._cursor
 
     def draw(self, n: int) -> ExpectationEngine:
+        if n < 1:
+            raise ValueError(f"a draw takes at least 1 row, not {n}")
         if n > self.remaining:
             raise InsufficientSamplesError(f"need {n} rows, {self.remaining} left")
         sl = slice(self._cursor, self._cursor + n)

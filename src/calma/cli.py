@@ -226,6 +226,8 @@ def audit(model_path, data_path, losses, class_spec, out_path, clamp):
 
     with open(model_path) as fh, _loading(model_path):
         model = json.load(fh)
+        if not isinstance(model, dict):
+            raise ValueError(f"a model file must be an object, not {reprlib.repr(model)}")
     if "class" not in model:
         raise click.UsageError("the model file has no 'class' key; calma train writes the hypothesis class there")
     engine = _load_engine(data_path)

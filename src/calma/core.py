@@ -171,6 +171,8 @@ class FiniteDistribution:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "FiniteDistribution":
+        if not isinstance(d, Mapping):
+            raise ValueError(f"a distribution must be an object, not {reprlib.repr(d)}")
         if missing := [k for k in ("points", "mass", "bayes") if k not in d]:
             raise ValueError(f"a distribution needs 'points', 'mass' and 'bayes'; missing: {', '.join(missing)}")
         return cls(_numbers(d, "points", "", ndim=2), _numbers(d, "mass", ""), _numbers(d, "bayes", ""))
@@ -305,9 +307,10 @@ class ExpectationEngine:
     the drawn label means of a ``DistributionSampler`` draw.
     Both cases make ``E[g(x, y)] = E[ystar * g(x,1) + (1 - ystar) * g(x,0)]``.
 
-    Its member cache is keyed by the members: one entry per distinct member
-    sequence, which holds them for the engine's life.  Member correlations go
-    through ``correlations``, which asks the class how to compute them.
+    Its member cache is keyed by the members, the tuple of their ids: a class,
+    its ``members`` tuple and a list of the same hypotheses read one entry,
+    which holds them for the engine's life.  Member correlations go through
+    ``correlations``, which asks the class how to compute them.
     """
 
     X: np.ndarray
@@ -392,9 +395,11 @@ def constant_one() -> Hypothesis:
 @dataclass(frozen=True)
 class HypothesisClass:
     """Members in a fixed order, and ``_key``, the tuple of their ids, computed
-    once: the key of an engine's member cache.  ``fill`` and ``correlations``
-    say how the class writes its member matrix and correlates its members with
-    a vector; ``coordinate_class`` and ``interval_class`` override one each."""
+    once: the key of an engine's member cache.  ``fill`` writes the member
+    matrix one member at a time, for every class; ``correlations`` correlates
+    the members with a vector, and only ``interval_class`` overrides it.  Each
+    member of a derived class, and each negation, is ``Hypothesis.map`` of a
+    base member."""
 
     members: tuple
     _key: tuple = field(init=False, repr=False, compare=False)
@@ -416,7 +421,7 @@ class HypothesisClass:
 
     @property
     def max_bound(self) -> float:
-        return max(m.range_bound for m in self.members)
+        return max((m.range_bound for m in self.members), default=0.0)
 
     def fill(self, X: np.ndarray, out: np.ndarray) -> None:
         """Write member j's values on the rows ``X`` into column j of ``out``."""
@@ -433,33 +438,15 @@ def _as_class(hypotheses: HypothesisClass | Iterable[Hypothesis]) -> HypothesisC
 
 
 def make_class(members: Iterable[Hypothesis]) -> HypothesisClass:
-    """Build a class from ``members``, the constant 1 and every negation, which
-    the multiaccuracy guarantee needs; ``HypothesisClass`` takes members as given."""
-    return _closed_class(list(members))
-
-
-def _closed_class(lead: list[Hypothesis]) -> HypothesisClass:
-    """``lead``, the constant 1, then the negation of each; a member whose tag
-    is taken is dropped."""
-    members: dict[str, Hypothesis] = {}
-    for h in [*lead, constant_one()]:
-        members.setdefault(h.tag, h)
-    for h in [m.neg() for m in members.values()]:
-        members.setdefault(h.tag, h)
-    return HypothesisClass(tuple(members.values()))
-
-
-@dataclass(frozen=True)
-class _Coordinates(HypothesisClass):
-    """A class from ``coordinate_class``: ``fill`` writes its matrix in one pass, bit for bit the members' values."""
-
-    divisors: np.ndarray = field(repr=False, compare=False)
-
-    def fill(self, X: np.ndarray, out: np.ndarray) -> None:
-        dim = len(self.divisors)
-        np.divide(X[:, :dim], self.divisors, out=out[:, :dim])
-        out[:, dim] = 1.0
-        np.negative(out[:, : dim + 1], out=out[:, dim + 1 :])
+    """``members``, the constant 1, then the negation of each, which the
+    multiaccuracy guarantee needs; a member whose tag is taken is dropped.
+    ``HypothesisClass`` takes members as given."""
+    closed: dict[str, Hypothesis] = {}
+    for h in [*members, constant_one()]:
+        closed.setdefault(h.tag, h)
+    for h in [m.neg() for m in closed.values()]:
+        closed.setdefault(h.tag, h)
+    return HypothesisClass(tuple(closed.values()))
 
 
 def coordinate_class(dim: int, scales: Sequence[float] | None = None) -> HypothesisClass:
@@ -467,9 +454,8 @@ def coordinate_class(dim: int, scales: Sequence[float] | None = None) -> Hypothe
     divisors = np.ones(dim) if scales is None else np.array(scales, dtype=np.float64)
     if divisors.shape != (dim,) or not np.all(np.isfinite(divisors) & (divisors > 0)):
         raise ValueError(f"scales must be {dim} finite, positive numbers")
-    hclass = _closed_class([Hypothesis(lambda X, j=j, s=float(s): np.atleast_2d(X)[:, j] / s, 1.0, f"x{j}")
-                            for j, s in enumerate(divisors)])
-    return _Coordinates(hclass.members, divisors)
+    return make_class(Hypothesis(lambda X, j=j, s=float(s): np.atleast_2d(X)[:, j] / s, 1.0, f"x{j}")
+                      for j, s in enumerate(divisors))
 
 
 def lin_combination(cls: HypothesisClass, weights: Mapping[str, float], budget: float) -> Hypothesis:
@@ -484,13 +470,13 @@ def lin_combination(cls: HypothesisClass, weights: Mapping[str, float], budget: 
         return value_matrix(members, np.atleast_2d(X)) @ coefs
 
     tag = "lin(" + ",".join(f"{t}:{w:g}" for t, w in weights.items()) + ")"
-    return Hypothesis(fn, budget * cls.max_bound, tag)
+    return Hypothesis(fn, budget * cls.max_bound if weights else 0.0, tag)  # no weights: the zero hypothesis
 
 
 def _derived_class(cls: HypothesisClass, derive: Callable[[Hypothesis], Iterable[Hypothesis]]) -> HypothesisClass:
     """``make_class`` over ``derive(m)`` for each member ``m`` of ``cls``, in order,
     except negations: the closure adds the negations of what their base derives."""
-    return _closed_class([h for m in cls.members if not m.tag.startswith("-") for h in derive(m)])
+    return make_class(h for m in cls.members if not m.tag.startswith("-") for h in derive(m))
 
 
 def level_class(cls: HypothesisClass, points: np.ndarray) -> HypothesisClass:
@@ -558,12 +544,12 @@ def interval_class(cls: HypothesisClass, delta: float) -> HypothesisClass:
         h.map(lambda u, j=j: (cell_of(u) == j).astype(float), 1.0, f"int({h.tag},{cell})")
         for j, cell in enumerate(cells)
     ])
-    base = [j for j, m in enumerate(cls.members) if not m.tag.startswith("-")]
+    base = [m for m in cls.members if not m.tag.startswith("-")]
     if len(hclass) < 2 * (len(base) * ncells + 1):  # a tag was dropped: the columns no longer follow the base block
         return hclass
 
     def index(X: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(cell_of(value_matrix(cls, X)[:, base]).T)
+        return np.ascontiguousarray(cell_of(value_matrix(base, X)).T)
 
     return _Intervals(hclass.members, index, ncells)
 

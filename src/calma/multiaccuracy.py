@@ -211,7 +211,7 @@ def l1_glm_fit(
     def kkt_residual(grad: np.ndarray, wv: np.ndarray) -> float:
         at_zero = np.maximum(np.abs(grad) - alpha, 0.0)
         active = np.abs(grad + alpha * np.sign(wv))
-        return float(np.max(np.where(wv == 0.0, at_zero, active)))
+        return float(np.max(np.where(wv == 0.0, at_zero, active), initial=0.0))  # 0.0 for a class without members
 
     eta = 1.0
     objectives = [objective(w)]

@@ -374,6 +374,25 @@ class TestSamplers:
         with pytest.raises(InsufficientSamplesError):
             s.draw(1)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_dataset_sampler_refuses_a_draw_below_one_row(self, n):
+        # draw(-3) on 10 rows returned the first 7 and left 13 remaining, so the next draw repeated rows
+        s = DatasetSampler(Dataset(np.arange(10, dtype=float).reshape(-1, 1), np.arange(10) % 2))
+        with pytest.raises(ValueError, match=f"a draw takes at least 1 row, not {n}"):
+            s.draw(n)
+        assert s.remaining == 10
+        assert np.array_equal(s.draw(2).X.ravel(), [0.0, 1.0])
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_distribution_sampler_refuses_a_draw_below_one_row(self, n):
+        # draw(0) returned NaN weights
+        dist = random_distribution(np.random.default_rng(17), n_points=8)
+        s = DistributionSampler(dist, seed=3)
+        with pytest.raises(ValueError, match=f"a draw takes at least 1 row, not {n}"):
+            s.draw(n)
+        after, first = s.draw(5), DistributionSampler(dist, seed=3).draw(5)  # the refused draw took no random numbers
+        assert np.array_equal(after.weights, first.weights) and np.array_equal(after.ystar, first.ystar)
+
     def test_dataset_sampler_seed_fixes_one_permutation_of_every_row(self):
         data = Dataset(np.arange(50, dtype=float).reshape(-1, 1), np.arange(50) % 3 == 0)
         a, b = (DatasetSampler(data, seed=7).draw(50) for _ in range(2))

@@ -249,6 +249,25 @@ def test_unloadable_distribution_is_a_usage_error(runner, tmp_path, three_column
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("role", ["data", "model"])
+@pytest.mark.parametrize("text", ["5", "null", '["points", "mass", "bayes"]', '"class"'],
+                         ids=["number", "null", "list-of-keys", "string"])
+def test_non_object_json_is_a_usage_error(runner, tmp_path, three_columns, role, text):
+    # each ended in a TypeError traceback and exit 1 ("not iterable", "list indices must be integers",
+    # "string indices must be integers")
+    data, model = three_columns
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    files = {"data": data, "model": model, role: str(bad)}
+    res = runner.invoke(main, ["audit", "--model", files["model"], "--data", files["data"],
+                               "--out", str(tmp_path / "r.json")])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+    what = "a distribution" if role == "data" else "a model file"
+    assert len(errors) == 1 and errors[0].startswith(f"Error: cannot load {bad}: {what} must be an object, not "), res.output
+    assert "Traceback" not in res.output
+
+
 def _model_text(predictor):
     return json.dumps({"class": {"kind": "coords", "scales": [1.0, 1.0, 1.0]}, "predictor": predictor})
 

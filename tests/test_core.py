@@ -91,6 +91,10 @@ class TestContainers:
         with pytest.raises(ValueError, match="finite"):
             Dataset(X, [0.0, 1.0])
 
+    def test_class_without_members_is_bounded_by_0(self):
+        # "max() arg is an empty sequence"
+        assert HypothesisClass(()).max_bound == 0.0
+
     def test_immutable_arrays(self):
         dist = random_distribution(np.random.default_rng(0))
         with pytest.raises(ValueError):
@@ -158,6 +162,12 @@ class TestLinCombination:
         h = lin_combination(cls, {"h0": 1.0}, 1.0)
         np.testing.assert_allclose(h.values(dist.points), cls.member("h0").values(dist.points))
         assert np.max(np.abs(h.values(dist.points))) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("cls", [HypothesisClass(()), make_class([])], ids=["0-members", "constants"])
+    def test_no_weights_give_the_zero_hypothesis(self, cls):
+        # "max() arg is an empty sequence" for a class without members
+        h = lin_combination(cls, {}, 1.0)
+        assert np.array_equal(h.values(np.ones((3, 2))), np.zeros(3)) and h.range_bound == 0.0
 
     def test_budget_enforced(self):
         rng = np.random.default_rng(5)
@@ -378,8 +388,8 @@ def test_coordinate_class_needs_one_finite_positive_scale_per_coordinate(scales)
 
 
 class TestMemberMatrix:
-    """A coordinate class's one-pass builder and an interval class's cell index
-    against the members evaluated one at a time."""
+    """Member matrices and an interval class's cell index against the members
+    evaluated one at a time."""
 
     rng = np.random.default_rng(21)
     # uniform rows past [-1, 1], then cell edges and the domain's ends
@@ -461,25 +471,25 @@ class TestMemberMatrix:
         cls = make_class(self.tagged)
         assert [m.tag for m in cls.members] == ["a", "-a", "1", "-1"]
 
-    def test_coordinate_and_interval_builders_call_no_member(self, monkeypatch):
-        # the class the sample benchmark trains on (10 scaled coordinates and the constant, 8 cells each), and a
-        # scaled coordinate class: the coordinate matrix and the interval cell index come from the builders alone
-        X = gen_gaussian_mixture(MixtureConfig(s=4, d=10, n_train=10_000, n_cal=1, n_test=1, seed=1))[0].X
-        scales = [max(float(np.max(np.abs(X[:, j]))), 1e-12) for j in range(X.shape[1])]
-        classes = [interval_class(coordinate_class(10, scales), 0.25), coordinate_class(3, [2.0, 0.5, 4.0])]
-        want = [_per_member(cls, X) for cls in classes]
+    def test_interval_cell_index_evaluates_each_base_member_once(self, monkeypatch):
+        # the class the sample benchmark trains on (10 scaled coordinates and the constant, 8 cells each): the cell
+        # index evaluates the 11 non-negated base members once each, and no interval member or negation
+        base, X = _sample_coordinates()
+        cls = interval_class(base, 0.25)
+        want = _per_member(cls, X)
         v = np.random.default_rng(23).normal(size=len(X))
+        evaluated, values = [], Hypothesis.values
 
-        def evaluated(h, X):
-            raise AssertionError(f"member {h.tag} evaluated")
+        def recorded(h, X):
+            evaluated.append(h.tag)
+            return values(h, X)
 
-        monkeypatch.setattr(Hypothesis, "values", evaluated)
-        engine = ExpectationEngine(X, np.full(len(X), 1.0 / len(X)), np.zeros(len(X)))
-        assert engine.member_matrix(classes[1]).tobytes() == want[1].tobytes()
-        assert len(classes[0]) == 178 and len(X) * 178 > core._DENSE_MAX
-        fresh = ExpectationEngine(X, engine.weights, engine.ystar)  # no cached matrix: reads the cell index
-        assert np.all(np.abs(fresh.correlations(classes[0], v) - v @ want[0]) <= 1e-15 * np.sum(np.abs(v)))
-        assert list(fresh._members) == [(id(classes[0]), "cells")]
+        monkeypatch.setattr(Hypothesis, "values", recorded)
+        assert len(cls) == 178 and len(X) * 178 > core._DENSE_MAX
+        engine = ExpectationEngine(X, np.full(len(X), 1.0 / len(X)), np.zeros(len(X)))  # reads the cell index
+        assert np.all(np.abs(engine.correlations(cls, v) - v @ want) <= 1e-15 * np.sum(np.abs(v)))
+        assert evaluated == [f"x{j}" for j in range(10)] + ["1"]
+        assert list(engine._members) == [(id(cls), "cells")]
 
 
 class TestClip:

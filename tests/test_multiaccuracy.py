@@ -229,6 +229,13 @@ class TestMaAlgorithm:
         assert len(result.updates) > 0
         assert sum(X is engine.X for _, X in calls) == len(result.predictor.stages)
 
+    def test_sampled_batch_of_no_rows_is_refused(self):
+        # a batch of 0 rows gave NaN weights, and the run declined silently
+        dist, engine, cls = single_point_instance()
+        wl = ExhaustiveWeakLearner(cls, rho=0.1, sigma=0.1)
+        with pytest.raises(ValueError, match="a draw takes at least 1 row, not 0"):
+            ma_algorithm(ConstantPredictor(0.0), 0.1, wl, engine, sampler=DistributionSampler(dist, seed=5), batch_size=0)
+
     def test_alpha_must_cover_rho(self):
         dist, engine, cls = single_point_instance()
         wl = ExhaustiveWeakLearner(cls, rho=0.2, sigma=0.2)
@@ -256,6 +263,13 @@ class TestL1GlmFit:
         cls = make_class([])  # constants only
         fit = l1_glm_fit(cls, sigmoid_glm(), alpha=0.1, data=data)
         assert all(w == 0.0 for w in fit.weights.values())
+
+    def test_class_without_members_stops_at_the_start(self):
+        # numpy raised "zero-size array to reduction operation maximum"
+        data = Dataset(np.random.default_rng(5).normal(size=(10, 2)), [1.0] * 7 + [0.0] * 3)
+        fit = l1_glm_fit(HypothesisClass(()), sigmoid_glm(), 0.1, data)
+        assert fit.weights == {} and fit.iterations == 0 and fit.kkt_residual == 0.0
+        assert np.array_equal(fit.predictor.values(data.X), np.full(10, 0.5))  # clip01(gprime(0))
 
     def test_negative_alpha_refused(self):
         data = Dataset(np.zeros((4, 1)), [0, 1, 0, 1])
